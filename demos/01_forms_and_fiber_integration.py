@@ -1,8 +1,10 @@
 """Exterior algebra on flat charts, quadrature, and fiber integration.
 
-Every form is just an evaluator: a point and p tangent vectors go in, a
-real number comes out.  This script walks through the basic operations and
-then checks the four structure rules of fiber integration on live data.
+Every form is just an evaluator: points stacked as rows (N, m) and p
+tangent vectors stacked the same way go in, one real number per row comes
+out; calling a form on a single point and single vectors gives a float.
+This script walks through the basic operations and then checks the four
+structure rules of fiber integration on live data.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ print("i_{e_z} vol = dx^dy:", mf.interior(vol, ez)(np.zeros(3), ex, ey))
 
 # x dy carries an analytic derivative; the finite-difference path agrees
 xdy = mf.coefficient_form(3, 1, {(1,): mf.ScalarFunc(
-    lambda p: p[0], lambda p: np.array([1.0, 0.0, 0.0]))}, name="x dy")
+    lambda p: p[..., 0], lambda p: mf.broadcast_rows([1.0, 0.0, 0.0], p))}, name="x dy")
 d_xdy = mf.exterior_derivative(xdy)
 print("d(x dy)(e_x, e_y) =", d_xdy(rng.uniform(-1, 1, 3), ex, ey))
 

@@ -41,7 +41,7 @@ h = cat.random_form(3, 0, rng)
 W0 = mf.hat_pairing(h.analytic_d, 1.0, iv)  # the endpoint difference of h∘f
 dW0 = mf.map_space_d(W0, 1e-4)
 y = cat.random_tangent(f, rng)
-endpoint_term = (h.analytic_d.evaluator(f.values[-1], [y.vectors[-1]])
-                 - h.analytic_d.evaluator(f.values[0], [y.vectors[0]]))
+endpoint_term = (h.analytic_d(f.values[-1], y.vectors[-1])
+                 - h.analytic_d(f.values[0], y.vectors[0]))
 print("d of the endpoint-difference function vs the signed endpoint term:",
       abs(dW0(f, y) - endpoint_term))

@@ -47,7 +47,7 @@ print("momentum-map defining identity residual:", res)
 # --- exact volume preserving reparameterizations of the torus ---------------
 domt = mf.torus2(24)
 theta = mf.coefficient_form(4, 1, {(2,): mf.ScalarFunc(
-    lambda u: u[0], lambda u: np.array([1.0, 0, 0, 0]))}, name="u1 du3")
+    lambda u: u[..., 0], lambda u: mf.broadcast_rows([1.0, 0, 0, 0], u))}, name="u1 du3")
 om_ex = me.exact_two_form(theta)
 
 f4 = cat.torus_graph_map(domt)
@@ -75,7 +75,7 @@ print("\nvolume-integral cocycle on constant fields:",
 # --- the two actions commute ------------------------------------------------
 report = me.dual_pair_report(sys, me.exact_two_form(
     mf.coefficient_form(2, 1, {(1,): mf.ScalarFunc(
-        lambda u: u[0], lambda u: np.array([1.0, 0.0]))})),
+        lambda u: u[..., 0], lambda u: mf.broadcast_rows([1.0, 0.0], u))})),
     mf.torus2(16), np.random.default_rng(5), n_trials=2)
 print("\ncommuting actions, nodewise error:", report["commutation_error"])
 print("cocycle spread along a homotopy:   ", report["diffex_cocycle_spread"])

@@ -19,12 +19,13 @@ iv = mf.interval(65)
 # the nontrivial case: bulk form z dx^dy^dz on R^4, boundary subspace w = 0,
 # potential xz dy^dz whose differential is the restricted bulk form
 H = mf.coefficient_form(4, 3, {(0, 1, 2): mf.ScalarFunc(
-    lambda u: u[2], lambda u: np.array([0.0, 0.0, 1.0, 0.0]))},
+    lambda u: u[..., 2], lambda u: mf.broadcast_rows([0.0, 0.0, 1.0, 0.0], u))},
     name="z dx^dy^dz")
 D = me.affine_subspace(np.zeros(4), np.eye(4)[:, :3])
 B = mf.coefficient_form(3, 2, {(1, 2): mf.ScalarFunc(
-    lambda u: u[0] * u[2], lambda u: np.array([u[2], 0.0, u[0]]),
-    lambda u: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))},
+    lambda u: u[..., 0] * u[..., 2],
+    lambda u: np.stack([u[..., 2], 0.0 * u[..., 1], u[..., 0]], axis=-1),
+    lambda u: mf.broadcast_rows([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], u))},
     name="xz dy^dz")
 
 report = me.brane_twist_check(H, B, D, iv, rng, n_trials=3)
@@ -35,7 +36,7 @@ print("  passed:", report.passed)
 
 # the same bulk form with the potential removed fails the gate
 B0 = mf.coefficient_form(3, 2, {(1, 2): mf.ScalarFunc(
-    lambda u: 0.0, lambda u: np.zeros(3))}, name="0")
+    lambda u: 0.0 * u[..., 0], lambda u: np.zeros_like(u))}, name="0")
 bad = me.brane_twist_check(H, B0, D, iv, rng)
 print("\ninconsistent data:")
 print("  applicable:", bad.applicable, " passed:", bad.passed)

@@ -25,7 +25,7 @@ from .domains import (NotExactError, ScalarField, SmoothnessWarning,
                       field_from_function, interval, make_domain,
                       nodal_vector_field, projection_P, right_inverse_b,
                       torus2)
-from .forms import (DegreeError, Form, ProductForm, ScalarFunc,
+from .forms import (DegreeError, Form, ProductForm, ScalarFunc, broadcast_rows,
                     coefficient_form, constant_form, coordinate_form,
                     exterior_derivative, fiber_integrate, form_scale,
                     form_sum, integrate, interior, lie_derivative,
@@ -42,8 +42,7 @@ from .mapspace import (MapPoint, MapSpaceForm, MapTangent,
                        hat_pairing, hat_pairing_fiber, map_from_function,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, pullback_action,
-                       pushforward_action, restrict_boundary,
-                       tangent_from_function)
+                       pushforward_action, restrict_boundary)
 from .mechanics import (AffineSubspace, BraneReport, ExactTwoForm,
                         HamiltonianPair, HamiltonianSystem, LiftedGAction,
                         affine_subspace, brane_twist_check, canonical_r2,

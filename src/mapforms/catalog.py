@@ -14,7 +14,7 @@ import numpy as np
 
 from . import mapspace as ms
 from .charts import ChartMap, VectorField, affine_field, constant_field
-from .domains import SourceDomain
+from .domains import SourceDomain, warn_if_rough
 from .forms import (Form, ScalarFunc, coefficient_form, coordinate_form,
                     scalar_coordinate, trig_scalar, volume_form)
 
@@ -129,34 +129,36 @@ def random_form(dim: int, degree: int, rng: np.random.Generator,
     return coefficient_form(dim, degree, coeffs, name=f"rand{degree}")
 
 
+def _sampled(funcs, dom: SourceDomain) -> Array:
+    """Random scalars evaluated on every node: (n_nodes, len(funcs))."""
+    return np.column_stack([g.value(dom.nodes) for g in funcs])
+
+
 def random_map(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
                amp: float = 1.0, around=None) -> ms.MapPoint:
     funcs = [random_scalar(dom.chart_dim, rng, amp=amp) for _ in range(target_dim)]
     base = np.zeros(target_dim) if around is None else np.asarray(around, dtype=float)
-
-    def f(s):
-        return base + np.array([g.value(s) for g in funcs])
-
-    return ms.map_from_function(dom, f, target_dim)
+    vals = base + _sampled(funcs, dom)
+    warn_if_rough(dom, vals)
+    return ms.MapPoint(dom, vals)
 
 
 def random_loop(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
                 amp: float = 0.25) -> ms.MapPoint:
     """A perturbed unit circle; stays embedded for small amplitudes."""
     funcs = [random_scalar(1, rng, amp=amp) for _ in range(target_dim)]
-
-    def f(s):
-        out = np.zeros(target_dim)
-        out[0], out[1] = np.cos(s[0]), np.sin(s[0])
-        return out + np.array([g.value(s) for g in funcs])
-
-    return ms.map_from_function(dom, f, target_dim)
+    s = dom.nodes[:, 0]
+    circle = np.zeros((dom.n_nodes, target_dim))
+    circle[:, 0], circle[:, 1] = np.cos(s), np.sin(s)
+    vals = circle + _sampled(funcs, dom)
+    warn_if_rough(dom, vals)
+    return ms.MapPoint(dom, vals)
 
 
 def random_tangent(f: ms.MapPoint, rng: np.random.Generator,
                    amp: float = 1.0) -> ms.MapTangent:
     funcs = [random_scalar(f.dom.chart_dim, rng, amp=amp) for _ in range(f.target_dim)]
-    return ms.tangent_from_function(f, lambda s: np.array([g.value(s) for g in funcs]))
+    return ms.MapTangent(f, _sampled(funcs, f.dom))
 
 
 def random_affine_field(dim: int, rng: np.random.Generator,
@@ -171,7 +173,7 @@ def random_stream(dom: SourceDomain, rng: np.random.Generator,
     """Zero-mean random stream function on the 2-torus."""
     from .domains import ScalarField
     g = random_scalar(2, rng, n_terms=3, max_mode=max_mode, amp=amp)
-    vals = np.array([g.value(s) for s in dom.nodes])
+    vals = g.value(dom.nodes)
     return ScalarField(dom, vals - vals.mean())
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .forms import Form, DegreeError
+from .forms import DegreeError, Form, broadcast_rows
 
 Array = np.ndarray
 
@@ -95,38 +95,31 @@ class SourceDomain:
 
     # -- node bookkeeping ---------------------------------------------------
 
-    def node_index(self, s) -> int:
-        """Index of the node at parameter point s (uniform-grid arithmetic);
-        raises if s is off the grid."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.kind == "circle":
-            h = self.spacing[0]
-            j = int(np.rint(s[0] / h)) % self.shape[0]
-            ref = self.nodes[j, 0]
-            if not np.isclose((s[0] - ref + np.pi) % TWO_PI - np.pi, 0.0, atol=1e-9):
-                raise KeyError(f"off-node parameter {s}")
-            return j
-        if self.kind == "torus2":
-            hx, hy = self.spacing
-            jx = int(np.rint(s[0] / hx)) % self.shape[0]
-            jy = int(np.rint(s[1] / hy)) % self.shape[1]
-            idx = jx * self.shape[1] + jy
-            d = (s - self.nodes[idx] + np.pi) % TWO_PI - np.pi
-            if not np.allclose(d, 0.0, atol=1e-9):
-                raise KeyError(f"off-node parameter {s}")
-            return idx
-        if self.kind == "interval":
-            h = self.spacing[0]
-            j = int(np.rint(s[0] / h))
-            if j < 0 or j >= self.shape[0] or not np.isclose(s[0], self.nodes[j, 0], atol=1e-9):
-                raise KeyError(f"off-node parameter {s}")
-            return j
-        if self.kind == "points":
-            for j in range(self.n_nodes):
-                if np.allclose(s, self.nodes[j], atol=1e-9):
-                    return j
-            raise KeyError(f"off-node parameter {s}")
-        raise KeyError(self.kind)
+    def node_index(self, s):
+        """Index of the node at parameter point s (uniform-grid arithmetic),
+        or an index array for points stacked as rows (N, chart_dim); raises
+        KeyError if any point is off the grid."""
+        s = np.asarray(s, dtype=float)
+        rows = np.atleast_2d(s) if s.ndim else s.reshape(1, 1)
+        if self.kind in ("circle", "torus2"):
+            per_axis = np.rint(rows / self.spacing).astype(int) % self.shape
+            j = np.ravel_multi_index(tuple(per_axis.T), self.shape)
+            d = (rows - self.nodes[j] + np.pi) % TWO_PI - np.pi
+            off = ~np.all(np.isclose(d, 0.0, atol=1e-9), axis=1)
+        elif self.kind == "interval":
+            j = np.rint(rows[:, 0] / self.spacing[0]).astype(int)
+            inside = (j >= 0) & (j < self.shape[0])
+            j = np.clip(j, 0, self.shape[0] - 1)
+            off = ~inside | ~np.isclose(rows[:, 0], self.nodes[j, 0], atol=1e-9)
+        elif self.kind == "points":
+            match = np.all(np.isclose(rows[:, None, :], self.nodes[None], atol=1e-9), axis=2)
+            j = np.argmax(match, axis=1)
+            off = ~np.any(match, axis=1)
+        else:
+            raise KeyError(self.kind)
+        if np.any(off):
+            raise KeyError(f"off-node parameter {rows[np.argmax(off)]}")
+        return int(j[0]) if s.ndim <= 1 else j
 
     # -- differentiation ----------------------------------------------------
 
@@ -325,13 +318,14 @@ def _trig_interp_1d(flat: Array, pts: Array) -> Array:
 
 def _trig_interp_2d(flat: Array, shape: tuple, pts: Array) -> Array:
     nx, ny = shape
-    out = np.empty((pts.shape[0], flat.shape[1]))
-    for j in range(flat.shape[1]):
-        c = np.fft.fft2(flat[:, j].reshape(nx, ny)) / (nx * ny)
-        Ex = _nyquist_basis(nx, pts[:, 0])
-        Ey = _nyquist_basis(ny, pts[:, 1])
-        out[:, j] = np.real(np.einsum("qa,ab,qb->q", Ex, c, Ey))
-    return out
+    comps = flat.shape[1]
+    # coefficients of every component side by side: c[a, j, b] (nx, comps, ny)
+    c = np.stack([np.fft.fft2(flat[:, j].reshape(nx, ny)) for j in range(comps)],
+                 axis=1) / (nx * ny)
+    Ex = _nyquist_basis(nx, pts[:, 0])
+    Ey = _nyquist_basis(ny, pts[:, 1])
+    rows = (Ex @ c.reshape(nx, comps * ny)).reshape(-1, comps, ny)
+    return np.real(np.sum(rows * Ey[:, None, :], axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +356,7 @@ class ScalarField:
         dom, vals = self.dom, self.values
 
         def ev(s, vs):
-            return float(vals[dom.node_index(s)])
+            return vals[dom.node_index(s)]
 
         return Form(0, dom.chart_dim, ev, name="nodal")
 
@@ -412,8 +406,8 @@ def sample_one_form(dom: SourceDomain, beta) -> Array:
     if beta.degree != 1:
         raise DegreeError("expected a 1-form")
     basis = np.eye(dom.chart_dim)
-    return np.array([[beta.evaluator(s, [basis[:, a]]) for a in range(dom.dim)]
-                     for s in dom.nodes])
+    return np.column_stack([beta.evaluator(dom.nodes, [broadcast_rows(basis[a], dom.nodes)])
+                            for a in range(dom.dim)])
 
 
 def exactness_residuals(dom: SourceDomain, comps: Array) -> tuple:

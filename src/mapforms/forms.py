@@ -1,11 +1,14 @@
 """Exterior algebra and calculus for differential forms on flat charts.
 
-A form of degree p on an m-dimensional chart is an evaluator taking a point
-and p tangent vectors to a real number, optionally bundled with an analytic
-exterior derivative.  There is no symbolic layer: wedge products, interior
-products, pullbacks and Lie derivatives all compose evaluators, and the
-exterior derivative falls back to central differences when no analytic
-derivative is attached.
+A form of degree p on an m-dimensional chart is an evaluator taking N
+points stacked as rows (N, m) and p tangent vectors stacked the same way to
+N real numbers, optionally bundled with an analytic exterior derivative.
+Scalar coefficient functions follow the same batched contract.  There is no
+symbolic layer: wedge products, interior products, pullbacks and Lie
+derivatives all compose evaluators, and the exterior derivative falls back
+to central differences when no analytic derivative is attached.  Calling a
+form or a scalar function on a single point is a thin wrapper around the
+batched evaluator.
 
 Quadrature integration over a discretized source domain and fiber
 integration over a product chart live here as well.
@@ -22,11 +25,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import ChartMap, DimensionMismatch, VectorField, as_field, identity_map
+from .charts import (DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField,
+                     as_field, identity_map)
 
 Array = np.ndarray
-
-DEFAULT_FD_STEP = 1e-4
 
 
 class DegreeError(ValueError):
@@ -57,27 +59,40 @@ def shuffles(p: int, q: int):
     return out
 
 
-def _minor_det(vectors: Sequence[Array], index: tuple) -> float:
-    """det of the submatrix picking rows `index` of the stacked vectors."""
+def _minor_det(vectors: Sequence[Array], index: tuple):
+    """Row-wise det of the submatrix picking components `index` of the
+    vectors, each (N, m); 1.0 for the empty index."""
     p = len(index)
     if p == 0:
         return 1.0
     if p == 1:
-        return float(vectors[0][index[0]])
+        return vectors[0][:, index[0]]
     if p == 2:
         (a, b) = index
         v0, v1 = vectors
-        return float(v0[a] * v1[b] - v0[b] * v1[a])
+        return v0[:, a] * v1[:, b] - v0[:, b] * v1[:, a]
     if p == 3:
         (a, b, c) = index
         v0, v1, v2 = vectors
-        return float(
-            v0[a] * (v1[b] * v2[c] - v1[c] * v2[b])
-            - v0[b] * (v1[a] * v2[c] - v1[c] * v2[a])
-            + v0[c] * (v1[a] * v2[b] - v1[b] * v2[a])
+        return (
+            v0[:, a] * (v1[:, b] * v2[:, c] - v1[:, c] * v2[:, b])
+            - v0[:, b] * (v1[:, a] * v2[:, c] - v1[:, c] * v2[:, a])
+            + v0[:, c] * (v1[:, a] * v2[:, b] - v1[:, b] * v2[:, a])
         )
-    mat = np.array([[v[i] for i in index] for v in vectors], dtype=float)
-    return float(np.linalg.det(mat))
+    return np.linalg.det(np.stack([v[:, list(index)] for v in vectors], axis=1))
+
+
+def broadcast_rows(value, x: Array) -> Array:
+    """A constant value, gradient or Hessian repeated for every point of x
+    (N, m): shape (N,) + shape(value), as a read-only view."""
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
+def apply_rows(func: Callable[[Array], Array], x: Array) -> Array:
+    """A per-point callable (a ChartMap, its Jacobian or a VectorField)
+    applied to every row of x."""
+    return np.array([func(xi) for xi in x], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -85,27 +100,34 @@ def _minor_det(vectors: Sequence[Array], index: tuple) -> float:
 
 @dataclass(frozen=True)
 class ScalarFunc:
-    """A scalar function on a chart with optional analytic gradient/Hessian."""
+    """A scalar function on a chart with optional analytic gradient/Hessian.
 
-    value: Callable[[Array], float]
+    All three take points stacked as rows, x of shape (N, m), and return
+    shapes (N,), (N, m) and (N, m, m); write coordinates as x[..., i].
+    """
+
+    value: Callable[[Array], Array]
     grad: Optional[Callable[[Array], Array]] = None
     hess: Optional[Callable[[Array], Array]] = None
 
     def __call__(self, x) -> float:
-        return float(self.value(np.asarray(x, dtype=float)))
+        """Value at a single point."""
+        return float(self.value(np.atleast_1d(np.asarray(x, dtype=float))[None])[0])
 
 
 def scalar_const(c: float, dim: int) -> ScalarFunc:
     z = np.zeros(dim)
     zz = np.zeros((dim, dim))
-    return ScalarFunc(lambda x: c, lambda x: z, lambda x: zz)
+    return ScalarFunc(lambda x: broadcast_rows(c, x), lambda x: broadcast_rows(z, x),
+                      lambda x: broadcast_rows(zz, x))
 
 
 def scalar_coordinate(i: int, dim: int) -> ScalarFunc:
     e = np.zeros(dim)
     e[i] = 1.0
     zz = np.zeros((dim, dim))
-    return ScalarFunc(lambda x: float(x[i]), lambda x: e, lambda x: zz)
+    return ScalarFunc(lambda x: x[..., i], lambda x: broadcast_rows(e, x),
+                      lambda x: broadcast_rows(zz, x))
 
 
 def scalar_sum(funcs: Sequence[ScalarFunc]) -> ScalarFunc:
@@ -129,8 +151,8 @@ def scalar_partial(f: ScalarFunc, j: int) -> ScalarFunc:
         raise ValueError("scalar_partial needs an analytic gradient")
     grad = None
     if f.hess is not None:
-        grad = lambda x: np.asarray(f.hess(x), dtype=float)[j]  # noqa: E731
-    return ScalarFunc(lambda x: float(np.asarray(f.grad(x), dtype=float)[j]), grad)
+        grad = lambda x: np.asarray(f.hess(x), dtype=float)[..., j, :]  # noqa: E731
+    return ScalarFunc(lambda x: np.asarray(f.grad(x), dtype=float)[..., j], grad)
 
 
 def trig_scalar(dim: int, modes, amps, phases) -> ScalarFunc:
@@ -141,14 +163,14 @@ def trig_scalar(dim: int, modes, amps, phases) -> ScalarFunc:
     P = np.asarray(phases, dtype=float)
 
     def value(x):
-        return float(np.sum(A * np.sin(K @ x + P)))
+        return np.sin(x @ K.T + P) @ A
 
     def grad(x):
-        return (A * np.cos(K @ x + P)) @ K
+        return (np.cos(x @ K.T + P) * A) @ K
 
     def hess(x):
-        w = -A * np.sin(K @ x + P)
-        return (K.T * w) @ K
+        w = -A * np.sin(x @ K.T + P)
+        return np.einsum("nr,ri,rj->nij", w, K, K)
 
     return ScalarFunc(value, grad, hess)
 
@@ -160,14 +182,16 @@ def trig_scalar(dim: int, modes, amps, phases) -> ScalarFunc:
 class Form:
     """A degree-p alternating multilinear field on an m-dimensional chart.
 
-    evaluator(point, [v_1, ..., v_p]) -> float.  Antisymmetry and
+    evaluator(points, [v_1, ..., v_p]) -> values, with points and every v_i
+    of shape (N, m) and values of shape (N,): row i of the result is the form
+    at points[i] on the i-th rows of the vectors.  Antisymmetry and
     multilinearity in the tangent slots are the caller's obligation when
     constructing raw evaluators; every operation below preserves them.
     """
 
     degree: int
     ambient_dim: int
-    evaluator: Callable[[Array, Sequence[Array]], float]
+    evaluator: Callable[[Array, Sequence[Array]], Array]
     analytic_d: Optional["Form"] = None
     name: str = ""
 
@@ -176,21 +200,23 @@ class Form:
             raise DegreeError("negative form degree")
 
     def __call__(self, point, *vectors) -> float:
+        """Value at a single point on single vectors."""
         if len(vectors) != self.degree:
             raise DegreeError(
                 f"form of degree {self.degree} evaluated on {len(vectors)} vectors"
             )
-        vs = [np.asarray(v, dtype=float) for v in vectors]
-        return float(self.evaluator(np.asarray(point, dtype=float), vs))
+        vs = [np.atleast_1d(np.asarray(v, dtype=float))[None] for v in vectors]
+        x = np.atleast_1d(np.asarray(point, dtype=float))[None]
+        return float(self.evaluator(x, vs)[0])
 
 
 def zero_form(dim: int, degree: int) -> Form:
-    return Form(degree, dim, lambda x, vs: 0.0, name="0")
+    return Form(degree, dim, lambda x, vs: np.zeros(len(x)), name="0")
 
 
 def constant_form(dim: int, value: float) -> Form:
-    return Form(0, dim, lambda x, vs: value, analytic_d=zero_form(dim, 1),
-                name=f"{value:g}")
+    return Form(0, dim, lambda x, vs: np.full(len(x), value),
+                analytic_d=zero_form(dim, 1), name=f"{value:g}")
 
 
 def form_sum(*forms: Form) -> Form:
@@ -241,7 +267,7 @@ def coefficient_form(dim: int, degree: int, coeffs: dict, name: str = "",
             raise DegreeError(f"bad multi-index {I} for degree {degree} on dim {dim}")
 
     def ev(x, vs):
-        return sum(c.value(x) * _minor_det(vs, I) for I, c in items)
+        return sum((c.value(x) * _minor_det(vs, I) for I, c in items), np.zeros(len(x)))
 
     if _exact:
         analytic = zero_form(dim, degree + 1)
@@ -286,13 +312,9 @@ def wedge(a: Form, b: Form) -> Form:
     splits = shuffles(p, q)
 
     def ev(x, vs):
-        total = 0.0
-        for left, right, sign in splits:
-            av = a.evaluator(x, [vs[i] for i in left])
-            if av == 0.0:
-                continue
-            total += sign * av * b.evaluator(x, [vs[i] for i in right])
-        return total
+        return sum((sign * a.evaluator(x, [vs[i] for i in left])
+                    * b.evaluator(x, [vs[i] for i in right])
+                    for left, right, sign in splits), np.zeros(len(x)))
 
     analytic = None
     if a.analytic_d is not None and b.analytic_d is not None:
@@ -311,13 +333,13 @@ def interior(a: Form, X) -> Form:
     Xf = as_field(X, a.ambient_dim)
 
     def ev(x, vs):
-        return a.evaluator(x, [Xf(x), *vs])
+        return a.evaluator(x, [apply_rows(Xf, x), *vs])
 
     return Form(a.degree - 1, a.ambient_dim, ev, name=f"i_{Xf.name}({a.name})")
 
 
-def _directional(func: Callable[[Array], float], x: Array, v: Array,
-                 step: float, richardson: bool) -> float:
+def _directional(func: Callable[[Array], Array], x: Array, v: Array,
+                 step: float, richardson: bool) -> Array:
     d1 = (func(x + step * v) - func(x - step * v)) / (2.0 * step)
     if not richardson:
         return d1
@@ -338,7 +360,7 @@ def exterior_derivative(a: Form, step: float = DEFAULT_FD_STEP,
     p = a.degree
 
     def ev(x, vs):
-        total = 0.0
+        total = np.zeros(len(x))
         for i in range(p + 1):
             rest = list(vs[:i]) + list(vs[i + 1:])
             total += (-1.0) ** i * _directional(
@@ -355,8 +377,8 @@ def pullback(a: Form, phi: ChartMap) -> Form:
             f"pullback: map into dim {phi.target_dim}, form on dim {a.ambient_dim}")
 
     def ev(x, vs):
-        J = phi.jacobian(x)
-        return a.evaluator(phi(x), [J @ v for v in vs])
+        J = apply_rows(phi.jacobian, x)
+        return a.evaluator(apply_rows(phi, x), [np.einsum("nij,nj->ni", J, v) for v in vs])
 
     return Form(a.degree, phi.source_dim, ev, name=f"{phi.name}*({a.name})")
 
@@ -367,7 +389,8 @@ def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
     Xf = as_field(X, a.ambient_dim)
     if a.degree == 0:
         def ev(x, vs):
-            return _directional(lambda y: a.evaluator(y, []), x, Xf(x), step, richardson)
+            return _directional(lambda y: a.evaluator(y, []), x, apply_rows(Xf, x),
+                                step, richardson)
         return Form(0, a.ambient_dim, ev, name=f"L_{Xf.name}({a.name})")
     da = exterior_derivative(a, step, richardson)
     return form_sum(interior(da, Xf),
@@ -396,12 +419,8 @@ def integrate(a: Form, dom) -> float:
     if a.degree != dom.dim:
         raise DegreeError(
             f"integrate: form degree {a.degree} != domain dim {dom.dim}")
-    frame = [np.eye(dom.chart_dim)[:, i] for i in range(dom.dim)]
-    sw = dom.signed_weights
-    total = 0.0
-    for i in range(dom.n_nodes):
-        total += sw[i] * a.evaluator(dom.nodes[i], frame)
-    return float(total)
+    frame = [broadcast_rows(e, dom.nodes) for e in np.eye(dom.chart_dim)[:dom.dim]]
+    return float(dom.signed_weights @ a.evaluator(dom.nodes, frame))
 
 
 @dataclass(frozen=True)
@@ -415,11 +434,12 @@ class ProductForm:
     chart_form: Form
 
     def evaluate(self, s, x, pairs) -> float:
+        """Value at a single point (s, x) on single (S-part, V-part) pairs."""
         point = np.concatenate([np.atleast_1d(np.asarray(s, dtype=float)),
                                 np.asarray(x, dtype=float)])
         vecs = [np.concatenate([np.asarray(zs, dtype=float), np.asarray(zx, dtype=float)])
                 for zs, zx in pairs]
-        return float(self.chart_form.evaluator(point, vecs))
+        return self.chart_form(point, *vecs)
 
 
 def product_form(s_dim: int, v_dim: int, chart_form: Form) -> ProductForm:
@@ -475,23 +495,36 @@ def fiber_integrate(w: ProductForm, dom) -> Form:
     n = w.degree
     if n < k:
         raise DegreeError(f"fiber integral of a degree-{n} form over a dim-{k} domain")
-    cz = dom.chart_dim
-    frame = [(np.eye(cz)[:, i], np.zeros(w.v_dim)) for i in range(k)]
+    cz, nn = dom.chart_dim, dom.n_nodes
+    frame = np.eye(cz + w.v_dim)[:k]
     sw = dom.signed_weights
-    zs = np.zeros(cz)
 
     def ev(x, vecs):
-        pairs = [(zs, v) for v in vecs] + frame
-        total = 0.0
-        for i in range(dom.n_nodes):
-            total += sw[i] * w.evaluate(dom.nodes[i], x, pairs)
-        return total
+        # row r of the product chart is node r % nn above the point x[r // nn]
+        rows = len(x) * nn
+        points = np.hstack([np.tile(dom.nodes, (len(x), 1)), np.repeat(x, nn, axis=0)])
+        ins = [np.hstack([np.zeros((rows, cz)), np.repeat(v, nn, axis=0)]) for v in vecs]
+        fr = [np.broadcast_to(e, (rows, cz + w.v_dim)) for e in frame]
+        vals = w.chart_form.evaluator(points, ins + fr)
+        return vals.reshape(len(x), nn) @ sw
 
     return Form(n - k, w.v_dim, ev, name=f"fib({w.chart_form.name})")
 
 
 # ---------------------------------------------------------------------------
 # sampling utilities for comparing evaluator-based forms
+
+def _draw(rng: np.random.Generator, m: int, p: int, radius: float, center=0.0):
+    """One random point and p random vectors, drawn in that order."""
+    return (center + radius * rng.uniform(-1.0, 1.0, size=m),
+            [rng.uniform(-1.0, 1.0, size=m) for _ in range(p)])
+
+
+def _stack(samples: list, p: int, m: int) -> tuple:
+    """Per-sample (point, vectors) draws as points (N, m) and slots (p, N, m)."""
+    x = np.array([s[0] for s in samples]).reshape(len(samples), m)
+    return x, np.array([s[1] for s in samples]).reshape(len(samples), p, m).swapaxes(0, 1)
+
 
 def sample_difference(a: Form, b: Form, rng: np.random.Generator,
                       n_samples: int = 20, radius: float = 1.0,
@@ -501,12 +534,9 @@ def sample_difference(a: Form, b: Form, rng: np.random.Generator,
         raise DimensionMismatch("sample_difference needs matching degree and dim")
     m, p = a.ambient_dim, a.degree
     c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = c + radius * rng.uniform(-1.0, 1.0, size=m)
-        vs = [rng.uniform(-1.0, 1.0, size=m) for _ in range(p)]
-        worst = max(worst, abs(a.evaluator(x, vs) - b.evaluator(x, vs)))
-    return worst
+    x, vs = _stack([_draw(rng, m, p, radius, c) for _ in range(n_samples)], p, m)
+    diff = a.evaluator(x, list(vs)) - b.evaluator(x, list(vs))
+    return float(np.max(np.abs(diff), initial=0.0))
 
 
 def antisymmetry_defect(a: Form, rng: np.random.Generator,
@@ -514,16 +544,17 @@ def antisymmetry_defect(a: Form, rng: np.random.Generator,
     """Max violation of a swap sign flip over random slot pairs."""
     if a.degree < 2:
         return 0.0
-    worst = 0.0
     m, p = a.ambient_dim, a.degree
+    samples, pairs = [], []
     for _ in range(n_samples):
-        x = radius * rng.uniform(-1.0, 1.0, size=m)
-        vs = [rng.uniform(-1.0, 1.0, size=m) for _ in range(p)]
-        i, j = rng.choice(p, size=2, replace=False)
-        swapped = list(vs)
-        swapped[i], swapped[j] = swapped[j], swapped[i]
-        worst = max(worst, abs(a.evaluator(x, vs) + a.evaluator(x, swapped)))
-    return worst
+        samples.append(_draw(rng, m, p, radius))
+        pairs.append(rng.choice(p, size=2, replace=False))
+    x, vs = _stack(samples, p, m)
+    (i, j), rows = np.reshape(pairs, (n_samples, 2)).T, np.arange(n_samples)
+    swapped = vs.copy()
+    swapped[i, rows], swapped[j, rows] = vs[j, rows], vs[i, rows]
+    defect = a.evaluator(x, list(vs)) + a.evaluator(x, list(swapped))
+    return float(np.max(np.abs(defect), initial=0.0))
 
 
 def multilinearity_defect(a: Form, rng: np.random.Generator,
@@ -531,19 +562,18 @@ def multilinearity_defect(a: Form, rng: np.random.Generator,
     """Max violation of linearity in a random slot."""
     if a.degree == 0:
         return 0.0
-    worst = 0.0
     m, p = a.ambient_dim, a.degree
+    samples, slot, u, c = [], [], [], []
     for _ in range(n_samples):
-        x = radius * rng.uniform(-1.0, 1.0, size=m)
-        vs = [rng.uniform(-1.0, 1.0, size=m) for _ in range(p)]
-        i = int(rng.integers(p))
-        u = rng.uniform(-1.0, 1.0, size=m)
-        c = float(rng.uniform(-2.0, 2.0))
-        combo = list(vs)
-        combo[i] = vs[i] + c * u
-        alt = list(vs)
-        alt[i] = u
-        lhs = a.evaluator(x, combo)
-        rhs = a.evaluator(x, vs) + c * a.evaluator(x, alt)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+        samples.append(_draw(rng, m, p, radius))
+        slot.append(int(rng.integers(p)))
+        u.append(rng.uniform(-1.0, 1.0, size=m))
+        c.append(float(rng.uniform(-2.0, 2.0)))
+    x, vs = _stack(samples, p, m)
+    rows, c = np.arange(n_samples), np.array(c)
+    combo, alt = vs.copy(), vs.copy()
+    combo[slot, rows] += c[:, None] * np.array(u)
+    alt[slot, rows] = u
+    defect = a.evaluator(x, list(combo)) - (a.evaluator(x, list(vs))
+                                            + c * a.evaluator(x, list(alt)))
+    return float(np.max(np.abs(defect), initial=0.0))

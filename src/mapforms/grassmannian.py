@@ -20,7 +20,7 @@ import numpy as np
 
 from .charts import ChartMap
 from .forms import DegreeError, Form
-from .mapspace import (MapPoint, MapTangent, generator_M, hat_map,
+from .mapspace import (MapPoint, MapTangent, generator_M, hat_gram, hat_map,
                        pushforward_action)
 
 Array = np.ndarray
@@ -128,22 +128,8 @@ def tangential_tangent(N: EmbeddedSubmanifold, Z_components: Array) -> MapTangen
 
 
 def mw_gram_matrix(nu: Form, N: EmbeddedSubmanifold) -> Array:
-    """Full Gram matrix of the loop-space pairing on the nodal tangent basis
-    (meant for small node counts); its kernel is spanned by the tangential
-    directions."""
-    n, m = N.rep.values.shape
-    pairing = mw_form(nu, N)
-
-    def basis_tangent(flat: int) -> MapTangent:
-        v = np.zeros((n, m))
-        v[flat // m, flat % m] = 1.0
-        return MapTangent(N.rep, v)
-
-    dim = n * m
-    G = np.zeros((dim, dim))
-    for r in range(dim):
-        Xr = basis_tangent(r)
-        for c in range(r + 1, dim):
-            G[r, c] = pairing(Xr, basis_tangent(c))
-            G[c, r] = -G[r, c]
-    return G
+    """Full Gram matrix of the loop-space pairing on the nodal tangent basis,
+    assembled from its per-node 3x3 blocks; its kernel is spanned by the
+    tangential directions."""
+    mw_form(nu, N)  # the degree and dimension gates
+    return hat_gram(nu, 1.0, N.rep.dom, N.rep)

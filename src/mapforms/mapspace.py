@@ -25,10 +25,11 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .charts import ChartMap, DimensionMismatch, VectorField, as_field
+from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
-from .forms import (DEFAULT_FD_STEP, DegreeError, Form, constant_form,
+from .forms import (DegreeError, Form, apply_rows, broadcast_rows, constant_form,
                     fiber_integrate, product_form, shuffles, volume_form,
                     wedge)
 
@@ -109,11 +110,6 @@ def map_from_function(dom: SourceDomain, func, target_dim: int,
     return MapPoint(dom, vals, periodic_target)
 
 
-def tangent_from_function(f: MapPoint, func) -> MapTangent:
-    vals = np.array([np.asarray(func(s), dtype=float) for s in f.dom.nodes])
-    return MapTangent(f, vals.reshape(f.dom.n_nodes, f.target_dim))
-
-
 def zero_mapspace_form(degree: int, tag: str = "0") -> MapSpaceForm:
     return MapSpaceForm(degree, lambda f, ts: 0.0, tag=tag)
 
@@ -152,6 +148,41 @@ def _as_s_form(alpha, dom: SourceDomain) -> Form:
     raise TypeError(f"cannot interpret {type(alpha).__name__} as a form on S")
 
 
+def _pairing_degree(omega: Form, alpha_f: Form, dom: SourceDomain) -> int:
+    p, q, k = omega.degree, alpha_f.degree, dom.dim
+    if q > k:
+        raise DegreeError(f"S-side form of degree {q} on a dim-{k} domain")
+    if p + q < k:
+        raise DegreeError(f"pairing degree p+q-k = {p + q - k} is negative")
+    return p + q - k
+
+
+def _hat_density(omega: Form, alpha_f: Form, dom: SourceDomain):
+    """The integrand of the pointwise route at every node, before the
+    quadrature weights: density(f, [Y^1..Y^n as (n_nodes, m) arrays]) has
+    shape (n_nodes,), and its value at a node sees only the tangent values
+    at that node."""
+    k, q = dom.dim, alpha_f.degree
+    splits = shuffles(k - q, q)  # Tf columns fed to omega, frame fed to alpha
+    frame = [broadcast_rows(e, dom.nodes) for e in np.eye(dom.chart_dim)]
+    alpha_vals = [sign * alpha_f.evaluator(dom.nodes, [frame[b] for b in right])
+                  for _, right, sign in splits]
+
+    def density(f: MapPoint, tang) -> Array:
+        if f.dom.kind != dom.kind or f.dom.n_nodes != dom.n_nodes:
+            raise DimensionMismatch("map point lives on a different domain")
+        if f.target_dim != omega.ambient_dim:
+            raise DimensionMismatch("map target dim != form chart dim")
+        Tf = f.jacobian()
+        acc = np.zeros(dom.n_nodes)
+        for (left, _, _), al in zip(splits, alpha_vals):
+            cols = [Tf[:, :, a] for a in left]
+            acc = acc + omega.evaluator(f.values, list(tang) + cols) * al
+        return acc
+
+    return density
+
+
 def hat_pairing(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
     """The degree p+q-k form on F(S,M) induced by a p-form on M and a q-form
     on S, evaluated pointwise:
@@ -162,40 +193,28 @@ def hat_pairing(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
     remaining slots take the columns of the spectrally computed Tf.
     """
     alpha_f = _as_s_form(alpha, dom)
-    p, q, k = omega.degree, alpha_f.degree, dom.dim
-    if q > k:
-        raise DegreeError(f"S-side form of degree {q} on a dim-{k} domain")
-    if p + q < k:
-        raise DegreeError(f"pairing degree p+q-k = {p + q - k} is negative")
-    n = p + q - k
-    frame_slots = k - q  # Tf columns fed to omega
-    splits = shuffles(frame_slots, q)
-    basis = np.eye(max(dom.chart_dim, 1))
+    n = _pairing_degree(omega, alpha_f, dom)
+    density = _hat_density(omega, alpha_f, dom)
     sw = dom.signed_weights
 
     def ev(f: MapPoint, tangents) -> float:
-        if f.dom.kind != dom.kind or f.dom.n_nodes != dom.n_nodes:
-            raise DimensionMismatch("map point lives on a different domain")
-        if f.target_dim != omega.ambient_dim:
-            raise DimensionMismatch("map target dim != form chart dim")
-        Tf = f.jacobian()
-        tang = [t.vectors for t in tangents]
-        total = 0.0
-        for i in range(dom.n_nodes):
-            x = f.values[i]
-            s = dom.nodes[i]
-            fixed = [tv[i] for tv in tang]
-            cols = [Tf[i, :, a] for a in range(k)]
-            acc = 0.0
-            for left, right, sign in splits:
-                om = omega.evaluator(x, fixed + [cols[a] for a in left])
-                if om == 0.0:
-                    continue
-                acc += sign * om * alpha_f.evaluator(s, [basis[:, b] for b in right])
-            total += sw[i] * acc
-        return total
+        return float(sw @ density(f, [t.vectors for t in tangents]))
 
     return MapSpaceForm(n, ev, tag=f"hat({omega.name},{alpha_f.name})")
+
+
+def hat_gram(omega: Form, alpha, dom: SourceDomain, f: MapPoint) -> Array:
+    """Gram matrix at f of the degree-2 pairing hat_pairing(omega, alpha) on
+    the nodal tangent basis, ordered node-major.  It is block diagonal: the
+    block of node l is the weighted integrand at l on pairs of coordinate
+    vectors, so m^2 batched integrand evaluations replace (n m)^2 pairings."""
+    alpha_f = _as_s_form(alpha, dom)
+    if _pairing_degree(omega, alpha_f, dom) != 2:
+        raise DegreeError("a Gram matrix needs a pairing of degree 2")
+    density = _hat_density(omega, alpha_f, dom)
+    e = [broadcast_rows(row, f.values) for row in np.eye(f.target_dim)]
+    blocks = np.array([[density(f, [ea, eb]) for eb in e] for ea in e])  # (m, m, n)
+    return block_diag(*np.moveaxis(blocks * dom.signed_weights, -1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -207,34 +226,30 @@ def hat_pairing_fiber(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
     S-side form on the product chart, fiber-integrate over S, and read the
     result off at t = 0 on the coordinate directions."""
     alpha_f = _as_s_form(alpha, dom)
-    p, q, k = omega.degree, alpha_f.degree, dom.dim
-    if q > k:
-        raise DegreeError(f"S-side form of degree {q} on a dim-{k} domain")
-    if p + q < k:
-        raise DegreeError(f"pairing degree p+q-k = {p + q - k} is negative")
-    n = p + q - k
+    n = _pairing_degree(omega, alpha_f, dom)
+    p, q = omega.degree, alpha_f.degree
     cz = dom.chart_dim
 
     def ev(f: MapPoint, tangents) -> float:
         if f.target_dim != omega.ambient_dim:
             raise DimensionMismatch("map target dim != form chart dim")
-        Tf = f.jacobian()
-        tang = np.stack([t.vectors for t in tangents]) if n else np.zeros((0,) + f.values.shape)
+        # Tf with the tangents appended as columns: (n_nodes, m, k + n)
+        J = np.concatenate([f.jacobian()] + [t.vectors[:, :, None] for t in tangents],
+                           axis=2)
         chart_dim = cz + n
 
         def ev_pull(z, vs):
             # pullback of omega under ev(s,t) = f(s) + sum t_j Y_j(s) at t=0
-            i = dom.node_index(z[:cz])
-            J = np.column_stack([Tf[i]] + [tang[j, i] for j in range(n)])
-            return omega.evaluator(f.values[i], [J @ v for v in vs])
+            i = dom.node_index(z[:, :cz])
+            return omega.evaluator(f.values[i],
+                                   [np.einsum("rij,rj->ri", J[i], v) for v in vs])
 
         def pr_alpha(z, vs):
-            return alpha_f.evaluator(z[:cz], [v[:cz] for v in vs])
+            return alpha_f.evaluator(z[:, :cz], [v[:, :cz] for v in vs])
 
         beta = wedge(Form(p, chart_dim, ev_pull), Form(q, chart_dim, pr_alpha))
         fib = fiber_integrate(product_form(cz, n, beta), dom)
-        unit = np.eye(max(n, 1))
-        return fib.evaluator(np.zeros(n), [unit[:, j] for j in range(n)])
+        return float(fib.evaluator(np.zeros((1, n)), list(np.eye(n)[:, None, :]))[0])
 
     return MapSpaceForm(n, ev, tag=f"hatfib({omega.name},{alpha_f.name})")
 
@@ -257,11 +272,7 @@ def bar_map_direct(omega: Form, dom: SourceDomain) -> MapSpaceForm:
     sw = dom.signed_weights / dom.volume
 
     def ev(f: MapPoint, tangents) -> float:
-        tang = [t.vectors for t in tangents]
-        total = 0.0
-        for i in range(dom.n_nodes):
-            total += sw[i] * omega.evaluator(f.values[i], [tv[i] for tv in tang])
-        return total
+        return float(sw @ omega.evaluator(f.values, [t.vectors for t in tangents]))
 
     return MapSpaceForm(omega.degree, ev, tag=f"bardirect({omega.name})")
 
@@ -278,8 +289,7 @@ def pushforward_action(phi: ChartMap, f: MapPoint) -> MapPoint:
 def pushforward_tangent(phi: ChartMap, Y: MapTangent) -> MapTangent:
     """Tangent map of the push-forward action: Jacobian of φ along f."""
     f = Y.base
-    vals = np.array([phi.jacobian(f.values[i]) @ Y.vectors[i]
-                     for i in range(f.dom.n_nodes)])
+    vals = np.einsum("nij,nj->ni", apply_rows(phi.jacobian, f.values), Y.vectors)
     return MapTangent(pushforward_action(phi, f), vals)
 
 
@@ -294,10 +304,8 @@ def pullback_action(psi: ChartMap, f: MapPoint) -> MapPoint:
 
 
 def pullback_tangent(psi: ChartMap, Y: MapTangent) -> MapTangent:
-    new_base = pullback_action(psi, Y.base)
-    pts = np.array([psi.inverse_point(s) for s in Y.base.dom.nodes])
-    vals = Y.base.dom.resample(Y.vectors, pts)
-    return MapTangent(new_base, vals)
+    moved = pullback_action(psi, replace(Y.base, values=Y.vectors))
+    return MapTangent(pullback_action(psi, Y.base), moved.values)
 
 
 def generator_M(X, f: MapPoint) -> MapTangent:
@@ -455,11 +463,6 @@ def restrict_boundary(f: MapPoint) -> MapPoint:
     if bdom is None:
         raise ValueError("the domain has no boundary")
     return MapPoint(bdom, f.values[bdom.parent_indices], f.periodic_target)
-
-
-def restrict_tangent(Y: MapTangent) -> MapTangent:
-    fb = restrict_boundary(Y.base)
-    return MapTangent(fb, Y.vectors[fb.dom.parent_indices])
 
 
 def boundary_pullback(W_boundary: MapSpaceForm) -> MapSpaceForm:

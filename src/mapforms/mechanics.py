@@ -27,12 +27,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import ChartMap, VectorField, affine_map
+from .charts import DEFAULT_FD_STEP, ChartMap, VectorField, affine_map
 from .domains import (ScalarField, SourceDomain, exact_divfree_field,
                       projection_P, right_inverse_b)
-from .forms import (DEFAULT_FD_STEP, DegreeError, Form, ScalarFunc,
+from .forms import (DegreeError, Form, ScalarFunc, apply_rows, broadcast_rows,
                     exterior_derivative, pullback, sample_difference,
-                    volume_form)
+                    scalar_coordinate, volume_form)
 from .mapspace import (MapPoint, MapSpaceForm, MapTangent, bar_map,
                        generator_M, generator_S, hat_pairing, hat_map,
                        map_space_d, pullback_action, pushforward_action)
@@ -81,13 +81,11 @@ class HamiltonianSystem:
             raise ValueError("symplectic coefficient matrix is singular")
         worst = 0.0
         for p in self.catalog:
-            for _ in range(samples):
-                x = rng.uniform(-1.0, 1.0, self.dim)
-                v = rng.uniform(-1.0, 1.0, self.dim)
-                lhs = self.omega.evaluator(x, [p.field(x), v])
-                rhs = float(np.asarray(p.h.grad(x)) @ v)
-                worst = max(worst, abs(lhs - rhs))
-            worst = max(worst, abs(p.h(self.base_point)))
+            # one (x, v) pair per sample, drawn x first
+            x, v = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 2, self.dim)), 1, 0)
+            lhs = self.omega.evaluator(x, [apply_rows(p.field, x), v])
+            rhs = np.einsum("ni,ni->n", p.h.grad(x), v)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))), abs(p.h(self.base_point)))
         if worst > tol:
             raise ValueError(f"catalog residual {worst:.3e} exceeds {tol:.1e}")
         return worst
@@ -97,13 +95,13 @@ def hamiltonian_field_r2(h: ScalarFunc, name: str = "") -> HamiltonianPair:
     """On (R^2, dx∧dy), i_{X_h}(dx∧dy) = dh gives X_h = (∂_y h, -∂_x h)."""
 
     def func(x):
-        g = np.asarray(h.grad(x), dtype=float)
+        g = np.asarray(h.grad(x[None]), dtype=float)[0]
         return np.array([g[1], -g[0]])
 
     jac = None
     if h.hess is not None:
         def jac(x):
-            H = np.asarray(h.hess(x), dtype=float)
+            H = np.asarray(h.hess(x[None]), dtype=float)[0]
             return np.array([H[1], -H[0]])
 
     return HamiltonianPair(name, h, VectorField(func, 2, jacobian_func=jac,
@@ -113,23 +111,21 @@ def hamiltonian_field_r2(h: ScalarFunc, name: str = "") -> HamiltonianPair:
 def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSystem:
     """(R^2, dx∧dy) with base point 0 and a polynomial/trig catalog."""
     omega = volume_form(2)
-    zero2 = np.zeros((2, 2))
     pairs = [
+        hamiltonian_field_r2(scalar_coordinate(0, 2), "x"),
+        hamiltonian_field_r2(scalar_coordinate(1, 2), "y"),
         hamiltonian_field_r2(ScalarFunc(
-            lambda x: x[0], lambda x: np.array([1.0, 0.0]), lambda x: zero2), "x"),
+            lambda x: x[..., 0] * x[..., 1],
+            lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1),
+            lambda x: broadcast_rows([[0.0, 1.0], [1.0, 0.0]], x)), "xy"),
         hamiltonian_field_r2(ScalarFunc(
-            lambda x: x[1], lambda x: np.array([0.0, 1.0]), lambda x: zero2), "y"),
+            lambda x: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2),
+            lambda x: np.array(x, dtype=float), lambda x: broadcast_rows(np.eye(2), x)),
+            "r2/2"),
         hamiltonian_field_r2(ScalarFunc(
-            lambda x: x[0] * x[1],
-            lambda x: np.array([x[1], x[0]]),
-            lambda x: np.array([[0.0, 1.0], [1.0, 0.0]])), "xy"),
-        hamiltonian_field_r2(ScalarFunc(
-            lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2),
-            lambda x: np.array([x[0], x[1]]), lambda x: np.eye(2)), "r2/2"),
-        hamiltonian_field_r2(ScalarFunc(
-            lambda x: np.sin(x[0]),
-            lambda x: np.array([np.cos(x[0]), 0.0]),
-            lambda x: np.array([[-np.sin(x[0]), 0.0], [0.0, 0.0]])), "sin_x"),
+            lambda x: np.sin(x[..., 0]),
+            lambda x: np.stack([np.cos(x[..., 0]), 0.0 * x[..., 1]], axis=-1),
+            lambda x: -np.sin(x[..., 0, None, None]) * [[1.0, 0.0], [0.0, 0.0]]), "sin_x"),
     ]
     pairs.extend(extra_pairs)
     return HamiltonianSystem(omega, np.array([[0.0, 1.0], [-1.0, 0.0]]),
@@ -137,23 +133,23 @@ def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSyst
 
 
 def hamiltonian_of(sys: HamiltonianSystem, X: VectorField,
-                   quad_points: int = 24) -> Callable[[Array], float]:
+                   quad_points: int = 24) -> Callable[[Array], Array]:
     """Normalized Hamiltonian of a field by line integration from the base
     point: h(x) = ∫_0^1 omega(X(γ(t)), γ'(t)) dt along the straight segment.
-    Independent of the catalog; used as the bracket-side oracle."""
+    Independent of the catalog; used as the bracket-side oracle.  Batched
+    like ScalarFunc.value: points (N, dim) give values (N,)."""
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     x0 = sys.base_point
 
     def h(x):
-        x = np.asarray(x, dtype=float)
-        seg = x - x0
-        total = 0.0
-        for ti, wi in zip(t, w):
-            y = x0 + ti * seg
-            total += wi * sys.omega.evaluator(y, [X(y), seg])
-        return float(total)
+        seg = np.asarray(x, dtype=float) - x0
+        # every quadrature point of every segment, quadrature-major
+        y = (x0 + t[:, None, None] * seg).reshape(-1, x0.size)
+        segs = np.tile(seg, (quad_points, 1))
+        vals = sys.omega.evaluator(y, [apply_rows(X, y), segs]).reshape(quad_points, len(seg))
+        return w @ vals
 
     return h
 
@@ -196,13 +192,11 @@ def se2_action() -> LiftedGAction:
                      jacobian_func=lambda x: zero2, name="tx")
     ty = VectorField(lambda x: np.array([0.0, 1.0]), 2,
                      jacobian_func=lambda x: zero2, name="ty")
-    J_rot = ScalarFunc(lambda x: -0.5 * (x[0] ** 2 + x[1] ** 2),
-                       lambda x: np.array([-x[0], -x[1]]),
-                       lambda x: -np.eye(2))
-    J_tx = ScalarFunc(lambda x: x[1], lambda x: np.array([0.0, 1.0]),
-                      lambda x: zero2)
-    J_ty = ScalarFunc(lambda x: -x[0], lambda x: np.array([-1.0, 0.0]),
-                      lambda x: zero2)
+    J_rot = ScalarFunc(lambda x: -0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2),
+                       lambda x: -x, lambda x: broadcast_rows(-np.eye(2), x))
+    J_tx = scalar_coordinate(1, 2)
+    J_ty = ScalarFunc(lambda x: -x[..., 0], lambda x: broadcast_rows([-1.0, 0.0], x),
+                      lambda x: broadcast_rows(zero2, x))
     # [rot,tx] = ty, [rot,ty] = -tx, [tx,ty] = 0 (left-action convention)
     C = np.zeros((3, 3, 3))
     C[0, 1, 2], C[1, 0, 2] = 1.0, -1.0
@@ -216,10 +210,7 @@ def momentum_lifted(action: LiftedGAction, dom: SourceDomain,
     """Componentwise average of the base momenta along the map, with the
     normalized volume: a constant map returns the base momentum exactly."""
     w = dom.signed_weights / dom.volume
-    out = np.zeros(action.dim_g)
-    for a, J in enumerate(action.momenta):
-        out[a] = float(sum(w[i] * J.value(f.values[i]) for i in range(dom.n_nodes)))
-    return out
+    return np.array([w @ J.value(f.values) for J in action.momenta])
 
 
 def momentum_component_form(momentum_value: Callable[[MapPoint], float],
@@ -256,10 +247,9 @@ def cocycle_lifted_base(action: LiftedGAction, sys: HamiltonianSystem,
                         i: int, j: int, at: Optional[Array] = None) -> float:
     """The base cocycle sigma(e_i,e_j) evaluated at a point of M."""
     x = sys.base_point if at is None else np.asarray(at, dtype=float)
-    term1 = float(sum(action.structure[i, j, k] * action.momenta[k].value(x)
+    term1 = float(sum(action.structure[i, j, k] * action.momenta[k](x)
                       for k in range(action.dim_g)))
-    term2 = sys.omega.evaluator(x, [action.generators[i](x),
-                                    action.generators[j](x)])
+    term2 = sys.omega(x, action.generators[i](x), action.generators[j](x))
     return term1 - term2
 
 
@@ -272,14 +262,14 @@ def momentum_diffham(sys: HamiltonianSystem, dom: SourceDomain, f: MapPoint,
     if abs(pair.h(sys.base_point)) > 1e-10:
         raise ValueError(f"hamiltonian {pair.name!r} not normalized at the base point")
     w = dom.signed_weights / dom.volume
-    return float(sum(w[i] * pair.h.value(f.values[i]) for i in range(dom.n_nodes)))
+    return float(w @ pair.h.value(f.values))
 
 
 def cocycle_diffham(sys: HamiltonianSystem, X: HamiltonianPair,
                     Y: HamiltonianPair) -> float:
     """sigma(X,Y) = -omega(X,Y)(base point)."""
     x0 = sys.base_point
-    return -sys.omega.evaluator(x0, [X.field(x0), Y.field(x0)])
+    return -sys.omega(x0, X.field(x0), Y.field(x0))
 
 
 def cocycle_diffham_defining(sys: HamiltonianSystem, dom: SourceDomain,
@@ -290,7 +280,7 @@ def cocycle_diffham_defining(sys: HamiltonianSystem, dom: SourceDomain,
     b = opposite_bracket(X.field, Y.field)
     hb = hamiltonian_of(sys, b)
     w = dom.signed_weights / dom.volume
-    term1 = float(sum(w[i] * hb(f.values[i]) for i in range(dom.n_nodes)))
+    term1 = float(w @ hb(f.values))
     ob = bar_map(sys.omega, dom)
     term2 = ob(f, generator_M(X.field, f), generator_M(Y.field, f))
     return term1 - term2
@@ -330,10 +320,7 @@ def stream_generator(dom: SourceDomain, alpha: ScalarField):
 def pullback_coefficient(f: MapPoint, omega: Form) -> Array:
     """Nodal coefficient of f*omega on the 2-torus (against dx∧dy)."""
     Tf = f.jacobian()
-    return np.array([
-        omega.evaluator(f.values[i], [Tf[i, :, 0], Tf[i, :, 1]])
-        for i in range(f.dom.n_nodes)
-    ])
+    return omega.evaluator(f.values, [Tf[:, :, 0], Tf[:, :, 1]])
 
 
 def momentum_diffex(omega: ExactTwoForm, dom: SourceDomain, f: MapPoint,
@@ -420,13 +407,10 @@ def lichnerowicz(dom_M: SourceDomain, eta: Form, X: VectorField,
     antisymmetric in the fields."""
     if eta.degree != 2 or nu.degree != dom_M.dim:
         raise DegreeError("need a 2-form and a volume form on the meshed surface")
-    frame = [np.eye(dom_M.chart_dim)[:, a] for a in range(dom_M.dim)]
-    sw = dom_M.signed_weights
-    total = 0.0
-    for i in range(dom_M.n_nodes):
-        x = dom_M.nodes[i]
-        total += sw[i] * eta.evaluator(x, [X(x), Y(x)]) * nu.evaluator(x, frame)
-    return float(total)
+    x = dom_M.nodes
+    frame = [broadcast_rows(e, x) for e in np.eye(dom_M.chart_dim)[:dom_M.dim]]
+    integrand = eta.evaluator(x, [apply_rows(X, x), apply_rows(Y, x)]) * nu.evaluator(x, frame)
+    return float(dom_M.signed_weights @ integrand)
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +474,9 @@ def twist_two_form(H: Form, B: Form, D: AffineSubspace,
 
     def bd_ev(f: MapPoint, tangents) -> float:
         # transgression of B over the signed endpoint pair, in D-coordinates
-        fb = f.values[bdom.parent_indices]
-        tb = [t.vectors[bdom.parent_indices] for t in tangents]
-        total = 0.0
-        for e in range(2):
-            u = D.coordinates(fb[e])
-            vs = [D.basis.T @ t[e] for t in tb]
-            total += sw[e] * B.evaluator(u, vs)
-        return total
+        u = (f.values[bdom.parent_indices] - D.origin) @ D.basis
+        vs = [t.vectors[bdom.parent_indices] @ D.basis for t in tangents]
+        return float(sw @ B.evaluator(u, vs))
 
     boundary_term = MapSpaceForm(B.degree, bd_ev, tag="bd-pot")
 

@@ -18,15 +18,16 @@ from . import grassmannian as gr
 from . import mechanics as me
 from .charts import affine_map, constant_field, rotation3
 from .domains import ScalarField, circle, interval, nodal_vector_field, torus2
-from .forms import (exterior_derivative, fiber_integrate, form_scale,
-                    form_sum, interior, product_form, pullback,
-                    sample_difference, scalar_const, coefficient_form,
+from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
+                    form_scale, form_sum, interior, product_form, pullback,
+                    sample_difference, scalar_const, scalar_coordinate,
+                    scalar_sum, coefficient_form, coordinate_form,
                     vertical_field, volume_form, product_map,
                     lie_derivative, trig_scalar)
 from .mapspace import (MapPoint, MapTangent, action_pullback_M,
                        action_pullback_S, bar_map, bar_map_direct,
                        boundary_pullback, generator_M, generator_S,
-                       hat_map, hat_pairing, hat_pairing_fiber,
+                       hat_gram, hat_map, hat_pairing, hat_pairing_fiber,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, mapspace_scale, mapspace_sum,
                        pushforward_transport, reparam_transport)
@@ -69,6 +70,19 @@ def _record(test_id, statement, residual, tol, config, mesh, order=None,
 def _scaled(value, *references) -> float:
     scale = max([1.0] + [abs(r) for r in references])
     return abs(value) / scale
+
+
+def _relative(a, b) -> float:
+    """Signed a - b relative to max(1, |a|, |b|)."""
+    return (a - b) / max(1.0, abs(a), abs(b))
+
+
+def _floor_subtracted_order(residual, steps):
+    """Order fitted to |r(h) - r(2e-5)| for a signed residual r of fixed
+    data: the tiny reference step removes an error floor that does not depend
+    on h (quadrature or differentiation mismatch of the sampled data)."""
+    floor = residual(2e-5)
+    return fit_order(steps, [abs(residual(h) - floor) for h in steps])
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +138,7 @@ def two_route_sweep(kind: str, cases: int, config: SuiteConfig):
 # hat calculus
 
 def _derivation_residual(dom, m, p, q, rng, fd_step) -> float:
+    """Signed relative residual of the derivation identity on one random case."""
     om, al, f, ts = _hat_case(dom, m, p, q, rng)
     n = p + q - dom.dim
     W = hat_pairing(om, al, dom)
@@ -135,8 +150,7 @@ def _derivation_residual(dom, m, p, q, rng, fd_step) -> float:
     rhs = mapspace_sum(*terms) if len(terms) > 1 else terms[0]
     extra = cat.random_tangent(f, rng)
     args = ts + [extra]
-    a, b = lhs(f, *args), rhs(f, *args)
-    return _scaled(a - b, a, b)
+    return _relative(lhs(f, *args), rhs(f, *args))
 
 
 def run_hat_calculus(config: SuiteConfig):
@@ -158,12 +172,12 @@ def run_hat_calculus(config: SuiteConfig):
     for kind, m, p, q in [("circle", 3, 2, 0), ("circle", 3, 1, 1),
                           ("torus2", 4, 2, 1)]:
         dom = doms[kind]
-        worst = max(_derivation_residual(dom, m, p, q, np.random.default_rng(
-            [config.seed, 2, i]), config.fd_step) for i in range(config.trials))
-        ladder = [_derivation_residual(dom, m, p, q,
-                                       np.random.default_rng([config.seed, 3]),
-                                       h) for h in config.order_steps]
-        order, note = fit_order(config.order_steps, ladder)
+        worst = max(abs(_derivation_residual(dom, m, p, q, np.random.default_rng(
+            [config.seed, 2, i]), config.fd_step)) for i in range(config.trials))
+        order, note = _floor_subtracted_order(
+            lambda h: _derivation_residual(dom, m, p, q,
+                                           np.random.default_rng([config.seed, 3]), h),
+            config.order_steps)
         records.append(_record(
             f"derivation-{kind}-p{p}q{q}",
             "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^",
@@ -210,12 +224,10 @@ def run_hat_calculus(config: SuiteConfig):
         WL = hat_pairing(omL, alL, dom)
         lhs = map_space_lie(WL, lambda g: generator_M(X, g), h)
         rhs = hat_pairing(lie_derivative(omL, X, h), alL, dom)
-        a, b = lhs(fL, *tsL), rhs(fL, *tsL)
-        return _scaled(a - b, a, b)
+        return _relative(lhs(fL, *tsL), rhs(fL, *tsL))
 
-    worstL = lie_residual(config.fd_step)
-    ladder = [lie_residual(h) for h in config.order_steps]
-    order, note = fit_order(config.order_steps, ladder)
+    worstL = abs(lie_residual(config.fd_step))
+    order, note = _floor_subtracted_order(lie_residual, config.order_steps)
     records.append(_record(
         "action-lie-M",
         "L_{Xbar}(w.a)^ = (L_X w.a)^",
@@ -279,15 +291,13 @@ def run_hat_calculus(config: SuiteConfig):
         WZ = hat_pairing(omZ, alZ, dom)
         tz = [cat.random_tangent(fZ, rngZ) for _ in range(2)]
         Zf = cat.random_scalar(1, rngZ, amp=0.5)
-        Zfield = cat.VectorField(lambda s: np.array([Zf.value(s)]), 1)
+        Zfield = cat.VectorField(lambda s: np.array([Zf(s)]), 1)
         lhs = map_space_lie(WZ, lambda g: generator_S(Zfield, g), h)
         rhs = hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom)
-        a, b = lhs(fZ, *tz), rhs(fZ, *tz)
-        return _scaled(a - b, a, b)
+        return _relative(lhs(fZ, *tz), rhs(fZ, *tz))
 
-    worstZ = lieS_residual(config.fd_step)
-    ladder = [lieS_residual(h) for h in config.order_steps]
-    order, note = fit_order(config.order_steps, ladder)
+    worstZ = abs(lieS_residual(config.fd_step))
+    order, note = _floor_subtracted_order(lieS_residual, config.order_steps)
     records.append(_record(
         "action-lie-S",
         "L_{Zhat}(w.a)^ = (w.L_Z a)^",
@@ -424,17 +434,9 @@ def run_bar_calculus(config: SuiteConfig):
         order_note="fd"))
 
     small = circle(8)
-    obs = bar_map(sys.omega, small)
-    n, m = small.n_nodes, 2
-    G = np.zeros((n * m, n * m))
-    base = MapPoint(small, np.zeros((n, m)))
-    for r in range(n * m):
-        vr = np.zeros((n, m))
-        vr[r // m, r % m] = 1.0
-        for c in range(n * m):
-            vc = np.zeros((n, m))
-            vc[c // m, c % m] = 1.0
-            G[r, c] = obs(base, MapTangent(base, vr), MapTangent(base, vc))
+    n = small.n_nodes
+    G = hat_gram(sys.omega, volume_form(small.chart_dim, 1.0 / small.volume), small,
+                 MapPoint(small, np.zeros((n, 2))))
     expected = np.kron(np.diag(small.weights / small.volume),
                        np.array([[0.0, 1.0], [-1.0, 0.0]]))
     defect = float(np.max(np.abs(G - expected)))
@@ -541,7 +543,7 @@ def run_tilda_calculus(config: SuiteConfig):
         {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
 
     Zf = cat.random_scalar(1, rng, amp=0.5)
-    Zfield = cat.VectorField(lambda s: np.array([Zf.value(s)]), 1)
+    Zfield = cat.VectorField(lambda s: np.array([Zf(s)]), 1)
     ins = map_space_interior(hatW, lambda g: generator_S(Zfield, g))
     records.append(_record(
         "hat-basic-horizontal",
@@ -703,39 +705,33 @@ def run_boundary(config: SuiteConfig):
     iv = interval(config.interval_nodes)
     bdom = iv.boundary()
 
-    def boundary_residual(p, rngx, h, drop_boundary=False, signed=False):
-        om = cat.random_form(3, p, rngx, amp=0.8)
-        a_scalar = cat.random_scalar(1, rngx, integer_modes=False)
+    def identity_residual(om, a_scalar, f, ts, h, drop_boundary=False):
+        """Signed relative residual of the boundary derivation identity."""
         al = coefficient_form(1, 0, {(): a_scalar})
-        W = hat_pairing(om, al, iv)
-        n = p - 1
-        lhs = map_space_d(W, h)
+        lhs = map_space_d(hat_pairing(om, al, iv), h)
         terms = [hat_pairing(exterior_derivative(om), al, iv),
-                 mapspace_scale((-1.0) ** p,
+                 mapspace_scale((-1.0) ** om.degree,
                                 hat_pairing(om, exterior_derivative(al), iv))]
         if not drop_boundary:
-            Wb = hat_pairing(om, coefficient_form(1, 0, {(): a_scalar}), bdom)
-            terms.append(mapspace_scale((-1.0) ** n, boundary_pullback(Wb)))
-        rhs = mapspace_sum(*terms) if len(terms) > 1 else terms[0]
-        f = cat.random_map(iv, 3, rngx, amp=0.8)
-        ts = [cat.random_tangent(f, rngx, amp=0.8) for _ in range(n + 1)]
-        a, b = lhs(f, *ts), rhs(f, *ts)
-        diff = (a - b) / max(1.0, abs(a), abs(b))
-        return diff if signed else abs(diff)
+            terms.append(mapspace_scale((-1.0) ** (om.degree - 1),
+                                        boundary_pullback(hat_pairing(om, al, bdom))))
+        return _relative(lhs(f, *ts), mapspace_sum(*terms)(f, *ts))
 
-    # the quadrature mismatch of the end-corrected weights is h-independent;
-    # measure it at a tiny reference step on the same data and fit the order
-    # on the floor-subtracted residuals
+    def boundary_residual(p, rngx, h):
+        om = cat.random_form(3, p, rngx, amp=0.8)
+        a_scalar = cat.random_scalar(1, rngx, integer_modes=False)
+        f = cat.random_map(iv, 3, rngx, amp=0.8)
+        ts = [cat.random_tangent(f, rngx, amp=0.8) for _ in range(p)]
+        return identity_residual(om, a_scalar, f, ts, h)
+
+    # the quadrature mismatch of the end-corrected weights is h-independent
     ladder_steps = tuple(4.0 * h for h in config.order_steps)
     for p in (1, 2):
-        worst = max(boundary_residual(p, np.random.default_rng(
-            [config.seed, 50, p, i]), config.fd_step) for i in range(config.trials))
-        floor = boundary_residual(p, np.random.default_rng(
-            [config.seed, 51, p]), 2e-5, signed=True)
-        ladder = [abs(boundary_residual(p, np.random.default_rng(
-            [config.seed, 51, p]), h, signed=True) - floor)
-            for h in ladder_steps]
-        order, note = fit_order(ladder_steps, ladder)
+        worst = max(abs(boundary_residual(p, np.random.default_rng(
+            [config.seed, 50, p, i]), config.fd_step)) for i in range(config.trials))
+        order, note = _floor_subtracted_order(
+            lambda h: boundary_residual(p, np.random.default_rng([config.seed, 51, p]), h),
+            ladder_steps)
         records.append(_record(
             f"boundary-derivation-p{p}",
             "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^ + (-1)^(p+q-k) r_bd*(w.a|bd)^",
@@ -743,15 +739,25 @@ def run_boundary(config: SuiteConfig):
             {"domain": "interval", "nodes": iv.n_nodes, "fd_step": config.fd_step},
             order=order, order_target=ORDER_TARGET, order_note=note))
 
-    # designed witness: dropping the boundary term leaves an O(1) residual
+    # designed witness: w = dx, a(s) = 1 + s and the constant tangent e_x
+    # satisfy the identity exactly with the endpoint term a(1) - a(0) = 1,
+    # so dropping that term leaves a relative residual of 1
     rng = np.random.default_rng([config.seed, 52])
-    witness = boundary_residual(1, rng, config.fd_step, drop_boundary=True)
+    dx = coordinate_form((0,), 3)
+    one_plus_s = scalar_sum([scalar_const(1.0, 1), scalar_coordinate(0, 1)])
+    f = cat.random_map(iv, 3, rng, amp=0.8)
+    ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (iv.n_nodes, 1)))]
+    witness = abs(identity_residual(dx, one_plus_s, f, ex, config.fd_step,
+                                    drop_boundary=True))
+    endpoint = boundary_pullback(hat_pairing(
+        dx, coefficient_form(1, 0, {(): one_plus_s}), bdom))(f, *ex)
     records.append(_record(
         "boundary-witness",
         "without the boundary term the defect is O(1) (sign sensitivity)",
         0.0 if witness > 1e-2 else 1.0, 1e-12, config,
         {"domain": "interval", "nodes": iv.n_nodes},
-        order_note="floor", detail=f"residual without boundary term {witness:.3e}"))
+        order_note="floor", detail=f"residual without boundary term {witness:.3e}, "
+                                   f"endpoint term {endpoint:.3e}"))
 
     # q = 1 on the interval: both correction terms vanish
     rng = np.random.default_rng([config.seed, 53])
@@ -817,7 +823,7 @@ def run_momentum(config: SuiteConfig):
 
     const_map = MapPoint(dom, np.tile([0.3, -0.7], (dom.n_nodes, 1)))
     Jc = me.momentum_lifted(act, dom, const_map)
-    expect = np.array([m.value(np.array([0.3, -0.7])) for m in act.momenta])
+    expect = np.array([m(np.array([0.3, -0.7])) for m in act.momenta])
     records.append(_record(
         "momentum-lifted-constant-map",
         "a constant map returns the base momentum exactly (normalized mu)",
@@ -1066,10 +1072,10 @@ def brane_catalog(config: SuiteConfig):
     H4 = coefficient_form(4, 3, {(0, 1, 2): cat.scalar_coordinate(2, 4)},
                           name="z dx^dy^dz")
     D4 = me.affine_subspace(np.zeros(4), np.eye(4)[:, :3])
-    xz = cat.ScalarFunc(lambda u: u[0] * u[2],
-                        lambda u: np.array([u[2], 0.0, u[0]]),
-                        lambda u: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
-                                            [1.0, 0.0, 0.0]]))
+    xz = cat.ScalarFunc(lambda u: u[..., 0] * u[..., 2],
+                        lambda u: np.stack([u[..., 2], 0.0 * u[..., 1], u[..., 0]], axis=-1),
+                        lambda u: broadcast_rows([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0],
+                                                  [1.0, 0.0, 0.0]], u))
     B4 = coefficient_form(3, 2, {(1, 2): xz}, name="xz dy^dz")
     B4bad = coefficient_form(3, 2, {(1, 2): scalar_const(0.0, 3)}, name="0")
     return iv, [

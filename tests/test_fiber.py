@@ -88,7 +88,7 @@ def test_rule_reparam_infinitesimal():
     dom = circle(48)
     w = random_product(1, 2, 2, rng, periodic_axes=(0,))
     Zf = trig_scalar(1, [[1.0], [2.0]], [0.4, -0.2], [0.3, 1.0])
-    Z = cat.VectorField(lambda s: np.array([Zf.value(s)]), 1)
+    Z = cat.VectorField(lambda s: np.array([Zf(s)]), 1)
     from mapforms.forms import lie_derivative, zero_form
     from mapforms.forms import horizontal_field
     out = fiber_integrate(product_form(1, 2, lie_derivative(

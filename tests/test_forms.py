@@ -111,7 +111,7 @@ def test_dd_vanishes_under_fd():
     dd = exterior_derivative(exterior_derivative(a, step), step)
     x = rng.uniform(-1, 1, 3)
     vs = [rng.uniform(-1, 1, 3) for _ in range(3)]
-    assert abs(dd.evaluator(x, vs)) < 10 * step
+    assert abs(dd(x, *vs)) < 10 * step
 
 
 def test_pullback_circle_restriction():

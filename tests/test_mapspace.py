@@ -86,8 +86,7 @@ def test_hat_with_volume_form_is_scalar_quadrature():
     dom = circle(48)
     h = coefficient_form(2, 0, {(): trig_scalar(2, [[1.0, 0.4]], [0.8], [0.3])})
     f = cat.random_map(dom, 2, np.random.default_rng(17), amp=0.8)
-    expect = sum(dom.weights[i] * h.evaluator(f.values[i], [])
-                 for i in range(dom.n_nodes))
+    expect = sum(dom.weights[i] * h(f.values[i]) for i in range(dom.n_nodes))
     for route in (hat_pairing, hat_pairing_fiber):
         assert route(h, volume_form(1), dom)(f) == pytest.approx(expect, rel=1e-12)
 
@@ -119,7 +118,7 @@ def test_hat_map_of_top_degree_form_is_loop_integral():
     om = cat.random_form(2, 1, np.random.default_rng(18))
     f = cat.random_map(dom, 2, np.random.default_rng(19), amp=0.8)
     Tf = f.jacobian()
-    expect = sum(dom.weights[i] * om.evaluator(f.values[i], [Tf[i, :, 0]])
+    expect = sum(dom.weights[i] * om(f.values[i], Tf[i, :, 0])
                  for i in range(dom.n_nodes))
     assert hat_map(om, dom)(f) == pytest.approx(expect, rel=1e-12)
 

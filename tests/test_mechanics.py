@@ -8,7 +8,7 @@ from mapforms import catalog as cat
 from mapforms import mechanics as me
 from mapforms.charts import constant_field
 from mapforms.domains import ScalarField, circle, interval, torus2
-from mapforms.forms import (coefficient_form, coordinate_form, scalar_const,
+from mapforms.forms import (broadcast_rows, coefficient_form, coordinate_form, scalar_const,
                             scalar_coordinate, trig_scalar, volume_form)
 from mapforms.mapspace import MapPoint, MapTangent, bar_map, generator_M
 
@@ -38,9 +38,9 @@ def exact_form_r4():
 
 def test_catalog_validation_rejects_unnormalized(sys_r2):
     bad = me.hamiltonian_field_r2(
-        cat.ScalarFunc(lambda x: x[0] + 1.0,
-                       lambda x: np.array([1.0, 0.0]),
-                       lambda x: np.zeros((2, 2))), "x+1")
+        cat.ScalarFunc(lambda x: x[..., 0] + 1.0,
+                       lambda x: broadcast_rows([1.0, 0.0], x),
+                       lambda x: broadcast_rows(np.zeros((2, 2)), x)), "x+1")
     broken = me.HamiltonianSystem(sys_r2.omega, sys_r2.omega_matrix,
                                   sys_r2.base_point, (bad,))
     with pytest.raises(ValueError):
@@ -227,10 +227,10 @@ def test_brane_twist_cases():
     # B = xz dy^dz with dB = i*H
     H4 = coefficient_form(4, 3, {(0, 1, 2): scalar_coordinate(2, 4)})
     D4 = me.affine_subspace(np.zeros(4), np.eye(4)[:, :3])
-    xz = cat.ScalarFunc(lambda u: u[0] * u[2],
-                        lambda u: np.array([u[2], 0.0, u[0]]),
-                        lambda u: np.array([[0., 0., 1.], [0., 0., 0.],
-                                            [1., 0., 0.]]))
+    xz = cat.ScalarFunc(lambda u: u[..., 0] * u[..., 2],
+                        lambda u: np.stack([u[..., 2], 0.0 * u[..., 1], u[..., 0]], axis=-1),
+                        lambda u: broadcast_rows([[0., 0., 1.], [0., 0., 0.],
+                                                  [1., 0., 0.]], u))
     B4 = coefficient_form(3, 2, {(1, 2): xz})
     rep4 = me.brane_twist_check(H4, B4, D4, iv, rng, n_trials=2)
     assert rep4.applicable and rep4.passed
