@@ -10,6 +10,7 @@ import numpy as np
 import mapforms as mf
 from mapforms import catalog as cat
 from mapforms import grassmannian as gr
+from mapforms.mapspace import pushforward_tangent
 
 dom = mf.circle(128)
 nu = cat.named_form("vol3")
@@ -45,10 +46,7 @@ A = np.diag([1.3, 0.8, 1.1])
 
 def moved(phi, sections):
     new = gr.diffM_action_on_N(phi, loop)
-    return new, [mf.MapTangent(new.rep, np.array(
-        [phi.jacobian(x) @ v for x, v in zip(
-            loop.rep.values, mf.generator_M(s, loop.rep).vectors)]))
-        for s in sections]
+    return new, [pushforward_tangent(phi, mf.generator_M(s, loop.rep)) for s in sections]
 
 
 ns, ms = moved(shear, (ez, radial))

@@ -13,7 +13,8 @@ import itertools
 import numpy as np
 
 from . import mapspace as ms
-from .charts import ChartMap, VectorField, affine_field, constant_field
+from .charts import (ChartMap, VectorField, affine_field, affine_map,
+                     broadcast_rows, constant_field)
 from .domains import SourceDomain, warn_if_rough
 from .forms import (Form, ScalarFunc, coefficient_form, coordinate_form,
                     scalar_coordinate, trig_scalar, volume_form)
@@ -79,9 +80,10 @@ def named_field(name: str, dim: int = 3) -> VectorField:
     if name == "e_z":
         return constant_field(np.eye(dim)[2], name="e_z")
     if name == "radial":
-        return VectorField(lambda x: np.concatenate([x[:2], np.zeros(dim - 2)]),
-                           dim, jacobian_func=lambda x: np.diag([1.0, 1.0] + [0.0] * (dim - 2)),
-                           name="radial")
+        P = np.diag([1.0, 1.0] + [0.0] * (dim - 2))
+        return VectorField(lambda x: np.hstack([x[:, :2], np.zeros((len(x), dim - 2))]),
+                           dim, jacobian_func=lambda x: broadcast_rows(P, x),
+                           name="radial", batched=True)
     if name == "rotation":
         A = np.zeros((dim, dim))
         A[0, 1], A[1, 0] = -1.0, 1.0
@@ -180,18 +182,12 @@ def random_stream(dom: SourceDomain, rng: np.random.Generator,
 def rigid_shift(shift: float) -> ChartMap:
     """Rigid rotation of the circle chart; trigonometric resampling is exact
     for band-limited data under this map."""
-    return ChartMap(lambda s: s + shift, 1, 1,
-                    jacobian_func=lambda s: np.eye(1),
-                    inverse=lambda s: s - shift,
-                    name=f"shift({shift:g})")
+    return affine_map(np.eye(1), [shift], name=f"shift({shift:g})")
 
 
 def rigid_shift_2d(shift_x: float, shift_y: float) -> ChartMap:
-    d = np.array([shift_x, shift_y])
-    return ChartMap(lambda s: s + d, 2, 2,
-                    jacobian_func=lambda s: np.eye(2),
-                    inverse=lambda s: s - d,
-                    name=f"shift2({shift_x:g},{shift_y:g})")
+    return affine_map(np.eye(2), [shift_x, shift_y],
+                      name=f"shift2({shift_x:g},{shift_y:g})")
 
 
 def circle_warp(eps: float = 0.3) -> ChartMap:
@@ -204,5 +200,5 @@ def circle_warp(eps: float = 0.3) -> ChartMap:
         return x
 
     return ChartMap(lambda s: s + eps * np.sin(s), 1, 1,
-                    jacobian_func=lambda s: np.array([[1.0 + eps * np.cos(s[0])]]),
-                    inverse=inv, name=f"warp({eps:g})")
+                    jacobian_func=lambda s: (1.0 + eps * np.cos(s))[:, :, None],
+                    inverse=inv, name=f"warp({eps:g})", batched=True)

@@ -1,8 +1,13 @@
 """Smooth maps, diffeomorphisms and vector fields on flat charts.
 
 Everything is an explicit callable plus optional analytic derivative data;
-finite differences fill in whatever is missing.  Instances are immutable and
-their callables must be pure, so evaluation is safe to run concurrently.
+finite differences fill in whatever is missing.  Every map and field
+evaluates points stacked as rows through `rows`, `jacobian_rows` and
+`inverse_rows`.  Its callables take rows when it is built with batched=True,
+as by every constructor here except `field_from_callable` and `as_field` on
+a callable, and single points otherwise; calling it on a single point wraps
+whichever it stores.  Instances are immutable and their callables must be
+pure, so evaluation is safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -22,22 +27,73 @@ class DimensionMismatch(ValueError):
     pass
 
 
-def _fd_jacobian(func: Callable, x: Array, step: float) -> Array:
+def broadcast_rows(value, x: Array) -> Array:
+    """A constant value, gradient or Hessian repeated for every point of x
+    (N, m): shape (N,) + shape(value), as a read-only view."""
+    value = np.asarray(value, dtype=float)
+    return np.broadcast_to(value, x.shape[:-1] + value.shape)
+
+
+def apply_rows(func: Callable[[Array], Array], x: Array) -> Array:
+    """A per-point callable applied to every row of x."""
+    return np.array([func(xi) for xi in x], dtype=float)
+
+
+def _fd_jacobian_rows(func: Callable, x: Array, step: float) -> Array:
+    """Central-difference Jacobians (N, n, m) of a batched func at the rows
+    of x (N, m); all 2m shifted copies of all N rows go through one call."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        fp = np.asarray(func(x + e), dtype=float)
-        fm = np.asarray(func(x - e), dtype=float)
-        cols.append((fp - fm) / (2.0 * step))
-    return np.column_stack(cols)
+    n_rows, m = x.shape
+    e = step * np.eye(m)[:, None, :]
+    shifted = np.concatenate([x + e, x - e]).reshape(2 * m * n_rows, m)
+    f = np.asarray(func(shifted), dtype=float).reshape(2, m, n_rows, -1)
+    return np.moveaxis((f[0] - f[1]) / (2.0 * step), 0, -1)
+
+
+def _point(func: Callable, batched: bool, x) -> Array:
+    x = np.asarray(x, dtype=float)
+    if batched:
+        return np.asarray(func(np.atleast_1d(x)[None]), dtype=float)[0]
+    return np.asarray(func(x), dtype=float)
+
+
+def _rows(func: Callable, batched: bool, x) -> Array:
+    x = np.asarray(x, dtype=float)
+    return np.asarray(func(x), dtype=float) if batched else apply_rows(func, x)
+
+
+class _RowCalculus:
+    """Single-point and row evaluation shared by maps and fields: `_func`
+    names the callable; with `batched` the stored callables take points
+    stacked as rows (N, m), otherwise single points."""
+
+    def __call__(self, x) -> Array:
+        return _point(self._func, self.batched, x)
+
+    def rows(self, x) -> Array:
+        """Values at the rows of x (N, m): shape (N, n), possibly a
+        read-only view (a constant field broadcasts one vector)."""
+        return _rows(self._func, self.batched, x)
+
+    def jacobian(self, x) -> Array:
+        if self.jacobian_func is not None:
+            return _point(self.jacobian_func, self.batched, x)
+        return self.jacobian_rows(np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
+
+    def jacobian_rows(self, x) -> Array:
+        """Jacobians at the rows of x (N, m): shape (N, n, m); central
+        differences of `rows` when no analytic Jacobian is attached."""
+        if self.jacobian_func is not None:
+            return _rows(self.jacobian_func, self.batched, x)
+        return _fd_jacobian_rows(self.rows, x, self.fd_step)
 
 
 @dataclass(frozen=True)
-class ChartMap:
+class ChartMap(_RowCalculus):
     """A smooth map between flat charts: forward map, optional inverse,
-    optional analytic Jacobian (central differences otherwise)."""
+    optional analytic Jacobian (central differences otherwise).  With
+    batched=True, forward, jacobian_func and inverse take points stacked
+    as rows (N, m) and return (N, n), (N, n, m) and (N, m)."""
 
     forward: Callable[[Array], Array]
     source_dim: int
@@ -46,19 +102,21 @@ class ChartMap:
     inverse: Optional[Callable[[Array], Array]] = None
     fd_step: float = DEFAULT_FD_STEP
     name: str = ""
+    batched: bool = False
 
-    def __call__(self, x) -> Array:
-        return np.asarray(self.forward(np.asarray(x, dtype=float)), dtype=float)
+    _func = property(lambda self: self.forward)
 
-    def jacobian(self, x) -> Array:
-        if self.jacobian_func is not None:
-            return np.asarray(self.jacobian_func(np.asarray(x, dtype=float)), dtype=float)
-        return _fd_jacobian(self.forward, x, self.fd_step)
-
-    def inverse_point(self, y) -> Array:
+    def _inverse(self) -> Callable[[Array], Array]:
         if self.inverse is None:
             raise ValueError(f"map {self.name!r} has no inverse")
-        return np.asarray(self.inverse(np.asarray(y, dtype=float)), dtype=float)
+        return self.inverse
+
+    def inverse_point(self, y) -> Array:
+        return _point(self._inverse(), self.batched, y)
+
+    def inverse_rows(self, y) -> Array:
+        """Inverse images of the rows of y (N, n): shape (N, m)."""
+        return _rows(self._inverse(), self.batched, y)
 
 
 def identity_map(dim: int) -> ChartMap:
@@ -67,9 +125,10 @@ def identity_map(dim: int) -> ChartMap:
         forward=lambda x: x,
         source_dim=dim,
         target_dim=dim,
-        jacobian_func=lambda x: eye,
+        jacobian_func=lambda x: broadcast_rows(eye, x),
         inverse=lambda y: y,
         name="id",
+        batched=True,
     )
 
 
@@ -83,16 +142,17 @@ def affine_map(A, b=None, name: str = "affine") -> ChartMap:
     if tdim == sdim:
         try:
             Ainv = np.linalg.inv(A)
-            inverse = lambda y: Ainv @ (y - b)  # noqa: E731
+            inverse = lambda y: (y - b) @ Ainv.T  # noqa: E731
         except np.linalg.LinAlgError:
             inverse = None
     return ChartMap(
-        forward=lambda x: A @ x + b,
+        forward=lambda x: x @ A.T + b,
         source_dim=sdim,
         target_dim=tdim,
-        jacobian_func=lambda x: A,
+        jacobian_func=lambda x: broadcast_rows(A, x),
         inverse=inverse,
         name=name,
+        batched=True,
     )
 
 
@@ -120,21 +180,29 @@ def compose(outer: ChartMap, inner: ChartMap, name: str = "") -> ChartMap:
         )
     inverse = None
     if outer.inverse is not None and inner.inverse is not None:
-        inverse = lambda y: inner.inverse(outer.inverse(np.asarray(y, dtype=float)))  # noqa: E731
+        inverse = lambda y: inner.inverse_rows(outer.inverse_rows(y))  # noqa: E731
+
+    def jac(x):
+        return np.einsum("nij,njk->nik", outer.jacobian_rows(inner.rows(x)),
+                         inner.jacobian_rows(x))
+
     return ChartMap(
-        forward=lambda x: outer(inner(x)),
+        forward=lambda x: outer.rows(inner.rows(x)),
         source_dim=inner.source_dim,
         target_dim=outer.target_dim,
-        jacobian_func=lambda x: outer.jacobian(inner(x)) @ inner.jacobian(x),
+        jacobian_func=jac,
         inverse=inverse,
         name=name or f"{outer.name}∘{inner.name}",
+        batched=True,
     )
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField(_RowCalculus):
     """A vector field on a flat chart, with optional analytic Jacobian
-    (for brackets) and optional exact flow."""
+    (for brackets) and optional exact flow.  With batched=True, func and
+    jacobian_func take points stacked as rows (N, m) and return (N, m) and
+    (N, m, m)."""
 
     func: Callable[[Array], Array]
     dim: int
@@ -142,14 +210,9 @@ class VectorField:
     flow_func: Optional[Callable[[float], ChartMap]] = None
     fd_step: float = DEFAULT_FD_STEP
     name: str = ""
+    batched: bool = False
 
-    def __call__(self, x) -> Array:
-        return np.asarray(self.func(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian(self, x) -> Array:
-        if self.jacobian_func is not None:
-            return np.asarray(self.jacobian_func(np.asarray(x, dtype=float)), dtype=float)
-        return _fd_jacobian(self.func, x, self.fd_step)
+    _func = property(lambda self: self.func)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Jacobi-Lie bracket [X,Y](x) = DY(x) X(x) - DX(x) Y(x)."""
@@ -158,15 +221,17 @@ class VectorField:
         X, Y = self, other
 
         def func(x):
-            return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
+            return (np.einsum("nij,nj->ni", Y.jacobian_rows(x), X.rows(x))
+                    - np.einsum("nij,nj->ni", X.jacobian_rows(x), Y.rows(x)))
 
         jac = None
         if X.jacobian_func is not None and Y.jacobian_func is not None:
             # second derivatives by differencing the analytic Jacobians
-            def jac(x, _X=X, _Y=Y, h=self.fd_step):  # noqa: E731
-                return _fd_jacobian(func, x, h)
+            def jac(x, h=self.fd_step):
+                return _fd_jacobian_rows(func, x, h)
 
-        return VectorField(func, self.dim, jacobian_func=jac, name=f"[{X.name},{Y.name}]")
+        return VectorField(func, self.dim, jacobian_func=jac,
+                           name=f"[{X.name},{Y.name}]", batched=True)
 
     def flow(self, t: float, steps: int = 64) -> ChartMap:
         """Time-t flow map; exact when flow_func is provided, RK4 otherwise."""
@@ -181,14 +246,14 @@ def _rk4_flow(X: VectorField, t: float, steps: int) -> ChartMap:
     def forward(x0):
         x = np.array(x0, dtype=float)
         for _ in range(steps):
-            k1 = X(x)
-            k2 = X(x + 0.5 * h * k1)
-            k3 = X(x + 0.5 * h * k2)
-            k4 = X(x + h * k3)
+            k1 = X.rows(x)
+            k2 = X.rows(x + 0.5 * h * k1)
+            k3 = X.rows(x + 0.5 * h * k2)
+            k4 = X.rows(x + h * k3)
             x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return x
 
-    return ChartMap(forward, X.dim, X.dim, name=f"flow({X.name},{t:g})")
+    return ChartMap(forward, X.dim, X.dim, name=f"flow({X.name},{t:g})", batched=True)
 
 
 def constant_field(vec, name: str = "") -> VectorField:
@@ -200,11 +265,12 @@ def constant_field(vec, name: str = "") -> VectorField:
         return affine_map(np.eye(m), t * vec, name=f"shift({t:g})")
 
     return VectorField(
-        func=lambda x: vec,
+        func=lambda x: broadcast_rows(vec, x),
         dim=m,
-        jacobian_func=lambda x: zero,
+        jacobian_func=lambda x: broadcast_rows(zero, x),
         flow_func=flow,
         name=name or "const",
+        batched=True,
     )
 
 
@@ -223,11 +289,12 @@ def affine_field(A, c=None, name: str = "") -> VectorField:
         return affine_map(E[:m, :m], E[:m, m], name=f"affine-flow({t:g})")
 
     return VectorField(
-        func=lambda x: A @ x + c,
+        func=lambda x: x @ A.T + c,
         dim=m,
-        jacobian_func=lambda x: A,
+        jacobian_func=lambda x: broadcast_rows(A, x),
         flow_func=flow,
         name=name or "affine",
+        batched=True,
     )
 
 

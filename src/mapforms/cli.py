@@ -48,7 +48,7 @@ def _load_config(path, args) -> SuiteConfig:
         unknown = sorted(set(raw) - set(known) - {"suites"})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        if "order_steps" in known:
+        if isinstance(known.get("order_steps"), list):
             known["order_steps"] = tuple(known["order_steps"])
         config = replace(config, **known)
     if args.seed is not None:
@@ -150,8 +150,8 @@ def cmd_converge(args) -> int:
                   f"{sorted(CONVERGE_IDS)}", file=sys.stderr)
             return USAGE_ERROR
         levels = [int(t) for t in args.levels.split(",") if t]
-        if not levels:
-            raise ValueError("empty level list")
+        if not levels or min(levels) <= 0:
+            raise ValueError(f"--levels needs positive node counts, got {args.levels!r}")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -382,14 +382,15 @@ def field_from_function(dom: SourceDomain, func) -> ScalarField:
 
 def nodal_vector_field(dom: SourceDomain, vectors: Array):
     """Node-sampled vector field on S as a callable usable in interior
-    products; evaluation is restricted to grid nodes."""
+    products; evaluation is restricted to grid nodes (KeyError off them)
+    and looks up all rows with one node_index call."""
     vectors = np.asarray(vectors, dtype=float)
 
     def func(s):
         return vectors[dom.node_index(s)]
 
     from .charts import VectorField
-    return VectorField(func, dom.chart_dim, name="nodal")
+    return VectorField(func, dom.chart_dim, name="nodal", batched=True)
 
 
 # ---------------------------------------------------------------------------

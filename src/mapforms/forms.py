@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .charts import (DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField,
-                     as_field, identity_map)
+                     as_field, broadcast_rows, identity_map)
 
 Array = np.ndarray
 
@@ -80,19 +80,6 @@ def _minor_det(vectors: Sequence[Array], index: tuple):
             + v0[:, c] * (v1[:, a] * v2[:, b] - v1[:, b] * v2[:, a])
         )
     return np.linalg.det(np.stack([v[:, list(index)] for v in vectors], axis=1))
-
-
-def broadcast_rows(value, x: Array) -> Array:
-    """A constant value, gradient or Hessian repeated for every point of x
-    (N, m): shape (N,) + shape(value), as a read-only view."""
-    value = np.asarray(value, dtype=float)
-    return np.broadcast_to(value, x.shape[:-1] + value.shape)
-
-
-def apply_rows(func: Callable[[Array], Array], x: Array) -> Array:
-    """A per-point callable (a ChartMap, its Jacobian or a VectorField)
-    applied to every row of x."""
-    return np.array([func(xi) for xi in x], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,7 @@ def interior(a: Form, X) -> Form:
     Xf = as_field(X, a.ambient_dim)
 
     def ev(x, vs):
-        return a.evaluator(x, [apply_rows(Xf, x), *vs])
+        return a.evaluator(x, [Xf.rows(x), *vs])
 
     return Form(a.degree - 1, a.ambient_dim, ev, name=f"i_{Xf.name}({a.name})")
 
@@ -377,8 +364,8 @@ def pullback(a: Form, phi: ChartMap) -> Form:
             f"pullback: map into dim {phi.target_dim}, form on dim {a.ambient_dim}")
 
     def ev(x, vs):
-        J = apply_rows(phi.jacobian, x)
-        return a.evaluator(apply_rows(phi, x), [np.einsum("nij,nj->ni", J, v) for v in vs])
+        J = phi.jacobian_rows(x)
+        return a.evaluator(phi.rows(x), [np.einsum("nij,nj->ni", J, v) for v in vs])
 
     return Form(a.degree, phi.source_dim, ev, name=f"{phi.name}*({a.name})")
 
@@ -389,7 +376,7 @@ def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
     Xf = as_field(X, a.ambient_dim)
     if a.degree == 0:
         def ev(x, vs):
-            return _directional(lambda y: a.evaluator(y, []), x, apply_rows(Xf, x),
+            return _directional(lambda y: a.evaluator(y, []), x, Xf.rows(x),
                                 step, richardson)
         return Form(0, a.ambient_dim, ev, name=f"L_{Xf.name}({a.name})")
     da = exterior_derivative(a, step, richardson)
@@ -455,30 +442,30 @@ def product_map(s_map: Optional[ChartMap], v_map: Optional[ChartMap],
     vmap = v_map or identity_map(v_dim)
 
     def forward(z):
-        return np.concatenate([smap(z[:s_dim]), vmap(z[s_dim:])])
+        return np.hstack([smap.rows(z[:, :s_dim]), vmap.rows(z[:, s_dim:])])
 
     def jac(z):
-        J = np.zeros((smap.target_dim + vmap.target_dim, s_dim + v_dim))
-        J[:smap.target_dim, :s_dim] = smap.jacobian(z[:s_dim])
-        J[smap.target_dim:, s_dim:] = vmap.jacobian(z[s_dim:])
+        J = np.zeros((len(z), smap.target_dim + vmap.target_dim, s_dim + v_dim))
+        J[:, :smap.target_dim, :s_dim] = smap.jacobian_rows(z[:, :s_dim])
+        J[:, smap.target_dim:, s_dim:] = vmap.jacobian_rows(z[:, s_dim:])
         return J
 
     return ChartMap(forward, s_dim + v_dim, smap.target_dim + vmap.target_dim,
-                    jacobian_func=jac, name=f"{smap.name}x{vmap.name}")
+                    jacobian_func=jac, name=f"{smap.name}x{vmap.name}", batched=True)
 
 
 def vertical_field(X: VectorField, s_dim: int) -> VectorField:
     """The field 0_S x X on a product chart."""
     def func(z):
-        return np.concatenate([np.zeros(s_dim), X(z[s_dim:])])
-    return VectorField(func, s_dim + X.dim, name=f"0x{X.name}")
+        return np.hstack([np.zeros((len(z), s_dim)), X.rows(z[:, s_dim:])])
+    return VectorField(func, s_dim + X.dim, name=f"0x{X.name}", batched=True)
 
 
 def horizontal_field(Z: VectorField, v_dim: int) -> VectorField:
     """The field Z x 0_V on a product chart."""
     def func(z):
-        return np.concatenate([Z(z[:Z.dim]), np.zeros(v_dim)])
-    return VectorField(func, Z.dim + v_dim, name=f"{Z.name}x0")
+        return np.hstack([Z.rows(z[:, :Z.dim]), np.zeros((len(z), v_dim))])
+    return VectorField(func, Z.dim + v_dim, name=f"{Z.name}x0", batched=True)
 
 
 def fiber_integrate(w: ProductForm, dom) -> Form:

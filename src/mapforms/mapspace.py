@@ -29,7 +29,7 @@ from scipy.linalg import block_diag
 
 from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
-from .forms import (DegreeError, Form, apply_rows, broadcast_rows, constant_form,
+from .forms import (DegreeError, Form, broadcast_rows, constant_form,
                     fiber_integrate, product_form, shuffles, volume_form,
                     wedge)
 
@@ -282,14 +282,13 @@ def bar_map_direct(omega: Form, dom: SourceDomain) -> MapSpaceForm:
 
 def pushforward_action(phi: ChartMap, f: MapPoint) -> MapPoint:
     """(φ·f)(x) = φ(f(x)) nodewise."""
-    vals = np.array([phi(v) for v in f.values])
-    return replace(f, values=vals)
+    return replace(f, values=phi.rows(f.values))
 
 
 def pushforward_tangent(phi: ChartMap, Y: MapTangent) -> MapTangent:
     """Tangent map of the push-forward action: Jacobian of φ along f."""
     f = Y.base
-    vals = np.einsum("nij,nj->ni", apply_rows(phi.jacobian, f.values), Y.vectors)
+    vals = np.einsum("nij,nj->ni", phi.jacobian_rows(f.values), Y.vectors)
     return MapTangent(pushforward_action(phi, f), vals)
 
 
@@ -298,8 +297,7 @@ def pullback_action(psi: ChartMap, f: MapPoint) -> MapPoint:
     interpolation on periodic domains (cubic splines on the interval)."""
     if psi.inverse is None:
         raise ValueError("the reparameterization needs an inverse")
-    pts = np.array([psi.inverse_point(s) for s in f.dom.nodes])
-    vals = f.dom.resample(f.values, pts)
+    vals = f.dom.resample(f.values, psi.inverse_rows(f.dom.nodes))
     return replace(f, values=vals)
 
 
@@ -310,8 +308,7 @@ def pullback_tangent(psi: ChartMap, Y: MapTangent) -> MapTangent:
 
 def generator_M(X, f: MapPoint) -> MapTangent:
     """Infinitesimal push-forward action of a field on M: X∘f nodewise."""
-    Xf = as_field(X, f.target_dim)
-    return MapTangent(f, np.array([Xf(v) for v in f.values]))
+    return MapTangent(f, as_field(X, f.target_dim).rows(f.values))
 
 
 def generator_S(Z, f: MapPoint) -> MapTangent:
@@ -320,8 +317,7 @@ def generator_S(Z, f: MapPoint) -> MapTangent:
     if isinstance(Z, np.ndarray) and Z.shape == (f.dom.n_nodes, f.dom.dim):
         zv = Z
     else:
-        Zf = as_field(Z, f.dom.chart_dim)
-        zv = np.array([Zf(s)[:f.dom.dim] for s in f.dom.nodes])
+        zv = as_field(Z, f.dom.chart_dim).rows(f.dom.nodes)[:, :f.dom.dim]
     vals = -np.einsum("imk,ik->im", Tf, zv)
     return MapTangent(f, vals)
 

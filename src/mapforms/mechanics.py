@@ -27,10 +27,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .charts import DEFAULT_FD_STEP, ChartMap, VectorField, affine_map
+from .charts import (DEFAULT_FD_STEP, ChartMap, VectorField, affine_field,
+                     affine_map, constant_field)
 from .domains import (ScalarField, SourceDomain, exact_divfree_field,
                       projection_P, right_inverse_b)
-from .forms import (DegreeError, Form, ScalarFunc, apply_rows, broadcast_rows,
+from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     exterior_derivative, pullback, sample_difference,
                     scalar_coordinate, volume_form)
 from .mapspace import (MapPoint, MapSpaceForm, MapTangent, bar_map,
@@ -83,7 +84,7 @@ class HamiltonianSystem:
         for p in self.catalog:
             # one (x, v) pair per sample, drawn x first
             x, v = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 2, self.dim)), 1, 0)
-            lhs = self.omega.evaluator(x, [apply_rows(p.field, x), v])
+            lhs = self.omega.evaluator(x, [p.field.rows(x), v])
             rhs = np.einsum("ni,ni->n", p.h.grad(x), v)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))), abs(p.h(self.base_point)))
         if worst > tol:
@@ -95,17 +96,17 @@ def hamiltonian_field_r2(h: ScalarFunc, name: str = "") -> HamiltonianPair:
     """On (R^2, dx∧dy), i_{X_h}(dx∧dy) = dh gives X_h = (∂_y h, -∂_x h)."""
 
     def func(x):
-        g = np.asarray(h.grad(x[None]), dtype=float)[0]
-        return np.array([g[1], -g[0]])
+        g = np.asarray(h.grad(x), dtype=float)
+        return np.stack([g[:, 1], -g[:, 0]], axis=-1)
 
     jac = None
     if h.hess is not None:
         def jac(x):
-            H = np.asarray(h.hess(x[None]), dtype=float)[0]
-            return np.array([H[1], -H[0]])
+            H = np.asarray(h.hess(x), dtype=float)
+            return np.stack([H[:, 1], -H[:, 0]], axis=1)
 
     return HamiltonianPair(name, h, VectorField(func, 2, jacobian_func=jac,
-                                                name=f"X_{name}"))
+                                                name=f"X_{name}", batched=True))
 
 
 def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSystem:
@@ -148,7 +149,7 @@ def hamiltonian_of(sys: HamiltonianSystem, X: VectorField,
         # every quadrature point of every segment, quadrature-major
         y = (x0 + t[:, None, None] * seg).reshape(-1, x0.size)
         segs = np.tile(seg, (quad_points, 1))
-        vals = sys.omega.evaluator(y, [apply_rows(X, y), segs]).reshape(quad_points, len(seg))
+        vals = sys.omega.evaluator(y, [X.rows(y), segs]).reshape(quad_points, len(seg))
         return w @ vals
 
     return h
@@ -158,9 +159,9 @@ def opposite_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """The Lie algebra bracket used in the cocycle pairings: the opposite of
     the Jacobi-Lie bracket of the generators."""
     b = X.bracket(Y)
-    return VectorField(lambda x: -b(x), X.dim,
-                       jacobian_func=(lambda x: -b.jacobian(x)),
-                       name=f"op[{X.name},{Y.name}]")
+    return VectorField(lambda x: -b.rows(x), X.dim,
+                       jacobian_func=(lambda x: -b.jacobian_rows(x)),
+                       name=f"op[{X.name},{Y.name}]", batched=True)
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +186,9 @@ def se2_action() -> LiftedGAction:
     """Rotations and translations of the plane with the standard momenta
     for dx∧dy; the translation pair carries the nonvanishing cocycle."""
     zero2 = np.zeros((2, 2))
-    rot = VectorField(lambda x: np.array([-x[1], x[0]]), 2,
-                      jacobian_func=lambda x: np.array([[0.0, -1.0], [1.0, 0.0]]),
-                      name="rot")
-    tx = VectorField(lambda x: np.array([1.0, 0.0]), 2,
-                     jacobian_func=lambda x: zero2, name="tx")
-    ty = VectorField(lambda x: np.array([0.0, 1.0]), 2,
-                     jacobian_func=lambda x: zero2, name="ty")
+    rot = affine_field([[0.0, -1.0], [1.0, 0.0]], name="rot")
+    tx = constant_field([1.0, 0.0], name="tx")
+    ty = constant_field([0.0, 1.0], name="ty")
     J_rot = ScalarFunc(lambda x: -0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2),
                        lambda x: -x, lambda x: broadcast_rows(-np.eye(2), x))
     J_tx = scalar_coordinate(1, 2)
@@ -409,7 +406,7 @@ def lichnerowicz(dom_M: SourceDomain, eta: Form, X: VectorField,
         raise DegreeError("need a 2-form and a volume form on the meshed surface")
     x = dom_M.nodes
     frame = [broadcast_rows(e, x) for e in np.eye(dom_M.chart_dim)[:dom_M.dim]]
-    integrand = eta.evaluator(x, [apply_rows(X, x), apply_rows(Y, x)]) * nu.evaluator(x, frame)
+    integrand = eta.evaluator(x, [X.rows(x), Y.rows(x)]) * nu.evaluator(x, frame)
     return float(dom_M.signed_weights @ integrand)
 
 
@@ -432,9 +429,7 @@ class AffineSubspace:
         return self.basis.shape[1]
 
     def inclusion(self) -> ChartMap:
-        o, B = self.origin, self.basis
-        return ChartMap(lambda u: o + B @ u, self.dim, self.ambient_dim,
-                        jacobian_func=lambda u: B, name="incl")
+        return affine_map(self.basis, self.origin, name="incl")
 
     def coordinates(self, x: Array) -> Array:
         return self.basis.T @ (np.asarray(x, dtype=float) - self.origin)

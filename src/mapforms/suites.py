@@ -9,6 +9,7 @@ config, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,8 @@ from .mapspace import (MapPoint, MapTangent, action_pullback_M,
                        hat_gram, hat_map, hat_pairing, hat_pairing_fiber,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, mapspace_scale, mapspace_sum,
-                       pushforward_transport, reparam_transport)
+                       pushforward_tangent, pushforward_transport,
+                       reparam_transport)
 from .report import TestRecord, fit_order
 
 IDENTITY_TOL = 1e-6
@@ -46,6 +48,28 @@ class SuiteConfig:
     fd_step: float = 1e-4
     trials: int = 3
     order_steps: tuple = (4e-3, 2e-3, 1e-3, 5e-4)
+
+    def __post_init__(self):
+        """Reject bad input as a usage error before any identity runs."""
+        def integral(value):
+            return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+        def positive(value):
+            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and bool(np.isfinite(value)) and value > 0)
+
+        if not integral(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("nodes", "torus_side", "interval_nodes", "trials"):
+            value = getattr(self, name)
+            if not integral(value) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not positive(self.fd_step):
+            raise ValueError(f"fd_step must be a positive number, got {self.fd_step!r}")
+        if (not isinstance(self.order_steps, tuple) or not self.order_steps
+                or not all(positive(h) for h in self.order_steps)):
+            raise ValueError("order_steps must be a non-empty list of positive "
+                             f"numbers, got {self.order_steps!r}")
 
     def domains(self) -> dict:
         return {
@@ -291,7 +315,7 @@ def run_hat_calculus(config: SuiteConfig):
         WZ = hat_pairing(omZ, alZ, dom)
         tz = [cat.random_tangent(fZ, rngZ) for _ in range(2)]
         Zf = cat.random_scalar(1, rngZ, amp=0.5)
-        Zfield = cat.VectorField(lambda s: np.array([Zf(s)]), 1)
+        Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
         lhs = map_space_lie(WZ, lambda g: generator_S(Zfield, g), h)
         rhs = hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom)
         return _relative(lhs(fZ, *tz), rhs(fZ, *tz))
@@ -496,9 +520,7 @@ def run_tilda_calculus(config: SuiteConfig):
     # ambient actions through representatives
     rot = rotation3([0.2, 0.5, 1.0], 0.9)
     circ_rot = gr.diffM_action_on_N(rot, circ)
-    moved = [MapTangent(circ_rot.rep, np.array([rot.jacobian(x) @ v for x, v in zip(
-        circ.rep.values, generator_M(s, circ.rep).vectors)]))
-        for s in (ez, rad)]
+    moved = [pushforward_tangent(rot, generator_M(s, circ.rep)) for s in (ez, rad)]
     records.append(_record(
         "tilda-rotation-invariance",
         "rotations preserve the volume pairing",
@@ -508,9 +530,7 @@ def run_tilda_calculus(config: SuiteConfig):
     shear = affine_map(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
                                  [0.0, 0.0, 1.0]]), name="shear")
     circ_sh = gr.diffM_action_on_N(shear, circ)
-    moved = [MapTangent(circ_sh.rep, np.array([shear.jacobian(x) @ v for x, v in zip(
-        circ.rep.values, generator_M(s, circ.rep).vectors)]))
-        for s in (ez, rad)]
+    moved = [pushforward_tangent(shear, generator_M(s, circ.rep)) for s in (ez, rad)]
     records.append(_record(
         "tilda-shear-invariance",
         "volume-preserving linear maps preserve the volume pairing",
@@ -520,8 +540,7 @@ def run_tilda_calculus(config: SuiteConfig):
     A = np.diag([1.3, 0.8, 1.1])
     lin = affine_map(A, name="scale")
     circ_sc = gr.diffM_action_on_N(lin, circ)
-    moved = [MapTangent(circ_sc.rep, np.array([A @ v for v in generator_M(
-        s, circ.rep).vectors])) for s in (ez, rad)]
+    moved = [pushforward_tangent(lin, generator_M(s, circ.rep)) for s in (ez, rad)]
     got = gr.tilda_eval(nu, circ_sc, moved)
     records.append(_record(
         "tilda-linear-scaling",
@@ -543,7 +562,7 @@ def run_tilda_calculus(config: SuiteConfig):
         {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
 
     Zf = cat.random_scalar(1, rng, amp=0.5)
-    Zfield = cat.VectorField(lambda s: np.array([Zf(s)]), 1)
+    Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
     ins = map_space_interior(hatW, lambda g: generator_S(Zfield, g))
     records.append(_record(
         "hat-basic-horizontal",

@@ -1,5 +1,6 @@
 """The batched nodal evaluation contract: every evaluator takes points and
-vectors stacked as rows and returns one value per row.
+vectors stacked as rows and returns one value per row, and every map and
+field evaluates rows through `rows`, `jacobian_rows` and `inverse_rows`.
 
 Batched evaluation must agree with one single-point call per row, and the
 array expressions over nodes in the pairings, Gram matrices and resampling
@@ -15,16 +16,24 @@ import pytest
 
 from mapforms import catalog as cat
 from mapforms import grassmannian as gr
-from mapforms.charts import DEFAULT_FD_STEP, ChartMap, affine_field, constant_field
-from mapforms.domains import circle, interval, torus2
+from mapforms import mechanics as me
+from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobian_rows,
+                             _rk4_flow, affine_field, affine_map, compose,
+                             constant_field, field_from_callable, identity_map,
+                             rotation2, rotation3)
+from mapforms.domains import (circle, exact_divfree_field, interval,
+                              nodal_vector_field, torus2)
 from mapforms.forms import (constant_form, coordinate_form,
                             exterior_derivative, fiber_integrate, form_scale,
-                            form_sum, integrate, interior, lie_derivative,
-                            lie_derivative_flow, product_form, pullback,
-                            scalar_const, scalar_coordinate, scalar_partial,
-                            scalar_sum, shuffles, strip_analytic, trig_scalar,
-                            volume_form, wedge, zero_form)
-from mapforms.mapspace import MapTangent, bar_map_direct, hat_gram, hat_pairing
+                            form_sum, horizontal_field, integrate, interior,
+                            lie_derivative, lie_derivative_flow, product_form,
+                            product_map, pullback, scalar_const,
+                            scalar_coordinate, scalar_partial, scalar_sum,
+                            shuffles, strip_analytic, trig_scalar,
+                            vertical_field, volume_form, wedge, zero_form)
+from mapforms.mapspace import (MapPoint, MapTangent, bar_map_direct, generator_M,
+                               generator_S, hat_gram, hat_pairing, pullback_action,
+                               pushforward_action, pushforward_tangent)
 
 RTOL = 1e-14
 N = 7
@@ -244,3 +253,248 @@ def test_torus_resampling_matches_per_component_contraction():
         want[:, j] = np.real(np.einsum("qa,ab,qb->q", _nyquist_basis(8, pts[:, 0]), c,
                                        _nyquist_basis(8, pts[:, 1])))
     assert np.max(np.abs(dom.resample(values, pts) - want)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# maps and fields: rows against single-point calls and per-point references
+
+def _trig_field(dim, rng):
+    """A nonlinear field from trigonometric components, per point."""
+    comps = [cat.random_scalar(dim, rng, integer_modes=False) for _ in range(dim)]
+    return field_from_callable(
+        lambda p: np.array([g.value(p[None])[0] for g in comps]), dim,
+        jacobian=lambda p: np.array([g.grad(p[None])[0] for g in comps]), name="trig")
+
+
+def _maps():
+    rng = np.random.default_rng(21)
+    A, b = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3), rng.uniform(-1, 1, 3)
+    sys = me.canonical_r2()
+    warp = cat.circle_warp(0.3)
+    per_point = ChartMap(lambda u: u + 0.2 * np.sin(u[::-1]), 3, 3, name="per-point")
+    fd = DEFAULT_FD_STEP
+    # (map, tolerance on its Jacobian rows): 1e-14 / h where they difference
+    return {
+        "identity": (identity_map(3), RTOL),
+        "affine": (affine_map(A, b), RTOL),
+        "rotation2": (rotation2(0.4), RTOL),
+        "rotation3": (rotation3([0.2, 0.5, 1.0], 0.9), RTOL),
+        "compose": (compose(rotation3([1.0, 0.0, 0.3], 0.5), affine_map(A, b)), RTOL),
+        "compose-per-point": (compose(affine_map(A, b), per_point), RTOL / fd),
+        "flow-rk4-batched": (sys.pair("sin_x").field.flow(0.3, 16), RTOL / fd),
+        "flow-rk4-per-point": (_trig_field(3, rng).flow(0.3, 8), RTOL / fd),
+        "flow-exact": (affine_field(A, b).flow(0.2), RTOL),
+        "product": (product_map(warp, rotation2(0.3), 1, 2), RTOL),
+        "inclusion": (me.affine_subspace([0.1, 0.2, 0.3], [[1.0, 0.0], [1.0, 1.0],
+                                                             [0.0, 2.0]]).inclusion(), RTOL),
+        "rigid_shift": (cat.rigid_shift(0.37), RTOL),
+        "rigid_shift_2d": (cat.rigid_shift_2d(0.5, -1.2), RTOL),
+        "circle_warp": (warp, RTOL),
+    }
+
+
+def _fields():
+    rng = np.random.default_rng(22)
+    sys, se2 = me.canonical_r2(), me.se2_action()
+    A, c = rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)
+    rot = cat.named_field("rotation", 3)
+    fd = DEFAULT_FD_STEP
+    fields = {
+        "constant": (constant_field([0.3, -0.2]), RTOL),
+        "affine": (affine_field(A, c), RTOL),
+        "bracket": (affine_field(A, c).bracket(sys.pair("sin_x").field), RTOL / fd),
+        "opposite_bracket": (me.opposite_bracket(sys.pair("xy").field,
+                                                 sys.pair("sin_x").field), RTOL / fd),
+        "radial": (cat.named_field("radial", 3), RTOL),
+        "vertical": (vertical_field(rot, 1), RTOL),
+        "horizontal": (horizontal_field(rot, 2), RTOL),
+    }
+    fields.update({f"hamiltonian-{p.name}": (p.field, RTOL) for p in sys.catalog})
+    fields.update({f"se2-{n}": (g, RTOL) for n, g in zip(se2.names, se2.generators)})
+    return fields
+
+
+def check_rows(obj, x, jac_tol):
+    assert_rows_match(obj.rows(x), [obj(xi) for xi in x])
+    assert_rows_match(obj.jacobian_rows(x), [obj.jacobian(xi) for xi in x], jac_tol)
+
+
+def check_jacobian_consistent(obj, x, tol=1e-6):
+    """Analytic Jacobian rows against central differences of the rows."""
+    fd = _fd_jacobian_rows(obj.rows, x, 1e-5)
+    assert np.max(np.abs(obj.jacobian_rows(x) - fd)) < tol
+
+
+@pytest.mark.parametrize("name", sorted(_maps()))
+def test_map_rows_match_single_points(name):
+    phi, jac_tol = _maps()[name]
+    x, _ = points(phi.source_dim, seed=23)
+    check_rows(phi, x, jac_tol)
+    assert phi.rows(x).shape == (N, phi.target_dim)
+    assert phi.jacobian_rows(x).shape == (N, phi.target_dim, phi.source_dim)
+    check_jacobian_consistent(phi, x)
+    if phi.inverse is not None:
+        y = phi.rows(x)
+        assert_rows_match(phi.inverse_rows(y), [phi.inverse_point(yi) for yi in y])
+        assert np.max(np.abs(phi.inverse_rows(y) - x)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_fields()))
+def test_field_rows_match_single_points(name):
+    X, jac_tol = _fields()[name]
+    x, _ = points(X.dim, seed=24)
+    check_rows(X, x, jac_tol)
+    assert X.rows(x).shape == (N, X.dim)
+    check_jacobian_consistent(X, x)
+
+
+def test_bracket_matches_per_point_formula():
+    rng = np.random.default_rng(25)
+    X, Y = _trig_field(3, rng), affine_field(rng.uniform(-1, 1, (3, 3)))
+    x, _ = points(3, seed=26)
+    want = [Y.jacobian(p) @ X(p) - X.jacobian(p) @ Y(p) for p in x]
+    assert_rows_match(X.bracket(Y).rows(x), want)
+
+
+def test_nodal_field_rows_and_off_grid_row():
+    dom = torus2(8)
+    Z = exact_divfree_field(dom, cat.random_stream(dom, np.random.default_rng(27)))
+    field = nodal_vector_field(dom, Z)
+    order = np.random.default_rng(28).permutation(dom.n_nodes)
+    assert np.array_equal(field.rows(dom.nodes[order]), Z[order])
+    assert_rows_match(field.rows(dom.nodes[order]), [field(s) for s in dom.nodes[order]])
+    off = dom.nodes[order].copy()
+    off[3] += 0.05
+    with pytest.raises(KeyError):
+        field.rows(off)
+
+
+def rk4_flow_loop(X, t, steps, x0):
+    """The RK4 flow of one point with single-point field calls."""
+    h, x = t / steps, np.array(x0, dtype=float)
+    for _ in range(steps):
+        k1 = X(x)
+        k2 = X(x + 0.5 * h * k1)
+        k3 = X(x + 0.5 * h * k2)
+        k4 = X(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("batched", [True, False], ids=["batched-field", "per-point-field"])
+def test_rk4_flow_matches_row_by_row(batched):
+    rng = np.random.default_rng(29)
+    X = me.canonical_r2().pair("sin_x").field if batched else _trig_field(2, rng)
+    flow = _rk4_flow(X, 0.7, 24)
+    assert flow.batched and callable(flow.forward)
+    x, _ = points(2, seed=30)
+    assert_rows_match(flow.rows(x), [flow(xi) for xi in x])
+    assert_rows_match(flow.rows(x), [rk4_flow_loop(X, 0.7, 24, xi) for xi in x])
+
+
+def fd_jacobian_loop(func, x, step):
+    """Central-difference Jacobian of a single-point func, column by column."""
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        cols.append((np.asarray(func(x + e)) - np.asarray(func(x - e))) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+def test_fd_jacobian_rows_matches_per_point():
+    def func(p):
+        return np.array([np.sin(p[0]) * p[1], p[0] ** 2 - np.cos(p[2]), p[1] * p[2]])
+
+    def func_rows(x):
+        return np.column_stack([np.sin(x[:, 0]) * x[:, 1], x[:, 0] ** 2 - np.cos(x[:, 2]),
+                                x[:, 1] * x[:, 2]])
+
+    x, _ = points(3, seed=31)
+    h = DEFAULT_FD_STEP
+    want = [fd_jacobian_loop(func, xi, h) for xi in x]
+    assert_rows_match(_fd_jacobian_rows(func_rows, x, h), want, RTOL / h)
+    calls = []
+    _fd_jacobian_rows(lambda y: calls.append(len(y)) or func_rows(y), x, h)
+    assert calls == [2 * 3 * N]
+
+
+def test_per_point_chart_map_through_pullback_and_actions():
+    # built the way a caller writes a map from single-point lambdas
+    h = trig_scalar(2, [[1.0, -2.0], [0.5, 1.0]], [0.7, -0.4], [0.3, 1.1])
+    phi = ChartMap(lambda u: np.array([u[0], u[1], h.value(u[None])[0]]), 2, 3,
+                   jacobian_func=lambda u: np.vstack([np.eye(2), h.grad(u[None])]),
+                   name="graph")
+    assert not phi.batched
+    a = cat.random_form(3, 2, np.random.default_rng(32))
+    z, vs = points(2, seed=33)
+    want = [a(phi(zi), phi.jacobian(zi) @ v0, phi.jacobian(zi) @ v1)
+            for zi, v0, v1 in zip(z, vs[0], vs[1])]
+    assert_rows_match(pullback(a, phi).evaluator(z, vs[:2]), want)
+
+    dom = torus2(8)
+    f = cat.random_map(dom, 2, np.random.default_rng(34), amp=0.5)
+    shift = np.array([0.4, -1.1])
+    per_point = ChartMap(lambda s: s + shift, 2, 2, jacobian_func=lambda s: np.eye(2),
+                         inverse=lambda s: s - shift, name="shift")
+    moved = pullback_action(per_point, f).values
+    assert np.array_equal(moved, pullback_action(cat.rigid_shift_2d(*shift), f).values)
+    pushed = pushforward_action(phi, f)
+    assert np.array_equal(pushed.values, np.array([phi(v) for v in f.values]))
+
+
+def test_generators_and_push_forward_match_node_loops():
+    dom = circle(16)
+    rng = np.random.default_rng(35)
+    f = cat.random_map(dom, 3, rng, amp=0.8)
+    X = cat.random_affine_field(3, rng)
+    Y = cat.random_tangent(f, rng)
+    phi = rotation3([0.2, 0.5, 1.0], 0.9)
+    assert_rows_match(generator_M(X, f).vectors, [X(v) for v in f.values])
+    assert_rows_match(pushforward_tangent(phi, Y).vectors,
+                      [phi.jacobian(v) @ y for v, y in zip(f.values, Y.vectors)])
+    Z = VectorField(lambda s: np.array([np.sin(s[0]) + 0.5]), 1)
+    Tf = f.jacobian()
+    assert_rows_match(generator_S(Z, f).vectors,
+                      [-Tf[i] @ Z(dom.nodes[i]) for i in range(dom.n_nodes)])
+
+
+def hamiltonian_of_loop(sys, X, x, quad_points=24):
+    """Line integration of the field point by point, with single-point
+    calls of the field and the form."""
+    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    x0 = sys.base_point
+    out = []
+    for xi in x:
+        seg = xi - x0
+        out.append(sum(0.5 * wq * sys.omega(x0 + 0.5 * (tq + 1.0) * seg,
+                                            X(x0 + 0.5 * (tq + 1.0) * seg), seg)
+                       for tq, wq in zip(nodes, weights)))
+    return np.array(out)
+
+
+def test_bracket_hamiltonian_matches_row_by_row_reference():
+    sys = me.canonical_r2()
+    dom = circle(48)
+    f = cat.random_map(dom, 2, np.random.default_rng(36), amp=0.8)
+    X, Y = sys.pair("xy").field, sys.pair("sin_x").field
+
+    def opposite(p):
+        # the Jacobi-Lie bracket with single-point calls, negated
+        return -(Y.jacobian(p) @ X(p) - X.jacobian(p) @ Y(p))
+
+    got = me.hamiltonian_of(sys, me.opposite_bracket(X, Y))(f.values)
+    assert_rows_match(got, hamiltonian_of_loop(sys, opposite, f.values))
+
+
+def test_lichnerowicz_on_nodal_fields_matches_node_loop():
+    dom = torus2(8)
+    rng = np.random.default_rng(37)
+    Z1, Z2 = (exact_divfree_field(dom, cat.random_stream(dom, rng)) for _ in range(2))
+    eta = cat.random_form(2, 2, rng, integer_modes=True)
+    nu = volume_form(2, 1.0 / dom.volume)
+    e = np.eye(2)
+    loop = sum(dom.signed_weights[i] * eta(dom.nodes[i], Z1[i], Z2[i]) * nu(dom.nodes[i], *e)
+               for i in range(dom.n_nodes))
+    got = me.lichnerowicz(dom, eta, nodal_vector_field(dom, Z1), nodal_vector_field(dom, Z2), nu)
+    assert got == pytest.approx(loop, rel=RTOL, abs=RTOL)

@@ -68,6 +68,47 @@ def test_verify_config_file(tmp_path):
     assert main(["verify", "--config", str(cfg), "--suite", "branes"]) == 2
 
 
+# bad input is a usage error (exit 2) that names the field, never a failed
+# identity or a traceback
+def _config_error(tmp_path, capsys, raw, *extra):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    code = main(["verify", "--config", str(cfg), "--suite", "boundary", *extra])
+    return code, capsys.readouterr()
+
+
+def test_config_non_integer_nodes_is_usage_error(tmp_path, capsys):
+    code, out = _config_error(tmp_path, capsys, {"nodes": "abc"})
+    assert code == 2
+    assert "nodes must be a positive integer, got 'abc'" in out.err
+    assert "FAIL" not in out.out
+
+
+def test_zero_nodes_is_usage_error(capsys):
+    assert main(["verify", "--suite", "boundary", "--nodes", "0"]) == 2
+    assert "nodes must be a positive integer, got 0" in capsys.readouterr().err
+
+
+def test_converge_zero_level_is_usage_error(capsys):
+    assert main(["converge", "--identity", "quadrature-circle", "--levels", "4,0"]) == 2
+    assert "--levels needs positive node counts, got '4,0'" in capsys.readouterr().err
+
+
+def test_config_negative_fd_step_is_usage_error(tmp_path, capsys):
+    code, out = _config_error(tmp_path, capsys, {"fd_step": -1})
+    assert code == 2
+    assert "fd_step must be a positive number, got -1" in out.err
+    assert "boundary-top-degree" not in out.out
+
+
+@pytest.mark.parametrize("raw", [{"trials": 0}, {"order_steps": [1e-3, -1e-3]},
+                                 {"order_steps": 5}, {"seed": -1}])
+def test_other_config_fields_are_validated(tmp_path, capsys, raw):
+    code, out = _config_error(tmp_path, capsys, raw)
+    assert code == 2
+    assert f"{next(iter(raw))} must be" in out.err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def failing_suite(config):
         return [TestRecord(test_id="always-fails", statement="x = y",
