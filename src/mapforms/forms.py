@@ -386,7 +386,9 @@ def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
 
 def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5,
                         flow_steps: int = 64) -> Form:
-    """Independent flow route: central difference of (phi_t^X)^* a in t."""
+    """Independent flow route: central difference of (phi_t^X)^* a in t.
+    A flow without an exact form is RK4, pulled back through the tangent-
+    linear Jacobian of the RK4 map; no step uses the Cartan formula."""
     fwd = pullback(a, X.flow(t_step, flow_steps))
     bwd = pullback(a, X.flow(-t_step, flow_steps))
 

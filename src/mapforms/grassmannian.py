@@ -63,7 +63,7 @@ def embed(rep: MapPoint, distance_threshold: float = 1e-6,
             f"nodes collide: min pairwise distance {dmin:.3e} <= "
             f"{distance_threshold:.1e}")
     Tf = rep.jacobian()
-    smin = min(float(np.linalg.svd(Tf[i], compute_uv=False)[-1]) for i in range(n))
+    smin = float(np.linalg.svd(Tf, compute_uv=False)[:, -1].min())
     if smin <= singular_value_threshold:
         raise EmbeddingError(
             f"tangent map near rank-deficient: min singular value {smin:.3e} "

@@ -52,6 +52,11 @@ class MapPoint:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != self.dom.n_nodes:
             raise ValueError("values must be (n_nodes, target_dim)")
+        bad = np.flatnonzero(~np.isfinite(self.values).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"values are not finite at node {i} "
+                             f"(source point {self.dom.nodes[i]}): {self.values[i]}")
 
     @property
     def target_dim(self) -> int:

@@ -23,7 +23,7 @@ from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobia
                              rotation2, rotation3)
 from mapforms.domains import (circle, exact_divfree_field, interval,
                               nodal_vector_field, torus2)
-from mapforms.forms import (constant_form, coordinate_form,
+from mapforms.forms import (coefficient_form, constant_form, coordinate_form,
                             exterior_derivative, fiber_integrate, form_scale,
                             form_sum, horizontal_field, integrate, interior,
                             lie_derivative, lie_derivative_flow, product_form,
@@ -281,8 +281,8 @@ def _maps():
         "rotation3": (rotation3([0.2, 0.5, 1.0], 0.9), RTOL),
         "compose": (compose(rotation3([1.0, 0.0, 0.3], 0.5), affine_map(A, b)), RTOL),
         "compose-per-point": (compose(affine_map(A, b), per_point), RTOL / fd),
-        "flow-rk4-batched": (sys.pair("sin_x").field.flow(0.3, 16), RTOL / fd),
-        "flow-rk4-per-point": (_trig_field(3, rng).flow(0.3, 8), RTOL / fd),
+        "flow-rk4-batched": (sys.pair("sin_x").field.flow(0.3, 16), RTOL),
+        "flow-rk4-per-point": (_trig_field(3, rng).flow(0.3, 8), RTOL),
         "flow-exact": (affine_field(A, b).flow(0.2), RTOL),
         "product": (product_map(warp, rotation2(0.3), 1, 2), RTOL),
         "inclusion": (me.affine_subspace([0.1, 0.2, 0.3], [[1.0, 0.0], [1.0, 1.0],
@@ -390,6 +390,48 @@ def test_rk4_flow_matches_row_by_row(batched):
     x, _ = points(2, seed=30)
     assert_rows_match(flow.rows(x), [flow(xi) for xi in x])
     assert_rows_match(flow.rows(x), [rk4_flow_loop(X, 0.7, 24, xi) for xi in x])
+
+
+@pytest.mark.parametrize("kind", ["batched", "per-point", "per-point-no-jacobian"])
+def test_rk4_flow_jacobian_matches_central_differences(kind):
+    rng = np.random.default_rng(32)
+    X = me.canonical_r2().pair("sin_x").field if kind == "batched" else _trig_field(3, rng)
+    if kind == "per-point-no-jacobian":
+        X = field_from_callable(X.func, X.dim, name="trig-no-jacobian")
+    flow = _rk4_flow(X, 0.6, 16)
+    x, _ = points(X.dim, seed=33)
+    # differences of the flow at 1e-5 are good to about 1e-10; a field without
+    # an analytic Jacobian is itself differenced at 1e-4, about 1e-9
+    fd = _fd_jacobian_rows(flow.rows, x, 1e-5)
+    assert np.max(np.abs(flow.jacobian_rows(x) - fd)) < 1e-8
+
+
+def test_rk4_flow_jacobian_of_linear_field_is_the_rk4_matrix_power():
+    rng = np.random.default_rng(34)
+    A = rng.uniform(-1.0, 1.0, (3, 3))
+    t, steps = 0.8, 12
+    hA = (t / steps) * A
+    step = np.eye(3) + hA + hA @ hA / 2 + hA @ hA @ hA / 6 + hA @ hA @ hA @ hA / 24
+    want = np.linalg.matrix_power(step, steps)
+    x, _ = points(3, seed=35)
+    got = _rk4_flow(affine_field(A), t, steps).jacobian_rows(x)
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_lie_derivative_flow_matches_closed_form():
+    rng = np.random.default_rng(36)
+    coeffs = [cat.random_scalar(3, rng, integer_modes=False) for _ in range(3)]
+    a = coefficient_form(3, 1, {(j,): c for j, c in enumerate(coeffs)}, name="a")
+    X = _trig_field(3, rng)
+    x, (v, *_) = points(3, seed=37)
+    # (L_X a)(v) = (grad a_j . X) v_j + a_j (DX v)_j
+    Xv, DX = X.rows(x), X.jacobian_rows(x)
+    grads = np.stack([c.grad(x) for c in coeffs], axis=1)
+    vals = np.column_stack([c.value(x) for c in coeffs])
+    want = (np.einsum("njk,nk,nj->n", grads, Xv, v)
+            + np.einsum("nj,njk,nk->n", vals, DX, v))
+    got = lie_derivative_flow(a, X).evaluator(x, [v])
+    assert np.max(np.abs(got - want)) < 1e-9
 
 
 def fd_jacobian_loop(func, x, step):

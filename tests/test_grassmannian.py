@@ -6,7 +6,7 @@ import pytest
 from mapforms import catalog as cat
 from mapforms import grassmannian as gr
 from mapforms.charts import affine_map, rotation3
-from mapforms.domains import circle
+from mapforms.domains import circle, torus2
 from mapforms.forms import DegreeError, volume_form
 from mapforms.mapspace import (MapPoint, MapTangent, generator_M, hat_map,
                                map_from_function, map_space_d)
@@ -29,6 +29,18 @@ def test_embedding_gates():
     N = unit_circle_submanifold(64)
     assert N.min_distance > 1e-2
     assert N.min_singular_value > 0.9
+
+
+def test_embedding_min_singular_value_on_a_torus():
+    # the standard torus: singular values r and R + r cos v at every node
+    R, r = 2.0, 0.5
+    T = map_from_function(torus2(16), lambda s: np.array([
+        (R + r * np.cos(s[1])) * np.cos(s[0]), (R + r * np.cos(s[1])) * np.sin(s[0]),
+        r * np.sin(s[1])]), 3)
+    N = gr.embed(T)
+    loop = min(np.linalg.svd(J, compute_uv=False)[-1] for J in T.jacobian())
+    assert N.min_singular_value == loop
+    assert N.min_singular_value == pytest.approx(r, rel=1e-12)
 
 
 def test_tilda_needs_the_right_number_of_sections():

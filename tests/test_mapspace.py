@@ -35,6 +35,16 @@ def test_map_point_validation():
         MapTangent(f, np.zeros((16, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_map_point_rejects_non_finite_values(bad):
+    dom = circle(16)
+    values = np.zeros((16, 2))
+    values[5, 1] = bad
+    values[9, 0] = bad
+    with pytest.raises(ValueError, match="not finite at node 5 "):
+        MapPoint(dom, values)
+
+
 def test_hat_pairing_circle_area_value():
     dom = circle(64)
     f = unit_circle()
