@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 Array = np.ndarray
 
@@ -93,7 +92,9 @@ class ChartMap(_RowCalculus):
     """A smooth map between flat charts: forward map, optional inverse,
     optional analytic Jacobian (central differences otherwise).  With
     batched=True, forward, jacobian_func and inverse take points stacked
-    as rows (N, m) and return (N, n), (N, n, m) and (N, m)."""
+    as rows (N, m) and return (N, n), (N, n, m) and (N, m).  A map whose
+    value is a by-product of its Jacobian can also attach
+    value_and_jacobian_func, rows (N, m) to the pair of both."""
 
     forward: Callable[[Array], Array]
     source_dim: int
@@ -103,8 +104,16 @@ class ChartMap(_RowCalculus):
     fd_step: float = DEFAULT_FD_STEP
     name: str = ""
     batched: bool = False
+    value_and_jacobian_func: Optional[Callable[[Array], tuple]] = None
 
     _func = property(lambda self: self.forward)
+
+    def value_and_jacobian_rows(self, x) -> tuple:
+        """(rows(x), jacobian_rows(x)), in one pass when the map computes
+        its value on the way to its Jacobian."""
+        if self.value_and_jacobian_func is not None:
+            return self.value_and_jacobian_func(x)
+        return self.rows(x), self.jacobian_rows(x)
 
     def _inverse(self) -> Callable[[Array], Array]:
         if self.inverse is None:
@@ -183,8 +192,8 @@ def compose(outer: ChartMap, inner: ChartMap, name: str = "") -> ChartMap:
         inverse = lambda y: inner.inverse_rows(outer.inverse_rows(y))  # noqa: E731
 
     def jac(x):
-        return np.einsum("nij,njk->nik", outer.jacobian_rows(inner.rows(x)),
-                         inner.jacobian_rows(x))
+        y, J = inner.value_and_jacobian_rows(x)
+        return np.einsum("nij,njk->nik", outer.jacobian_rows(y), J)
 
     return ChartMap(
         forward=lambda x: outer.rows(inner.rows(x)),
@@ -244,17 +253,19 @@ class VectorField(_RowCalculus):
 def _rk4_flow(X: VectorField, t: float, steps: int) -> ChartMap:
     """The RK4 map of X over time t.  Its Jacobian is the tangent-linear
     derivative of the same discrete map, RK4 on J' = DX(x) J from J = I with
-    DX from `X.jacobian_rows`; neither goes through the Cartan formula."""
+    DX from `X.jacobian_rows`; neither goes through the Cartan formula.
+    `value_and_jacobian_rows` takes both from one stepping loop."""
     h = t / steps
 
-    def jacobian(x):
+    def value_and_jacobian(x):
         x = np.array(x, dtype=float)
         eye = np.broadcast_to(np.eye(X.dim), x.shape + (X.dim,))
-        return _rk4_steps(X, h, steps, x, eye)[1]
+        return tuple(_rk4_steps(X, h, steps, x, eye))
 
     return ChartMap(lambda x: _rk4_steps(X, h, steps, np.array(x, dtype=float))[0],
-                    X.dim, X.dim, jacobian_func=jacobian, name=f"flow({X.name},{t:g})",
-                    batched=True)
+                    X.dim, X.dim, jacobian_func=lambda x: value_and_jacobian(x)[1],
+                    name=f"flow({X.name},{t:g})", batched=True,
+                    value_and_jacobian_func=value_and_jacobian)
 
 
 def _rk4_steps(X: VectorField, h: float, steps: int, *state) -> list:
@@ -294,7 +305,7 @@ def constant_field(vec, name: str = "") -> VectorField:
 
 def affine_field(A, c=None, name: str = "") -> VectorField:
     """X(x) = A x + c, with the exact flow computed from the matrix
-    exponential of the augmented generator."""
+    exponential (`_expm`) of the augmented generator."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     c = np.zeros(m) if c is None else np.asarray(c, dtype=float)
@@ -303,7 +314,7 @@ def affine_field(A, c=None, name: str = "") -> VectorField:
         aug = np.zeros((m + 1, m + 1))
         aug[:m, :m] = A
         aug[:m, m] = c
-        E = expm(t * aug)
+        E = _expm(t * aug)
         return affine_map(E[:m, :m], E[:m, m], name=f"affine-flow({t:g})")
 
     return VectorField(
@@ -314,6 +325,38 @@ def affine_field(A, c=None, name: str = "") -> VectorField:
         name=name or "affine",
         batched=True,
     )
+
+
+# numerator coefficients of the [13/13] Pade approximant to exp, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+           16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(A) -> Array:
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant: N. J. Higham, "The scaling and squaring method for the
+    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005)."""
+    A = np.asarray(A, dtype=float)
+    norm = np.linalg.norm(A, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    A = A / 2.0 ** s
+    b = _PADE13
+    eye = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    E = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def field_from_callable(func, dim: int, jacobian=None, name: str = "") -> VectorField:

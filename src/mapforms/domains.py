@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .forms import DegreeError, Form, broadcast_rows
 
@@ -154,7 +153,7 @@ class SourceDomain:
     def resample(self, values: Array, points: Array) -> Array:
         """Evaluate the interpolant of node-sampled data at parameter points:
         trigonometric interpolation on periodic domains (exact for data below
-        the Nyquist band), cubic splines on the interval."""
+        the Nyquist band), not-a-knot cubic splines on the interval."""
         values = np.asarray(values, dtype=float)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         flat = values.reshape(self.n_nodes, -1)
@@ -165,11 +164,7 @@ class SourceDomain:
         elif self.kind == "interval":
             if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
                 raise ValueError("interval resampling outside [0,1]")
-            x = self.nodes[:, 0]
-            out = np.column_stack([
-                CubicSpline(x, flat[:, j])(np.clip(pts[:, 0], 0.0, 1.0))
-                for j in range(flat.shape[1])
-            ])
+            out = _spline_interp(self.nodes[:, 0], flat, np.clip(pts[:, 0], 0.0, 1.0))
         else:
             raise ValueError(f"no interpolation on domain kind {self.kind!r}")
         return out.reshape((pts.shape[0],) + values.shape[1:])
@@ -326,6 +321,29 @@ def _trig_interp_2d(flat: Array, shape: tuple, pts: Array) -> Array:
     Ey = _nyquist_basis(ny, pts[:, 1])
     rows = (Ex @ c.reshape(nx, comps * ny)).reshape(-1, comps, ny)
     return np.real(np.sum(rows * Ey[:, None, :], axis=2))
+
+
+def _spline_interp(x: Array, y: Array, pts: Array) -> Array:
+    """Not-a-knot cubic spline through (x, y[:, j]) for every column j,
+    evaluated at pts.  The node second derivatives M of all columns come
+    from one linear solve: continuity of the first derivative at interior
+    nodes, of the third at x[1] and x[-2]."""
+    n = x.size
+    h = np.diff(x)
+    slope = np.diff(y, axis=0) / h[:, None]
+    A = np.zeros((n, n))
+    rhs = np.zeros_like(y)
+    i = np.arange(1, n - 1)
+    A[i, i - 1], A[i, i], A[i, i + 1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
+    rhs[1:-1] = 6.0 * np.diff(slope, axis=0)
+    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
+    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
+    M = np.linalg.solve(A, rhs)
+    k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, n - 2)
+    hk = h[k][:, None]
+    a, b = (x[k + 1] - pts)[:, None], (pts - x[k])[:, None]
+    return ((M[k] * a ** 3 + M[k + 1] * b ** 3) / (6.0 * hk)
+            + (y[k] / hk - M[k] * hk / 6.0) * a + (y[k + 1] / hk - M[k + 1] * hk / 6.0) * b)
 
 
 # ---------------------------------------------------------------------------

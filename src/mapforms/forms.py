@@ -364,8 +364,8 @@ def pullback(a: Form, phi: ChartMap) -> Form:
             f"pullback: map into dim {phi.target_dim}, form on dim {a.ambient_dim}")
 
     def ev(x, vs):
-        J = phi.jacobian_rows(x)
-        return a.evaluator(phi.rows(x), [np.einsum("nij,nj->ni", J, v) for v in vs])
+        y, J = phi.value_and_jacobian_rows(x)
+        return a.evaluator(y, [np.einsum("nij,nj->ni", J, v) for v in vs])
 
     return Form(a.degree, phi.source_dim, ev, name=f"{phi.name}*({a.name})")
 

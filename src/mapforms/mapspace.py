@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
@@ -219,7 +218,11 @@ def hat_gram(omega: Form, alpha, dom: SourceDomain, f: MapPoint) -> Array:
     density = _hat_density(omega, alpha_f, dom)
     e = [broadcast_rows(row, f.values) for row in np.eye(f.target_dim)]
     blocks = np.array([[density(f, [ea, eb]) for eb in e] for ea in e])  # (m, m, n)
-    return block_diag(*np.moveaxis(blocks * dom.signed_weights, -1, 0))
+    n, m = f.values.shape
+    idx = np.arange(n * m).reshape(n, m)
+    G = np.zeros((n * m, n * m))
+    G[idx[:, :, None], idx[:, None, :]] = np.moveaxis(blocks * dom.signed_weights, -1, 0)
+    return G
 
 
 # ---------------------------------------------------------------------------

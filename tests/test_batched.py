@@ -290,6 +290,7 @@ def _maps():
         "rigid_shift": (cat.rigid_shift(0.37), RTOL),
         "rigid_shift_2d": (cat.rigid_shift_2d(0.5, -1.2), RTOL),
         "circle_warp": (warp, RTOL),
+        "per-point": (per_point, RTOL / fd),
     }
 
 
@@ -337,6 +338,17 @@ def test_map_rows_match_single_points(name):
         y = phi.rows(x)
         assert_rows_match(phi.inverse_rows(y), [phi.inverse_point(yi) for yi in y])
         assert np.max(np.abs(phi.inverse_rows(y) - x)) < 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(_maps()))
+def test_value_and_jacobian_rows_equal_separate_calls(name):
+    # bit for bit: an RK4 flow takes both from one stepping loop, whose x path
+    # is the arithmetic of `rows`
+    phi, _ = _maps()[name]
+    x, _ = points(phi.source_dim, seed=24)
+    value, jac = phi.value_and_jacobian_rows(x)
+    assert np.array_equal(value, phi.rows(x))
+    assert np.array_equal(jac, phi.jacobian_rows(x))
 
 
 @pytest.mark.parametrize("name", sorted(_fields()))

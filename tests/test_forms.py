@@ -1,12 +1,14 @@
 """Exterior algebra and calculus on flat charts."""
 
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from mapforms import catalog as cat
 from mapforms.charts import affine_field, constant_field, identity_map, compose
-from mapforms.forms import (DegreeError, antisymmetry_defect, coefficient_form,
-                            coordinate_form, exterior_derivative, form_scale,
+from mapforms.forms import (DegreeError, _minor_det, antisymmetry_defect,
+                            coefficient_form, coordinate_form, exterior_derivative, form_scale,
                             form_sum, integrate, interior, lie_derivative,
                             lie_derivative_flow, multilinearity_defect,
                             pullback, sample_difference, scalar_coordinate,
@@ -212,3 +214,29 @@ def test_produced_forms_are_alternating_and_multilinear():
     for form in produced:
         assert antisymmetry_defect(form, rng, 8) < 1e-7
         assert multilinearity_defect(form, rng, 8) < 1e-7
+
+
+def _leibniz_det(M):
+    """Determinant as the signed sum over permutations, for small M."""
+    total = 0.0
+    for perm in permutations(range(len(M))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        total += (-1) ** inversions * np.prod([M[i, j] for i, j in enumerate(perm)])
+    return total
+
+
+@pytest.mark.parametrize("p", [4, 5])
+def test_minor_det_beyond_three_vectors(p):
+    # p > 3 takes the np.linalg.det branch; check the picked components and
+    # their order row by row against the permutation sum
+    rng = np.random.default_rng(40 + p)
+    vectors = [rng.standard_normal((6, 7)) for _ in range(p)]
+    index = tuple(sorted(rng.choice(7, p, replace=False)))
+    got = _minor_det(vectors, index)
+    assert got.shape == (6,)
+    for r in range(6):
+        M = np.array([[v[r, i] for i in index] for v in vectors])
+        assert got[r] == pytest.approx(np.linalg.det(M), rel=1e-12, abs=1e-12)
+        assert got[r] == pytest.approx(_leibniz_det(M), rel=1e-12, abs=1e-12)
+    swapped = [vectors[1], vectors[0]] + vectors[2:]
+    assert np.allclose(_minor_det(swapped, index), -got, rtol=1e-13, atol=1e-13)
