@@ -9,8 +9,10 @@ config, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -79,34 +81,55 @@ class SuiteConfig:
         }
 
 
-def _record(test_id, statement, residual, tol, config, mesh, order=None,
-            order_target=None, order_note="", detail="") -> TestRecord:
-    passed = residual < tol
-    if order is not None and order_target is not None:
-        passed = passed and order >= order_target
-    return TestRecord(test_id=test_id, statement=statement,
-                      residual=float(residual), tolerance=float(tol),
-                      passed=bool(passed), seed=config.seed, mesh=mesh,
-                      order=order, order_target=order_target,
-                      order_note=order_note, detail=detail)
+class _Records(list):
+    """The records of one suite run; every record carries the config's seed
+    and a mesh dict derived from its source domain."""
+
+    def __init__(self, config: SuiteConfig):
+        super().__init__()
+        self.config = config
+
+    def add(self, test_id, statement, residual, tol, dom, fd=False, fit=None,
+            order_note="floor", detail=""):
+        """Append a record; `fd` adds the FD step to the mesh, and `fit` is
+        the (order, note) of a refinement ladder with target ORDER_TARGET."""
+        mesh = {"domain": dom.kind, "nodes": dom.n_nodes}
+        if fd:
+            mesh["fd_step"] = self.config.fd_step
+        order = order_target = None
+        if fit is not None:
+            (order, order_note), order_target = fit, ORDER_TARGET
+        passed = residual < tol and (order is None or order >= order_target)
+        self.append(TestRecord(test_id=test_id, statement=statement,
+                               residual=float(residual), tolerance=float(tol),
+                               passed=bool(passed), seed=self.config.seed,
+                               mesh=mesh, order=order, order_target=order_target,
+                               order_note=order_note, detail=detail))
+
+    def ladder(self, test_id, statement, dom, residual, trial_keys, ladder_key,
+               steps=None):
+        """Record an FD-limited identity given its signed residual(rng, h):
+        the worst |residual| at the FD step over the draws seeded by
+        [seed, *key] for each trial key, and the order fitted to
+        |r(h) - r(2e-5)| on the fixed draw [seed, *ladder_key].  The tiny
+        reference step removes an error floor that does not depend on h
+        (quadrature or differentiation mismatch of the sampled data)."""
+        seed, steps = self.config.seed, steps or self.config.order_steps
+        worst = max(abs(residual(np.random.default_rng([seed, *key]), self.config.fd_step))
+                    for key in trial_keys)
+
+        def at(h):
+            return residual(np.random.default_rng([seed, *ladder_key]), h)
+
+        floor = at(2e-5)
+        self.add(test_id, statement, worst, IDENTITY_TOL, dom, fd=True,
+                 fit=fit_order(steps, [abs(at(h) - floor) for h in steps]))
 
 
-def _scaled(value, *references) -> float:
-    scale = max([1.0] + [abs(r) for r in references])
-    return abs(value) / scale
-
-
-def _relative(a, b) -> float:
-    """Signed a - b relative to max(1, |a|, |b|)."""
+def _gap(lhs, rhs, f, *ts) -> float:
+    """Signed lhs - rhs at (f, ts), relative to max(1, |lhs|, |rhs|)."""
+    a, b = lhs(f, *ts), rhs(f, *ts)
     return (a - b) / max(1.0, abs(a), abs(b))
-
-
-def _floor_subtracted_order(residual, steps):
-    """Order fitted to |r(h) - r(2e-5)| for a signed residual r of fixed
-    data: the tiny reference step removes an error floor that does not depend
-    on h (quadrature or differentiation mismatch of the sampled data)."""
-    floor = residual(2e-5)
-    return fit_order(steps, [abs(residual(h) - floor) for h in steps])
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +137,7 @@ def _floor_subtracted_order(residual, steps):
 
 def _hat_case(dom, m, p, q, rng, amp=0.8):
     om = cat.random_form(m, p, rng, amp=amp)
-    al = cat.random_form(dom.chart_dim, q, rng, amp=amp, integer_modes=True) \
-        if q else cat.random_form(dom.chart_dim, 0, rng, amp=amp, integer_modes=True)
+    al = cat.random_form(dom.chart_dim, q, rng, amp=amp, integer_modes=True)
     f = cat.random_map(dom, m, rng, amp=amp)
     n = p + q - dom.dim
     ts = [cat.random_tangent(f, rng, amp=amp) for _ in range(n)]
@@ -126,9 +148,7 @@ def two_route_residual(dom, m, p, q, rng, amp=0.8) -> float:
     """Relative disagreement of the pointwise and fiber-integration routes
     on one random case."""
     om, al, f, ts = _hat_case(dom, m, p, q, rng, amp)
-    v1 = hat_pairing(om, al, dom)(f, *ts)
-    v2 = hat_pairing_fiber(om, al, dom)(f, *ts)
-    return abs(v1 - v2) / max(1.0, abs(v1), abs(v2))
+    return abs(_gap(hat_pairing(om, al, dom), hat_pairing_fiber(om, al, dom), f, *ts))
 
 
 TWO_ROUTE_SIGNATURES = {
@@ -161,68 +181,44 @@ def two_route_sweep(kind: str, cases: int, config: SuiteConfig):
 # ---------------------------------------------------------------------------
 # hat calculus
 
-def _derivation_residual(dom, m, p, q, rng, fd_step) -> float:
+def derivation_residual(dom, m, p, q, rng, fd_step) -> float:
     """Signed relative residual of the derivation identity on one random case."""
     om, al, f, ts = _hat_case(dom, m, p, q, rng)
-    n = p + q - dom.dim
     W = hat_pairing(om, al, dom)
-    lhs = map_space_d(W, fd_step)
     terms = [hat_pairing(exterior_derivative(om), al, dom)]
     if q < dom.dim:  # d(alpha) vanishes identically only at top degree
         terms.append(mapspace_scale((-1.0) ** p,
                                     hat_pairing(om, exterior_derivative(al), dom)))
-    rhs = mapspace_sum(*terms) if len(terms) > 1 else terms[0]
     extra = cat.random_tangent(f, rng)
-    args = ts + [extra]
-    return _relative(lhs(f, *args), rhs(f, *args))
+    return _gap(map_space_d(W, fd_step), mapspace_sum(*terms), f, *ts, extra)
 
 
 def run_hat_calculus(config: SuiteConfig):
     doms = config.domains()
-    records = []
+    records = _Records(config)
     rng = np.random.default_rng([config.seed, 1])
 
     # two-route agreement, spot level
     for kind, (m, sigs) in TWO_ROUTE_SIGNATURES.items():
         dom = doms[kind] if kind != "torus2" else torus2(16)
         worst = max(two_route_residual(dom, m, p, q, rng) for p, q in sigs)
-        records.append(_record(
-            f"two-route-{kind}",
-            "(w.a)^ pointwise route = fiber-integration route",
-            worst, IDENTITY_TOL, config, {"domain": kind, "nodes": dom.n_nodes},
-            order_note="floor"))
+        records.add(f"two-route-{kind}",
+                    "(w.a)^ pointwise route = fiber-integration route",
+                    worst, IDENTITY_TOL, dom)
 
     # derivation identity with refinement order in the FD step
     for kind, m, p, q in [("circle", 3, 2, 0), ("circle", 3, 1, 1),
                           ("torus2", 4, 2, 1)]:
         dom = doms[kind]
-        worst = max(abs(_derivation_residual(dom, m, p, q, np.random.default_rng(
-            [config.seed, 2, i]), config.fd_step)) for i in range(config.trials))
-        order, note = _floor_subtracted_order(
-            lambda h: _derivation_residual(dom, m, p, q,
-                                           np.random.default_rng([config.seed, 3]), h),
-            config.order_steps)
-        records.append(_record(
-            f"derivation-{kind}-p{p}q{q}",
-            "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^",
-            worst, IDENTITY_TOL, config,
-            {"domain": kind, "nodes": dom.n_nodes, "fd_step": config.fd_step},
-            order=order, order_target=ORDER_TARGET, order_note=note))
+        records.ladder(f"derivation-{kind}-p{p}q{q}",
+                       "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^", dom,
+                       lambda rngx, h: derivation_residual(dom, m, p, q, rngx, h),
+                       [(2, i) for i in range(config.trials)], (3,))
 
     # push-forward action identity, affine (exact) and nonlinear target map
     dom = doms["circle"]
     rngA = np.random.default_rng([config.seed, 4])
     om, al, f, ts = _hat_case(dom, 3, 2, 0, rngA)
-    phi = rotation3([0.3, 1.0, 0.2], 0.7)
-    W = hat_pairing(om, al, dom)
-    d_aff = abs(action_pullback_M(W, phi)(f, *ts)
-                - hat_pairing(pullback(om, phi), al, dom)(f, *ts))
-    records.append(_record(
-        "action-pushforward-affine",
-        "phibar*(w.a)^ = (phi*w.a)^  (affine phi, exact nodewise)",
-        d_aff, 1e-10, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
-
     eta_map = cat.ChartMap(
         lambda u: np.array([u[0], u[1], np.sin(u[0]) * u[1]]), 2, 3,
         jacobian_func=lambda u: np.array(
@@ -231,33 +227,28 @@ def run_hat_calculus(config: SuiteConfig):
     om3 = cat.random_form(3, 2, rngA)
     f2 = cat.random_map(dom, 2, rngA, amp=0.8)
     t2 = [cat.random_tangent(f2, rngA)]
-    Wn = hat_pairing(om3, al, dom)
-    d_nat = abs(action_pullback_M(Wn, eta_map)(f2, *t2)
-                - hat_pairing(pullback(om3, eta_map), al, dom)(f2, *t2))
-    records.append(_record(
-        "action-pushforward-naturality",
-        "etabar*(w.a)^ = (eta*w.a)^ for any smooth eta: M1 -> M2",
-        d_nat, IDENTITY_TOL, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
+    for test_id, statement, omX, phi, fX, tX, tol in [
+            ("action-pushforward-affine",
+             "phibar*(w.a)^ = (phi*w.a)^  (affine phi, exact nodewise)",
+             om, rotation3([0.3, 1.0, 0.2], 0.7), f, ts, 1e-10),
+            ("action-pushforward-naturality",
+             "etabar*(w.a)^ = (eta*w.a)^ for any smooth eta: M1 -> M2",
+             om3, eta_map, f2, t2, IDENTITY_TOL)]:
+        W = hat_pairing(omX, al, dom)
+        records.add(test_id, statement,
+                    abs(action_pullback_M(W, phi)(fX, *tX)
+                        - hat_pairing(pullback(omX, phi), al, dom)(fX, *tX)), tol, dom)
 
     # infinitesimal version with refinement order
-    def lie_residual(h):
-        rngL = np.random.default_rng([config.seed, 5])
+    def lie_residual(rngL, h):
         omL, alL, fL, tsL = _hat_case(dom, 3, 2, 0, rngL)
         X = cat.random_affine_field(3, rngL, amp=0.6)
         WL = hat_pairing(omL, alL, dom)
-        lhs = map_space_lie(WL, lambda g: generator_M(X, g), h)
-        rhs = hat_pairing(lie_derivative(omL, X, h), alL, dom)
-        return _relative(lhs(fL, *tsL), rhs(fL, *tsL))
+        return _gap(map_space_lie(WL, lambda g: generator_M(X, g), h),
+                    hat_pairing(lie_derivative(omL, X, h), alL, dom), fL, *tsL)
 
-    worstL = abs(lie_residual(config.fd_step))
-    order, note = _floor_subtracted_order(lie_residual, config.order_steps)
-    records.append(_record(
-        "action-lie-M",
-        "L_{Xbar}(w.a)^ = (L_X w.a)^",
-        worstL, IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order=order, order_target=ORDER_TARGET, order_note=note))
+    records.ladder("action-lie-M", "L_{Xbar}(w.a)^ = (L_X w.a)^", dom,
+                   lie_residual, [(5,)], (5,))
 
     # insertion of generators
     rngI = np.random.default_rng([config.seed, 6])
@@ -267,92 +258,60 @@ def run_hat_calculus(config: SuiteConfig):
     lhs = map_space_interior(WI, lambda g: generator_M(X, g))
     rhs = hat_pairing(interior(omI, X), alI, dom)
     yI = cat.random_tangent(fI, rngI)
-    a, b = lhs(fI, yI), rhs(fI, yI)
-    records.append(_record(
-        "insert-generator-M",
-        "i_{Xbar}(w.a)^ = (i_X w.a)^",
-        _scaled(a - b, a, b), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("insert-generator-M", "i_{Xbar}(w.a)^ = (i_X w.a)^",
+                abs(_gap(lhs, rhs, fI, yI)), 1e-10, dom)
 
     Z = constant_field(np.array([0.4]), name="0.4 d/ds")
     lhsZ = map_space_interior(WI, lambda g: generator_S(Z, g))
     rhsZ = mapspace_scale((-1.0) ** omI.degree,
                           hat_pairing(omI, interior(alI, Z), dom))
-    a, b = lhsZ(fI, yI), rhsZ(fI, yI)
-    records.append(_record(
-        "insert-generator-S",
-        "i_{Zhat}(w.a)^ = (-1)^p (w.i_Z a)^",
-        _scaled(a - b, a, b), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("insert-generator-S", "i_{Zhat}(w.a)^ = (-1)^p (w.i_Z a)^",
+                abs(_gap(lhsZ, rhsZ, fI, yI)), 1e-10, dom)
 
     # reparameterization action: rigid shift (exact) and a warp
     rngS = np.random.default_rng([config.seed, 7])
     omS, alS, fS, _ = _hat_case(dom, 3, 2, 1, rngS)
     WS = hat_pairing(omS, alS, dom)
     yS = [cat.random_tangent(fS, rngS) for _ in range(2)]
-    shift = cat.rigid_shift(0.37)
-    a = action_pullback_S(WS, shift)(fS, *yS)
-    b = hat_pairing(omS, pullback(alS, shift), dom)(fS, *yS)
-    records.append(_record(
-        "action-reparam-rigid",
-        "psihat*(w.a)^ = (w.psi*a)^  (rigid shift, interpolation exact)",
-        _scaled(a - b, a, b), 1e-9, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
-
-    warp = cat.circle_warp(0.3)
-    a = action_pullback_S(WS, warp)(fS, *yS)
-    b = hat_pairing(omS, pullback(alS, warp), dom)(fS, *yS)
-    records.append(_record(
-        "action-reparam-warp",
-        "psihat*(w.a)^ = (w.psi*a)^  (orientation-preserving warp)",
-        _scaled(a - b, a, b), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    for test_id, psi, label, tol in [
+            ("action-reparam-rigid", cat.rigid_shift(0.37),
+             "rigid shift, interpolation exact", 1e-9),
+            ("action-reparam-warp", cat.circle_warp(0.3),
+             "orientation-preserving warp", IDENTITY_TOL)]:
+        records.add(test_id, f"psihat*(w.a)^ = (w.psi*a)^  ({label})",
+                    abs(_gap(action_pullback_S(WS, psi),
+                             hat_pairing(omS, pullback(alS, psi), dom), fS, *yS)),
+                    tol, dom)
 
     # infinitesimal reparameterization
-    def lieS_residual(h):
-        rngZ = np.random.default_rng([config.seed, 8])
+    def lieS_residual(rngZ, h):
         omZ, alZ, fZ, _ = _hat_case(dom, 3, 2, 1, rngZ)
         WZ = hat_pairing(omZ, alZ, dom)
         tz = [cat.random_tangent(fZ, rngZ) for _ in range(2)]
         Zf = cat.random_scalar(1, rngZ, amp=0.5)
         Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
-        lhs = map_space_lie(WZ, lambda g: generator_S(Zfield, g), h)
-        rhs = hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom)
-        return _relative(lhs(fZ, *tz), rhs(fZ, *tz))
+        return _gap(map_space_lie(WZ, lambda g: generator_S(Zfield, g), h),
+                    hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom), fZ, *tz)
 
-    worstZ = abs(lieS_residual(config.fd_step))
-    order, note = _floor_subtracted_order(lieS_residual, config.order_steps)
-    records.append(_record(
-        "action-lie-S",
-        "L_{Zhat}(w.a)^ = (w.L_Z a)^",
-        worstZ, IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order=order, order_target=ORDER_TARGET, order_note=note))
+    records.ladder("action-lie-S", "L_{Zhat}(w.a)^ = (w.L_Z a)^", dom,
+                   lieS_residual, [(8,)], (8,))
 
     # dual-route Lie derivative: Cartan vs transported flow difference
     rngF = np.random.default_rng([config.seed, 9])
     omF, alF, fF, tsF = _hat_case(dom, 3, 2, 0, rngF)
     XF = cat.random_affine_field(3, rngF, amp=0.6)
     WF = hat_pairing(omF, alF, dom)
-    cartan = map_space_lie(WF, lambda g: generator_M(XF, g), config.fd_step)
-    flow = map_space_lie_flow(WF, pushforward_transport(XF), 1e-4)
-    a, b = cartan(fF, *tsF), flow(fF, *tsF)
-    records.append(_record(
-        "lie-dual-route-M",
-        "Cartan formula = flow finite difference (push-forward generator)",
-        _scaled(a - b, a, b), 1e-5, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="fd"))
-
-    shift_flow = reparam_transport(lambda t: cat.rigid_shift(0.4 * t))
     Zc = constant_field(np.array([0.4]))
-    cartanZ = map_space_lie(WF, lambda g: generator_S(Zc, g), config.fd_step)
-    flowZ = map_space_lie_flow(WF, shift_flow, 1e-4)
-    a, b = cartanZ(fF, *tsF), flowZ(fF, *tsF)
-    records.append(_record(
-        "lie-dual-route-S",
-        "Cartan formula = flow finite difference (rigid reparameterization)",
-        _scaled(a - b, a, b), 1e-5, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="fd"))
+    for test_id, generator, transport, label in [
+            ("lie-dual-route-M", lambda g: generator_M(XF, g),
+             pushforward_transport(XF), "push-forward generator"),
+            ("lie-dual-route-S", lambda g: generator_S(Zc, g),
+             reparam_transport(lambda t: cat.rigid_shift(0.4 * t)),
+             "rigid reparameterization")]:
+        records.add(test_id, f"Cartan formula = flow finite difference ({label})",
+                    abs(_gap(map_space_lie(WF, generator, config.fd_step),
+                             map_space_lie_flow(WF, transport, 1e-4), fF, *tsF)),
+                    1e-5, dom, order_note="fd")
 
     # exact w, closed a, p+q = k: the induced function vanishes
     rngV = np.random.default_rng([config.seed, 10])
@@ -362,11 +321,8 @@ def run_hat_calculus(config: SuiteConfig):
         loop = cat.random_loop(dom, 3, rngV)
         val = hat_pairing(h_pot.analytic_d, float(rngV.uniform(-1.0, 1.0)), dom)(loop)
         worstV = max(worstV, abs(val))
-    records.append(_record(
-        "exact-closed-vanishing",
-        "(w.a)^ = 0 for exact w, closed a, p+q = dim S",
-        worstV, 1e-10, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
+    records.add("exact-closed-vanishing",
+                "(w.a)^ = 0 for exact w, closed a, p+q = dim S", worstV, 1e-10, dom)
 
     # flat-model d∘d = 0 on F(S,M)
     rngD = np.random.default_rng([config.seed, 11])
@@ -374,12 +330,8 @@ def run_hat_calculus(config: SuiteConfig):
     WD = hat_pairing(omD, alD, dom)
     ddW = map_space_d(map_space_d(WD, config.fd_step), config.fd_step)
     tsD = [cat.random_tangent(fD, rngD) for _ in range(4)]
-    records.append(_record(
-        "map-space-dd",
-        "d(dW) = 0 on F(S,M) (constant extensions)",
-        abs(ddW(fD, *tsD)), 1e-3, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    records.add("map-space-dd", "d(dW) = 0 on F(S,M) (constant extensions)",
+                abs(ddW(fD, *tsD)), 1e-3, dom, fd=True, order_note="fd")
     return records
 
 
@@ -387,7 +339,7 @@ def run_hat_calculus(config: SuiteConfig):
 # bar calculus
 
 def run_bar_calculus(config: SuiteConfig):
-    records = []
+    records = _Records(config)
     dom = circle(config.nodes)
     rng = np.random.default_rng([config.seed, 20])
     om = cat.random_form(2, 2, rng, amp=0.8)
@@ -395,67 +347,40 @@ def run_bar_calculus(config: SuiteConfig):
     ts = [cat.random_tangent(f, rng) for _ in range(2)]
 
     W = bar_map(om, dom)
-    a, b = W(f, *ts), bar_map_direct(om, dom)(f, *ts)
-    records.append(_record(
-        "bar-direct-agreement",
-        "(w.mu)^ = integral of w(Y...) against normalized mu",
-        _scaled(a - b, a, b), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("bar-direct-agreement",
+                "(w.mu)^ = integral of w(Y...) against normalized mu",
+                abs(_gap(W, bar_map_direct(om, dom), f, *ts)), 1e-10, dom)
 
     phi = affine_map(np.array([[1.0, 0.4], [0.0, 1.0]]),
                      np.array([0.2, -0.1]), name="shear")
-    a = action_pullback_M(W, phi)(f, *ts)
-    b = bar_map(pullback(om, phi), dom)(f, *ts)
-    records.append(_record(
-        "bar-pullback",
-        "phibar* wbar = (phi*w)bar",
-        _scaled(a - b, a, b), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("bar-pullback", "phibar* wbar = (phi*w)bar",
+                abs(_gap(action_pullback_M(W, phi), bar_map(pullback(om, phi), dom),
+                         f, *ts)), 1e-10, dom)
 
     X = cat.random_affine_field(2, rng, amp=0.6)
-    lhs = map_space_lie(W, lambda g: generator_M(X, g), config.fd_step)
-    rhs = bar_map(lie_derivative(om, X, config.fd_step), dom)
-    a, b = lhs(f, *ts), rhs(f, *ts)
-    records.append(_record(
-        "bar-lie",
-        "L_{Xbar} wbar = (L_X w)bar",
-        _scaled(a - b, a, b), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    records.add("bar-lie", "L_{Xbar} wbar = (L_X w)bar",
+                abs(_gap(map_space_lie(W, lambda g: generator_M(X, g), config.fd_step),
+                         bar_map(lie_derivative(om, X, config.fd_step), dom), f, *ts)),
+                IDENTITY_TOL, dom, fd=True, order_note="fd")
 
     lhs = map_space_interior(W, lambda g: generator_M(X, g))
     rhs = bar_map(interior(om, X), dom)
     y = cat.random_tangent(f, rng)
-    a, b = lhs(f, y), rhs(f, y)
-    records.append(_record(
-        "bar-insert",
-        "i_{Xbar} wbar = (i_X w)bar",
-        _scaled(a - b, a, b), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("bar-insert", "i_{Xbar} wbar = (i_X w)bar",
+                abs(_gap(lhs, rhs, f, y)), 1e-10, dom)
 
     dW = map_space_d(W, config.fd_step)
     rhs = bar_map(exterior_derivative(om), dom)
     ts3 = [cat.random_tangent(f, rng) for _ in range(3)]
-    a, b = dW(f, *ts3), rhs(f, *ts3)
-    records.append(_record(
-        "bar-d",
-        "d wbar = (dw)bar",
-        _scaled(a - b, a, b), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    records.add("bar-d", "d wbar = (dw)bar", abs(_gap(dW, rhs, f, *ts3)),
+                IDENTITY_TOL, dom, fd=True, order_note="fd")
 
     # symplectic coefficient form: closedness and the weights-x-coefficients
     # Gram matrix of the nodal tangent basis (nonsingular)
     sys = me.canonical_r2()
-    ob = bar_map(sys.omega, dom)
-    dob = map_space_d(ob, config.fd_step)
-    a = abs(dob(f, *ts3))
-    records.append(_record(
-        "bar-symplectic-closed",
-        "d(omega bar) = 0 for symplectic omega",
-        a, IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    dob = map_space_d(bar_map(sys.omega, dom), config.fd_step)
+    records.add("bar-symplectic-closed", "d(omega bar) = 0 for symplectic omega",
+                abs(dob(f, *ts3)), IDENTITY_TOL, dom, fd=True, order_note="fd")
 
     small = circle(8)
     n = small.n_nodes
@@ -463,130 +388,106 @@ def run_bar_calculus(config: SuiteConfig):
                  MapPoint(small, np.zeros((n, 2))))
     expected = np.kron(np.diag(small.weights / small.volume),
                        np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    defect = float(np.max(np.abs(G - expected)))
     sing = float(np.min(np.abs(np.linalg.eigvals(G))))
-    records.append(_record(
-        "bar-gram-nondegenerate",
-        "Gram of omega bar on the nodal basis = weights x symplectic matrix, nonsingular",
-        defect, 1e-12, config, {"domain": "circle", "nodes": n},
-        order_note="floor", detail=f"min |eigenvalue| {sing:.3e}"))
+    records.add("bar-gram-nondegenerate",
+                "Gram of omega bar on the nodal basis = weights x symplectic matrix, nonsingular",
+                float(np.max(np.abs(G - expected))), 1e-12, small,
+                detail=f"min |eigenvalue| {sing:.3e}")
     return records
 
 
 # ---------------------------------------------------------------------------
 # induced forms on embedded submanifolds
 
-def run_tilda_calculus(config: SuiteConfig):
-    records = []
+def unit_loop():
+    """The unit circle in R^3 on 128 nodes with the volume form and the slot
+    fields e_z and radial: the loop-space area pairing's reference point."""
     dom = circle(128)
-    rng = np.random.default_rng([config.seed, 30])
-    nu = volume_form(3)
-    circ = gr.embed(cat.unit_circle_map(dom, 3))
-    ez = cat.named_field("e_z")
-    rad = cat.named_field("radial")
+    return SimpleNamespace(dom=dom, nu=volume_form(3),
+                           circ=gr.embed(cat.unit_circle_map(dom, 3)),
+                           ez=cat.named_field("e_z"), rad=cat.named_field("radial"))
 
+
+def mw_links(config: SuiteConfig, loop, rng, offset=0.3):
+    """Value of the area pairing at the unit loop on (e_z, radial), with
+    records of that value, its odd symmetry, horizontality under the
+    tangential field sin(3s) + offset, and closedness of hat(nu) on three
+    tangents drawn from rng."""
+    records = _Records(config)
+    nu, circ, ez, rad = loop.nu, loop.circ, loop.ez, loop.rad
     val = gr.tilda_eval(nu, circ, [ez, rad])
-    records.append(_record(
-        "mw-circle-value",
-        "volume pairing at the unit circle on (e_z, radial) = 2*pi",
-        abs(val - 2.0 * np.pi), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("mw-circle-value",
+                "volume pairing at the unit circle on (e_z, radial) = 2*pi",
+                abs(val - 2.0 * np.pi), 1e-8, loop.dom)
+    records.add("mw-odd-symmetry",
+                "volume pairing at the unit circle on (e_z, e_x) = 0",
+                abs(gr.tilda_eval(nu, circ, [ez, cat.named_field("e_x")])), 1e-10,
+                loop.dom)
 
-    records.append(_record(
-        "mw-odd-symmetry",
-        "volume pairing at the unit circle on (e_z, e_x) = 0",
-        abs(gr.tilda_eval(nu, circ, [ez, cat.named_field("e_x")])), 1e-10,
-        config, {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
-
-    Z = np.sin(3.0 * dom.nodes[:, :1]) + 0.3
-    tang = gr.tangential_tangent(circ, Z)
+    tang = gr.tangential_tangent(circ, np.sin(3.0 * loop.dom.nodes[:, :1]) + offset)
     pert = MapTangent(circ.rep, generator_M(rad, circ.rep).vectors + tang.vectors)
-    records.append(_record(
-        "tilda-horizontality",
-        "adding a tangential field to a slot leaves the value unchanged",
-        abs(gr.tilda_eval(nu, circ, [ez, pert]) - val), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("tilda-horizontality",
+                "adding a tangential field to a slot leaves the value unchanged",
+                abs(gr.tilda_eval(nu, circ, [ez, pert]) - val), 1e-8, loop.dom)
 
-    W = hat_map(nu, dom)
-    dW = map_space_d(W, config.fd_step)
+    dW = map_space_d(hat_map(nu, loop.dom), config.fd_step)
     ts = [cat.random_tangent(circ.rep, rng) for _ in range(3)]
-    records.append(_record(
-        "mw-closedness",
-        "d of the loop-space volume pairing vanishes",
-        abs(dW(circ.rep, *ts)), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    records.add("mw-closedness", "d of the loop-space volume pairing vanishes",
+                abs(dW(circ.rep, *ts)), IDENTITY_TOL, loop.dom, fd=True,
+                order_note="fd")
+    return val, records
+
+
+def run_tilda_calculus(config: SuiteConfig):
+    rng = np.random.default_rng([config.seed, 30])
+    loop = unit_loop()
+    val, records = mw_links(config, loop, rng)
+    dom, nu, circ, ez, rad = loop.dom, loop.nu, loop.circ, loop.ez, loop.rad
 
     # ambient actions through representatives
-    rot = rotation3([0.2, 0.5, 1.0], 0.9)
-    circ_rot = gr.diffM_action_on_N(rot, circ)
-    moved = [pushforward_tangent(rot, generator_M(s, circ.rep)) for s in (ez, rad)]
-    records.append(_record(
-        "tilda-rotation-invariance",
-        "rotations preserve the volume pairing",
-        abs(gr.tilda_eval(nu, circ_rot, moved) - val), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
-
-    shear = affine_map(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
-                                 [0.0, 0.0, 1.0]]), name="shear")
-    circ_sh = gr.diffM_action_on_N(shear, circ)
-    moved = [pushforward_tangent(shear, generator_M(s, circ.rep)) for s in (ez, rad)]
-    records.append(_record(
-        "tilda-shear-invariance",
-        "volume-preserving linear maps preserve the volume pairing",
-        abs(gr.tilda_eval(nu, circ_sh, moved) - val), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
-
     A = np.diag([1.3, 0.8, 1.1])
-    lin = affine_map(A, name="scale")
-    circ_sc = gr.diffM_action_on_N(lin, circ)
-    moved = [pushforward_tangent(lin, generator_M(s, circ.rep)) for s in (ez, rad)]
-    got = gr.tilda_eval(nu, circ_sc, moved)
-    records.append(_record(
-        "tilda-linear-scaling",
-        "a linear map scales the volume pairing by its determinant",
-        abs(got - np.linalg.det(A) * val), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    for test_id, statement, phi, factor in [
+            ("tilda-rotation-invariance", "rotations preserve the volume pairing",
+             rotation3([0.2, 0.5, 1.0], 0.9), 1.0),
+            ("tilda-shear-invariance",
+             "volume-preserving linear maps preserve the volume pairing",
+             affine_map(np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0],
+                                  [0.0, 0.0, 1.0]]), name="shear"), 1.0),
+            ("tilda-linear-scaling",
+             "a linear map scales the volume pairing by its determinant",
+             affine_map(A, name="scale"), np.linalg.det(A))]:
+        moved = [pushforward_tangent(phi, generator_M(s, circ.rep)) for s in (ez, rad)]
+        got = gr.tilda_eval(nu, gr.diffM_action_on_N(phi, circ), moved)
+        records.add(test_id, statement, abs(got - factor * val), 1e-8, dom)
 
     # invariance under the reparameterization action
     om3 = cat.random_form(3, 2, rng, amp=0.8)
     hatW = hat_map(om3, dom)
     f = cat.random_loop(dom, 3, rng)
     y = cat.random_tangent(f, rng)
-    shiftW = action_pullback_S(hatW, cat.rigid_shift(0.61))
-    a, b = shiftW(f, y), hatW(f, y)
-    records.append(_record(
-        "hat-basic-invariance",
-        "psihat* w^ = w^ for orientation-preserving psi",
-        _scaled(a - b, a, b), 1e-9, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("hat-basic-invariance",
+                "psihat* w^ = w^ for orientation-preserving psi",
+                abs(_gap(action_pullback_S(hatW, cat.rigid_shift(0.61)), hatW, f, y)),
+                1e-9, dom)
 
     Zf = cat.random_scalar(1, rng, amp=0.5)
     Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
     ins = map_space_interior(hatW, lambda g: generator_S(Zfield, g))
-    records.append(_record(
-        "hat-basic-horizontal",
-        "i_{Zhat} w^ = 0 (vertical insertions vanish)",
-        abs(ins(f)), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("hat-basic-horizontal", "i_{Zhat} w^ = 0 (vertical insertions vanish)",
+                abs(ins(f)), 1e-10, dom)
 
     # bundle-relation consistency between the two code paths
     X1 = cat.random_affine_field(3, rng, amp=0.6)
-    a = hatW(circ.rep, generator_M(X1, circ.rep))
-    b = gr.tilda_eval(om3, circ, [X1])
-    records.append(_record(
-        "bundle-relation",
-        "hat value on restricted global fields = submanifold pairing",
-        abs(a - b), 1e-12, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("bundle-relation",
+                "hat value on restricted global fields = submanifold pairing",
+                abs(hatW(circ.rep, generator_M(X1, circ.rep))
+                    - gr.tilda_eval(om3, circ, [X1])), 1e-12, dom)
 
     # orientation reversal flips the sign
     circ_rev = gr.embed(MapPoint(dom.with_orientation(-1), circ.rep.values))
-    records.append(_record(
-        "tilda-orientation-flip",
-        "reversing the source orientation flips the pairing sign",
-        abs(gr.tilda_eval(nu, circ_rev, [ez, rad]) + val), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("tilda-orientation-flip",
+                "reversing the source orientation flips the pairing sign",
+                abs(gr.tilda_eval(nu, circ_rev, [ez, rad]) + val), 1e-10, dom)
 
     # kernel of the pairing at a small loop = tangential directions
     small = circle(12)
@@ -603,39 +504,36 @@ def run_tilda_calculus(config: SuiteConfig):
     for vec in kernel_basis:
         coeffs = np.linalg.lstsq(tangentials.T, vec, rcond=None)[0]
         defect = max(defect, float(np.linalg.norm(tangentials.T @ coeffs - vec)))
-    records.append(_record(
-        "mw-kernel-rank",
-        "kernel of the nodal Gram matrix = tangential directions only",
-        defect if nkernel == small.n_nodes else 1.0, 1e-8, config,
-        {"domain": "circle", "nodes": small.n_nodes},
-        order_note="floor",
-        detail=f"kernel dim {nkernel} of expected {small.n_nodes}"))
+    records.add("mw-kernel-rank",
+                "kernel of the nodal Gram matrix = tangential directions only",
+                defect if nkernel == small.n_nodes else 1.0, 1e-8, small,
+                detail=f"kernel dim {nkernel} of expected {small.n_nodes}")
     return records
 
 
 # ---------------------------------------------------------------------------
 # fiber integration rules
 
+def _random_product(s_dim, v_dim, degree, rng, per=()):
+    """Random product form on S x M whose coefficients have integer modes
+    along the axes in `per` (periodic source directions)."""
+    coeffs = {}
+    for I in itertools.combinations(range(s_dim + v_dim), degree):
+        K = rng.uniform(-1.0, 1.0, size=(2, s_dim + v_dim))
+        for a in per:
+            K[:, a] = rng.integers(-2, 3, size=2)
+        coeffs[I] = trig_scalar(s_dim + v_dim, K, rng.uniform(-1, 1, 2),
+                                rng.uniform(0, 2 * np.pi, 2))
+    return product_form(s_dim, v_dim, coefficient_form(s_dim + v_dim, degree, coeffs))
+
+
 def run_fiber_rules(config: SuiteConfig):
-    records = []
+    records = _Records(config)
     rng = np.random.default_rng([config.seed, 40])
     dom = circle(config.nodes)
 
-    def rand_product(s_dim, v_dim, degree, rngx, per=None):
-        import itertools as it
-        coeffs = {}
-        for I in it.combinations(range(s_dim + v_dim), degree):
-            K = rngx.uniform(-1.0, 1.0, size=(2, s_dim + v_dim))
-            if per:
-                for a in per:
-                    K[:, a] = rngx.integers(-2, 3, size=2)
-            coeffs[I] = trig_scalar(s_dim + v_dim, K, rngx.uniform(-1, 1, 2),
-                                    rngx.uniform(0, 2 * np.pi, 2))
-        return product_form(s_dim, v_dim,
-                            coefficient_form(s_dim + v_dim, degree, coeffs))
-
     # rule 1: pullback through the fiber integral
-    w = rand_product(1, 2, 2, rng, per=[0])
+    w = _random_product(1, 2, 2, rng, per=[0])
     A = rng.uniform(-1.0, 1.0, (2, 2))
     g = cat.ChartMap(lambda u: A @ u + 0.3 * np.array([np.sin(u[1]), u[0] ** 2]),
                      2, 2, jacobian_func=lambda u: A + 0.3 * np.array(
@@ -643,53 +541,38 @@ def run_fiber_rules(config: SuiteConfig):
     lhs = pullback(fiber_integrate(w, dom), g)
     rhs = fiber_integrate(product_form(1, 2, pullback(
         w.chart_form, product_map(None, g, 1, 2))), dom)
-    records.append(_record(
-        "fiber-rule-pullback",
-        "g* (S-integral of w) = S-integral of (1 x g)* w",
-        sample_difference(lhs, rhs, rng, 10), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("fiber-rule-pullback", "g* (S-integral of w) = S-integral of (1 x g)* w",
+                sample_difference(lhs, rhs, rng, 10), IDENTITY_TOL, dom)
 
     # rule 2: invariance under orientation-preserving reparameterization
     warp = cat.circle_warp(0.3)
-    w2 = rand_product(1, 2, 2, rng, per=[0])
+    w2 = _random_product(1, 2, 2, rng, per=[0])
     lhs = fiber_integrate(product_form(1, 2, pullback(
         w2.chart_form, product_map(warp, None, 1, 2))), dom)
-    rhs = fiber_integrate(w2, dom)
-    records.append(_record(
-        "fiber-rule-reparam",
-        "S-integral of (psi x 1)* w = S-integral of w,  psi orientation preserving",
-        sample_difference(lhs, rhs, rng, 10), IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("fiber-rule-reparam",
+                "S-integral of (psi x 1)* w = S-integral of w,  psi orientation preserving",
+                sample_difference(lhs, fiber_integrate(w2, dom), rng, 10),
+                IDENTITY_TOL, dom)
 
-    # rule 3: insertion of target fields
+    # rule 3: insertion of target fields, on the circle and on the torus
+    # (even-dimensional S)
     X = cat.random_affine_field(2, rng)
-    w3 = rand_product(1, 2, 3, rng, per=[0])
-    lhs = interior(fiber_integrate(w3, dom), X)
-    rhs = fiber_integrate(product_form(1, 2, interior(
-        w3.chart_form, vertical_field(X, 1))), dom)
-    records.append(_record(
-        "fiber-rule-insertion",
-        "i_X (S-integral of w) = S-integral of i_{0 x X} w",
-        sample_difference(lhs, rhs, rng, 10), 1e-12, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
-
-    # rule 3 on the torus (even-dimensional S)
-    domT = torus2(12)
-    w3t = rand_product(2, 2, 3, rng, per=[0, 1])
-    lhs = interior(fiber_integrate(w3t, domT), X)
-    rhs = fiber_integrate(product_form(2, 2, interior(
-        w3t.chart_form, vertical_field(X, 2))), domT)
-    records.append(_record(
-        "fiber-rule-insertion-torus",
-        "i_X (S-integral of w) = S-integral of i_{0 x X} w  (dim S = 2)",
-        sample_difference(lhs, rhs, rng, 8), 1e-12, config,
-        {"domain": "torus2", "nodes": domT.n_nodes}, order_note="floor"))
+    for suffix, label, domS, samples in [("", "", dom, 10),
+                                         ("-torus", "  (dim S = 2)", torus2(12), 8)]:
+        k = domS.dim
+        w3 = _random_product(k, 2, 3, rng, per=range(k))
+        lhs = interior(fiber_integrate(w3, domS), X)
+        rhs = fiber_integrate(product_form(k, 2, interior(
+            w3.chart_form, vertical_field(X, k))), domS)
+        records.add(f"fiber-rule-insertion{suffix}",
+                    "i_X (S-integral of w) = S-integral of i_{0 x X} w" + label,
+                    sample_difference(lhs, rhs, rng, samples), 1e-12, domS)
 
     # rule 4 on the interval, with the exact boundary sign
     iv = interval(config.interval_nodes)
     bdom = iv.boundary()
     for n4 in (1, 2):
-        beta = rand_product(1, 2, n4, rng)
+        beta = _random_product(1, 2, n4, rng)
         dfib = exterior_derivative(fiber_integrate(beta, iv), step=1e-5)
         fibd = fiber_integrate(product_form(
             1, 2, exterior_derivative(beta.chart_form)), iv)
@@ -699,20 +582,14 @@ def run_fiber_rules(config: SuiteConfig):
         res = sample_difference(lhs, rhs, rng, 8)
         flipped = sample_difference(lhs, form_scale(-sign, fiber_integrate(
             beta, bdom)), rng, 8)
-        records.append(_record(
-            f"fiber-rule-boundary-n{n4}",
-            "d (S-integral) - S-integral of d = (-1)^(n-k) boundary integral",
-            res, IDENTITY_TOL, config,
-            {"domain": "interval", "nodes": iv.n_nodes},
-            order_note="fd",
-            detail=f"flipped-sign residual {flipped:.3e}"))
-        records.append(_record(
-            f"fiber-rule-boundary-sign-n{n4}",
-            "the boundary term enters with (-1)^(n-k), not the opposite sign",
-            0.0 if flipped > 1e-3 else 1.0, 1e-12, config,
-            {"domain": "interval", "nodes": iv.n_nodes},
-            order_note="floor",
-            detail=f"flipped-sign residual {flipped:.3e} must be O(1)"))
+        records.add(f"fiber-rule-boundary-n{n4}",
+                    "d (S-integral) - S-integral of d = (-1)^(n-k) boundary integral",
+                    res, IDENTITY_TOL, iv, order_note="fd",
+                    detail=f"flipped-sign residual {flipped:.3e}")
+        records.add(f"fiber-rule-boundary-sign-n{n4}",
+                    "the boundary term enters with (-1)^(n-k), not the opposite sign",
+                    0.0 if flipped > 1e-3 else 1.0, 1e-12, iv,
+                    detail=f"flipped-sign residual {flipped:.3e} must be O(1)")
     return records
 
 
@@ -720,7 +597,7 @@ def run_fiber_rules(config: SuiteConfig):
 # boundary identity on the interval
 
 def run_boundary(config: SuiteConfig):
-    records = []
+    records = _Records(config)
     iv = interval(config.interval_nodes)
     bdom = iv.boundary()
 
@@ -734,7 +611,7 @@ def run_boundary(config: SuiteConfig):
         if not drop_boundary:
             terms.append(mapspace_scale((-1.0) ** (om.degree - 1),
                                         boundary_pullback(hat_pairing(om, al, bdom))))
-        return _relative(lhs(f, *ts), mapspace_sum(*terms)(f, *ts))
+        return _gap(lhs, mapspace_sum(*terms), f, *ts)
 
     def boundary_residual(p, rngx, h):
         om = cat.random_form(3, p, rngx, amp=0.8)
@@ -746,17 +623,10 @@ def run_boundary(config: SuiteConfig):
     # the quadrature mismatch of the end-corrected weights is h-independent
     ladder_steps = tuple(4.0 * h for h in config.order_steps)
     for p in (1, 2):
-        worst = max(abs(boundary_residual(p, np.random.default_rng(
-            [config.seed, 50, p, i]), config.fd_step)) for i in range(config.trials))
-        order, note = _floor_subtracted_order(
-            lambda h: boundary_residual(p, np.random.default_rng([config.seed, 51, p]), h),
-            ladder_steps)
-        records.append(_record(
-            f"boundary-derivation-p{p}",
-            "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^ + (-1)^(p+q-k) r_bd*(w.a|bd)^",
-            worst, IDENTITY_TOL, config,
-            {"domain": "interval", "nodes": iv.n_nodes, "fd_step": config.fd_step},
-            order=order, order_target=ORDER_TARGET, order_note=note))
+        records.ladder(f"boundary-derivation-p{p}",
+                       "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^ + (-1)^(p+q-k) r_bd*(w.a|bd)^",
+                       iv, lambda rngx, h: boundary_residual(p, rngx, h),
+                       [(50, p, i) for i in range(config.trials)], (51, p), ladder_steps)
 
     # designed witness: w = dx, a(s) = 1 + s and the constant tangent e_x
     # satisfy the identity exactly with the endpoint term a(1) - a(0) = 1,
@@ -770,13 +640,11 @@ def run_boundary(config: SuiteConfig):
                                     drop_boundary=True))
     endpoint = boundary_pullback(hat_pairing(
         dx, coefficient_form(1, 0, {(): one_plus_s}), bdom))(f, *ex)
-    records.append(_record(
-        "boundary-witness",
-        "without the boundary term the defect is O(1) (sign sensitivity)",
-        0.0 if witness > 1e-2 else 1.0, 1e-12, config,
-        {"domain": "interval", "nodes": iv.n_nodes},
-        order_note="floor", detail=f"residual without boundary term {witness:.3e}, "
-                                   f"endpoint term {endpoint:.3e}"))
+    records.add("boundary-witness",
+                "without the boundary term the defect is O(1) (sign sensitivity)",
+                0.0 if witness > 1e-2 else 1.0, 1e-12, iv,
+                detail=f"residual without boundary term {witness:.3e}, "
+                       f"endpoint term {endpoint:.3e}")
 
     # q = 1 on the interval: both correction terms vanish
     rng = np.random.default_rng([config.seed, 53])
@@ -787,13 +655,9 @@ def run_boundary(config: SuiteConfig):
     rhs = hat_pairing(exterior_derivative(om), al, iv)
     f = cat.random_map(iv, 3, rng, amp=0.8)
     ts = [cat.random_tangent(f, rng) for _ in range(3)]
-    a, b = lhs(f, *ts), rhs(f, *ts)
-    records.append(_record(
-        "boundary-top-degree",
-        "d(w.a)^ = (dw.a)^ when a has top degree on the interval",
-        _scaled(a - b, a, b), IDENTITY_TOL, config,
-        {"domain": "interval", "nodes": iv.n_nodes, "fd_step": config.fd_step},
-        order_note="fd"))
+    records.add("boundary-top-degree",
+                "d(w.a)^ = (dw.a)^ when a has top degree on the interval",
+                abs(_gap(lhs, rhs, f, *ts)), IDENTITY_TOL, iv, fd=True, order_note="fd")
     return records
 
 
@@ -801,81 +665,61 @@ def run_boundary(config: SuiteConfig):
 # momentum maps
 
 def run_momentum(config: SuiteConfig):
-    records = []
+    records = _Records(config)
     rng = np.random.default_rng([config.seed, 60])
     sys = me.canonical_r2()
     sys.validate(rng)
     dom = circle(config.nodes)
     ob = bar_map(sys.omega, dom)
 
-    # lifted finite-dimensional action
-    act = me.se2_action()
+    def add_ladder(test_id, statement, d, residual):
+        """FD-limited record with the order fitted to the raw residuals."""
+        steps = config.order_steps
+        records.add(test_id, statement, residual(config.fd_step), IDENTITY_TOL, d,
+                    fd=True, fit=fit_order(steps, [residual(h) for h in steps]))
 
-    def lifted_residual(h):
-        rngl = np.random.default_rng([config.seed, 61])
+    def hamiltonian_residual(salt, generators, h):
+        """Worst i_{gen} omega bar - d<J, xi> over (field, momentum) pairs,
+        each at a random map and tangent drawn from [seed, salt]."""
+        rngx = np.random.default_rng([config.seed, salt])
         worst = 0.0
-        for a in range(act.dim_g):
-            g = cat.random_map(dom, 2, rngl, amp=0.8)
-            Y = cat.random_tangent(g, rngl)
+        for field, momentum in generators:
+            g = cat.random_map(dom, 2, rngx, amp=0.8)
+            Y = cat.random_tangent(g, rngx)
             worst = max(worst, me.hamiltonian_identity_residual(
-                ob, lambda mp, a=a: generator_M(act.generators[a], mp),
-                lambda mp, a=a: me.momentum_lifted(act, dom, mp)[a], g, Y, h))
+                ob, lambda mp: generator_M(field, mp), momentum, g, Y, h))
         return worst
 
-    worst = lifted_residual(config.fd_step)
-    ladder = [lifted_residual(h) for h in config.order_steps]
-    order, note = fit_order(config.order_steps, ladder)
-    records.append(_record(
-        "momentum-lifted-identity",
-        "i_{gen} omega bar = d<Jbar, xi> for the lifted finite-dim action",
-        worst, IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order=order, order_target=ORDER_TARGET, order_note=note))
+    # lifted finite-dimensional action
+    act = me.se2_action()
+    lifted = [(act.generators[a], lambda mp, a=a: me.momentum_lifted(act, dom, mp)[a])
+              for a in range(act.dim_g)]
+    add_ladder("momentum-lifted-identity",
+               "i_{gen} omega bar = d<Jbar, xi> for the lifted finite-dim action", dom,
+               lambda h: hamiltonian_residual(61, lifted, h))
 
     circle_map = cat.unit_circle_map(dom, 2)
     J = me.momentum_lifted(act, dom, circle_map)
-    records.append(_record(
-        "momentum-lifted-values",
-        "averaged momenta of the unit circle: (-1/2, 0, 0) for (rot, tx, ty)",
-        float(np.max(np.abs(J - np.array([-0.5, 0.0, 0.0])))), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("momentum-lifted-values",
+                "averaged momenta of the unit circle: (-1/2, 0, 0) for (rot, tx, ty)",
+                float(np.max(np.abs(J - np.array([-0.5, 0.0, 0.0])))), 1e-10, dom)
 
     const_map = MapPoint(dom, np.tile([0.3, -0.7], (dom.n_nodes, 1)))
     Jc = me.momentum_lifted(act, dom, const_map)
     expect = np.array([m(np.array([0.3, -0.7])) for m in act.momenta])
-    records.append(_record(
-        "momentum-lifted-constant-map",
-        "a constant map returns the base momentum exactly (normalized mu)",
-        float(np.max(np.abs(Jc - expect))), 1e-12, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("momentum-lifted-constant-map",
+                "a constant map returns the base momentum exactly (normalized mu)",
+                float(np.max(np.abs(Jc - expect))), 1e-12, dom)
 
     # hamiltonian diffeomorphisms of M
-    def diffham_residual(h):
-        rngh = np.random.default_rng([config.seed, 62])
-        worst = 0.0
-        for p in sys.catalog[:3]:
-            g = cat.random_map(dom, 2, rngh, amp=0.8)
-            Y = cat.random_tangent(g, rngh)
-            worst = max(worst, me.hamiltonian_identity_residual(
-                ob, lambda mp, p=p: generator_M(p.field, mp),
-                lambda mp, p=p: me.momentum_diffham(sys, dom, mp, p), g, Y, h))
-        return worst
+    diffham = [(p.field, lambda mp, p=p: me.momentum_diffham(sys, dom, mp, p))
+               for p in sys.catalog[:3]]
+    add_ladder("momentum-diffham-identity",
+               "i_{Xbar_h} omega bar = d(h bar) with h normalized at the base point", dom,
+               lambda h: hamiltonian_residual(62, diffham, h))
 
-    worst = diffham_residual(config.fd_step)
-    ladder = [diffham_residual(h) for h in config.order_steps]
-    order, note = fit_order(config.order_steps, ladder)
-    records.append(_record(
-        "momentum-diffham-identity",
-        "i_{Xbar_h} omega bar = d(h bar) with h normalized at the base point",
-        worst, IDENTITY_TOL, config,
-        {"domain": "circle", "nodes": dom.n_nodes, "fd_step": config.fd_step},
-        order=order, order_target=ORDER_TARGET, order_note=note))
-
-    records.append(_record(
-        "momentum-diffham-circle-value",
-        "<J(unit circle), X_x> = mean of cos = 0",
-        abs(me.momentum_diffham(sys, dom, circle_map, sys.pair("x"))), 1e-12,
-        config, {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("momentum-diffham-circle-value", "<J(unit circle), X_x> = mean of cos = 0",
+                abs(me.momentum_diffham(sys, dom, circle_map, sys.pair("x"))), 1e-12, dom)
 
     # exact volume preserving diffeomorphisms of S = T^2
     domt = torus2(config.torus_side)
@@ -893,12 +737,10 @@ def run_momentum(config: SuiteConfig):
     x, y = domt.nodes[:, 0], domt.nodes[:, 1]
     oracle = float(np.sum(domt.weights * np.sin(x) ** 2 * np.sin(y) ** 2))
     r1, r2 = me.momentum_diffex(om_ex, domt, f4, alpha, return_routes=True)
-    records.append(_record(
-        "momentum-diffex-value",
-        "<J(f), X_alpha> = direct quadrature of the pulled-back integrand",
-        max(abs(r1 - oracle), abs(r2 - oracle), abs(r1 - r2)), 1e-9, config,
-        {"domain": "torus2", "nodes": domt.n_nodes},
-        order_note="floor", detail=f"value {r1:.12f}, oracle {oracle:.12f}"))
+    records.add("momentum-diffex-value",
+                "<J(f), X_alpha> = direct quadrature of the pulled-back integrand",
+                max(abs(r1 - oracle), abs(r2 - oracle), abs(r1 - r2)), 1e-9, domt,
+                detail=f"value {r1:.12f}, oracle {oracle:.12f}")
 
     def diffex_residual(h):
         rngx = np.random.default_rng([config.seed, 63])
@@ -907,25 +749,16 @@ def run_momentum(config: SuiteConfig):
         a = cat.random_stream(domt, rngx, max_mode=2)
         return me.diffex_identity_residual(om_curved, domt, g, a, Y, h)
 
-    worst = diffex_residual(config.fd_step)
-    ladder = [diffex_residual(h) for h in config.order_steps]
-    order, note = fit_order(config.order_steps, ladder)
-    records.append(_record(
-        "momentum-diffex-identity",
-        "d<J, X_alpha> = i_{gen(alpha)} omega bar on F(T^2, R^4)",
-        worst, IDENTITY_TOL, config,
-        {"domain": "torus2", "nodes": domt.n_nodes, "fd_step": config.fd_step},
-        order=order, order_target=ORDER_TARGET, order_note=note))
+    add_ladder("momentum-diffex-identity",
+               "d<J, X_alpha> = i_{gen(alpha)} omega bar on F(T^2, R^4)", domt,
+               diffex_residual)
 
-    records.append(_record(
-        "momentum-diffex-trivial",
-        "constant alpha or constant f give zero momentum",
-        max(abs(me.momentum_diffex(om_ex, domt, f4,
-                                   ScalarField(domt, np.zeros(domt.n_nodes)))),
-            abs(me.momentum_diffex(om_ex, domt, MapPoint(
-                domt, np.tile([0.2, 0.4, -0.1, 0.3], (domt.n_nodes, 1))), alpha))),
-        1e-12, config, {"domain": "torus2", "nodes": domt.n_nodes},
-        order_note="floor"))
+    records.add("momentum-diffex-trivial", "constant alpha or constant f give zero momentum",
+                max(abs(me.momentum_diffex(om_ex, domt, f4,
+                                           ScalarField(domt, np.zeros(domt.n_nodes)))),
+                    abs(me.momentum_diffex(om_ex, domt, MapPoint(
+                        domt, np.tile([0.2, 0.4, -0.1, 0.3], (domt.n_nodes, 1))), alpha))),
+                1e-12, domt)
     return records
 
 
@@ -933,7 +766,7 @@ def run_momentum(config: SuiteConfig):
 # cocycles
 
 def run_cocycles(config: SuiteConfig):
-    records = []
+    records = _Records(config)
     rng = np.random.default_rng([config.seed, 70])
     sys = me.canonical_r2()
     dom = circle(config.nodes)
@@ -943,27 +776,19 @@ def run_cocycles(config: SuiteConfig):
 
     vals = [me.cocycle_diffham_defining(sys, dom, cat.random_map(
         dom, 2, rng, amp=0.7), sx, sy) for _ in range(6)]
-    records.append(_record(
-        "cocycle-diffham-dual-route",
-        "<J(f),[X,Y]op> - omega bar(Xbar,Ybar)(f) = -omega(X,Y)(x0)",
-        max(abs(v - me.cocycle_diffham(sys, sx, sy)) for v in vals), IDENTITY_TOL,
-        config, {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor",
-        detail=f"sigma(x,y) = {me.cocycle_diffham(sys, sx, sy)!r}"))
-
-    records.append(_record(
-        "cocycle-diffham-f-independence",
-        "the defining difference does not depend on the map",
-        max(vals) - min(vals), 1e-8, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("cocycle-diffham-dual-route",
+                "<J(f),[X,Y]op> - omega bar(Xbar,Ybar)(f) = -omega(X,Y)(x0)",
+                max(abs(v - me.cocycle_diffham(sys, sx, sy)) for v in vals),
+                IDENTITY_TOL, dom, detail=f"sigma(x,y) = {me.cocycle_diffham(sys, sx, sy)!r}")
+    records.add("cocycle-diffham-f-independence",
+                "the defining difference does not depend on the map",
+                max(vals) - min(vals), 1e-8, dom)
 
     pairs = [sx, sy, sxy, ssin, sr2]
     anti = max(abs(me.cocycle_diffham(sys, a, b) + me.cocycle_diffham(sys, b, a))
                for a in pairs for b in pairs)
-    records.append(_record(
-        "cocycle-diffham-antisymmetry",
-        "sigma(X,Y) = -sigma(Y,X) and sigma(X,X) = 0",
-        anti, 1e-12, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
+    records.add("cocycle-diffham-antisymmetry", "sigma(X,Y) = -sigma(Y,X) and sigma(X,X) = 0",
+                anti, 1e-12, dom)
 
     # cyclic 2-cocycle identity with analytic brackets
     def sigma_op(Xp, Yp):
@@ -978,22 +803,17 @@ def run_cocycles(config: SuiteConfig):
             br = sigma_op(u, v)
             total += me.cocycle_diffham(sys, br, w)
         worst = max(worst, abs(total))
-    records.append(_record(
-        "cocycle-diffham-jacobi",
-        "sum over cyclic permutations of sigma([X,Y],Z) = 0",
-        worst, IDENTITY_TOL, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
+    records.add("cocycle-diffham-jacobi", "sum over cyclic permutations of sigma([X,Y],Z) = 0",
+                worst, IDENTITY_TOL, dom)
 
     # lifted action cocycle: value and f-independence
     act = me.se2_action()
     base = me.cocycle_lifted_base(act, sys, 1, 2)
     spread = [me.cocycle_lifted(act, sys, dom, cat.random_map(
         dom, 2, rng, amp=0.7), 1, 2) for _ in range(4)]
-    records.append(_record(
-        "cocycle-lifted-translations",
-        "<Jbar,[tx,ty]> - omega bar(tx,ty) = -omega(tx,ty) = -1, f-independent",
-        max(abs(v - base) for v in spread) + abs(base + 1.0), 1e-10, config,
-        {"domain": "circle", "nodes": dom.n_nodes}, order_note="floor"))
+    records.add("cocycle-lifted-translations",
+                "<Jbar,[tx,ty]> - omega bar(tx,ty) = -omega(tx,ty) = -1, f-independent",
+                max(abs(v - base) for v in spread) + abs(base + 1.0), 1e-10, dom)
 
     jac = 0.0
     for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -1003,11 +823,9 @@ def run_cocycles(config: SuiteConfig):
             total += sum(coeffs[l] * me.cocycle_lifted_base(act, sys, l, c)
                          for l in range(act.dim_g))
         jac = max(jac, abs(total))
-    records.append(_record(
-        "cocycle-lifted-jacobi",
-        "cyclic sum of sigma([e_i,e_j],e_k) = 0 via structure constants",
-        jac, 1e-12, config, {"domain": "circle", "nodes": dom.n_nodes},
-        order_note="floor"))
+    records.add("cocycle-lifted-jacobi",
+                "cyclic sum of sigma([e_i,e_j],e_k) = 0 via structure constants",
+                jac, 1e-12, dom)
 
     # S-side cocycle on the torus
     domt = torus2(config.torus_side)
@@ -1021,35 +839,27 @@ def run_cocycles(config: SuiteConfig):
         s_form = me.cocycle_diffex(om_ex, domt, g, a1, a2)
         s_def = me.cocycle_diffex_defining(om_ex, domt, g, a1, a2)
         worst = max(worst, abs(s_form - s_def))
-    records.append(_record(
-        "cocycle-diffex-dual-route",
-        "<J(f),[X,Y]> - omega bar = integral of f*omega against P(i i mu)",
-        worst, IDENTITY_TOL, config,
-        {"domain": "torus2", "nodes": domt.n_nodes}, order_note="floor"))
+    records.add("cocycle-diffex-dual-route",
+                "<J(f),[X,Y]> - omega bar = integral of f*omega against P(i i mu)",
+                worst, IDENTITY_TOL, domt)
 
     base_map = cat.random_map(domt, 4, rng, amp=0.7)
     bump = cat.random_map(domt, 4, rng, amp=0.5)
     vals = [me.cocycle_diffex(om_ex, domt, MapPoint(
         domt, base_map.values + t * bump.values), a1, a2)
         for t in np.linspace(0.0, 1.0, 5)]
-    records.append(_record(
-        "cocycle-diffex-homotopy",
-        "the value is constant along an explicit homotopy of maps",
-        max(vals) - min(vals), IDENTITY_TOL, config,
-        {"domain": "torus2", "nodes": domt.n_nodes}, order_note="floor"))
+    records.add("cocycle-diffex-homotopy",
+                "the value is constant along an explicit homotopy of maps",
+                max(vals) - min(vals), IDENTITY_TOL, domt)
 
     a3 = cat.random_stream(domt, rng, max_mode=2)
-    jacx = 0.0
     total = 0.0
     for (u, v, w) in [(a1, a2, a3), (a2, a3, a1), (a3, a1, a2)]:
         br = me.stream_bracket(domt, u, v)
         br = ScalarField(domt, br.values - br.values.mean())
         total += me.cocycle_diffex(om_ex, domt, base_map, br, w)
-    records.append(_record(
-        "cocycle-diffex-jacobi",
-        "cyclic sum of sigma([X,Y],Z) = 0 on stream functions",
-        abs(total), IDENTITY_TOL, config,
-        {"domain": "torus2", "nodes": domt.n_nodes}, order_note="floor"))
+    records.add("cocycle-diffex-jacobi", "cyclic sum of sigma([X,Y],Z) = 0 on stream functions",
+                abs(total), IDENTITY_TOL, domt)
 
     # volume-integral cocycle on the meshed surface
     eta = cat.coordinate_form((0, 1), 2, 2.5)
@@ -1059,22 +869,18 @@ def run_cocycles(config: SuiteConfig):
     v1 = me.lichnerowicz(domt, eta, ex, ey, nu_n)
     v2 = me.lichnerowicz(domt, eta, ey, ex, nu_n)
     v3 = me.lichnerowicz(domt, eta, ex, ex, nu_n)
-    records.append(_record(
-        "lichnerowicz-values",
-        "volume-integral cocycle: constant data gives the coefficient; antisymmetric",
-        max(abs(v1 - 2.5), abs(v2 + 2.5), abs(v3)), 1e-10, config,
-        {"domain": "torus2", "nodes": domt.n_nodes}, order_note="floor"))
+    records.add("lichnerowicz-values",
+                "volume-integral cocycle: constant data gives the coefficient; antisymmetric",
+                max(abs(v1 - 2.5), abs(v2 + 2.5), abs(v3)), 1e-10, domt)
 
     X1 = nodal_vector_field(domt, me.exact_divfree_field(domt, a1))
     X2 = nodal_vector_field(domt, me.exact_divfree_field(domt, a2))
     eta_r = cat.random_form(2, 2, rng, integer_modes=True)
     lvals = (me.lichnerowicz(domt, eta_r, X1, X2, nu_n),
              me.lichnerowicz(domt, eta_r, X2, X1, nu_n))
-    records.append(_record(
-        "lichnerowicz-antisymmetry",
-        "the cocycle is antisymmetric on divergence-free fields",
-        abs(lvals[0] + lvals[1]), 1e-10, config,
-        {"domain": "torus2", "nodes": domt.n_nodes}, order_note="floor"))
+    records.add("lichnerowicz-antisymmetry",
+                "the cocycle is antisymmetric on divergence-free fields",
+                abs(lvals[0] + lvals[1]), 1e-10, domt)
     return records
 
 
@@ -1105,30 +911,30 @@ def brane_catalog(config: SuiteConfig):
     ]
 
 
-def run_branes(config: SuiteConfig):
-    records = []
-    iv, cases = brane_catalog(config)
+def brane_checks(config: SuiteConfig, salt, iv, cases):
+    """Twist check of every cataloged case on its own draw [seed, salt,
+    case index]: one record and one (name, BraneReport) per case."""
+    records, reports = _Records(config), []
     for idx, (name, H, B, D, should_apply) in enumerate(cases):
-        rng = np.random.default_rng([config.seed, 80, idx])
+        rng = np.random.default_rng([config.seed, salt, idx])
         rep = me.brane_twist_check(H, B, D, iv, rng, n_trials=2,
                                    fd_step=config.fd_step)
+        reports.append((name, rep))
         if should_apply:
-            records.append(_record(
-                f"brane-{name}",
-                "d( H^ - bd*(B^bd) ) = 0 on maps with boundary in D",
-                rep.closedness_residual if rep.applicable else 1.0, 1e-5, config,
-                {"domain": "interval", "nodes": iv.n_nodes,
-                 "fd_step": config.fd_step},
-                order_note="fd",
-                detail=f"gate residual {rep.gate_residual:.3e}"))
+            records.add(f"brane-{name}", "d( H^ - bd*(B^bd) ) = 0 on maps with boundary in D",
+                        rep.closedness_residual if rep.applicable else 1.0, 1e-5, iv,
+                        fd=True, order_note="fd",
+                        detail=f"gate residual {rep.gate_residual:.3e}")
         else:
-            records.append(_record(
-                f"brane-{name}",
-                "an inconsistent (H, B) pair is rejected, not passed",
-                0.0 if (not rep.applicable and not rep.passed) else 1.0,
-                1e-12, config,
-                {"domain": "interval", "nodes": iv.n_nodes},
-                order_note="floor", detail=rep.reason))
+            records.add(f"brane-{name}", "an inconsistent (H, B) pair is rejected, not passed",
+                        0.0 if (not rep.applicable and not rep.passed) else 1.0, 1e-12, iv,
+                        detail=rep.reason)
+    return records, reports
+
+
+def run_branes(config: SuiteConfig):
+    iv, cases = brane_catalog(config)
+    records, _ = brane_checks(config, 80, iv, cases)
 
     # boundary-tangency violation must render the check inapplicable
     rng = np.random.default_rng([config.seed, 81])
@@ -1137,12 +943,9 @@ def run_branes(config: SuiteConfig):
     bad = [MapTangent(g, ts[0].vectors + np.array([0.0, 0.0, 0.5]))] + ts[1:]
     rep = me.brane_twist_check(H, B, D, iv, rng, f=g, tangent_sets=[bad],
                                n_trials=1, fd_step=config.fd_step)
-    records.append(_record(
-        "brane-tangency-gate",
-        "boundary data off the subspace is reported inapplicable",
-        0.0 if (not rep.applicable and not rep.passed) else 1.0, 1e-12, config,
-        {"domain": "interval", "nodes": iv.n_nodes}, order_note="floor",
-        detail=rep.reason))
+    records.add("brane-tangency-gate", "boundary data off the subspace is reported inapplicable",
+                0.0 if (not rep.applicable and not rep.passed) else 1.0, 1e-12, iv,
+                detail=rep.reason)
     return records
 
 

@@ -180,3 +180,43 @@ def test_demo_branes(tmp_path):
 
 def test_demo_unknown_name():
     assert main(["demo", "no-such-demo"]) == 2
+
+
+# a config file is a JSON object of SuiteConfig fields plus "suites", a list
+# of suite ids; anything else is a usage error that names the field
+@pytest.mark.parametrize("raw, message", [
+    ({"suites": 5}, "suites must be a list of suite ids, got 5"),
+    ([1, 2], "config file must hold a JSON object, got list"),
+    ({"suites": "branes"}, "suites must be a list of suite ids, got 'branes'"),
+])
+def test_malformed_config_file_is_usage_error(tmp_path, capsys, raw, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    out = capsys.readouterr()
+    assert message in out.err
+    assert "checks passed" not in out.out
+
+
+@pytest.mark.parametrize("levels", ["32,64,128,256", "256,257,1024"])
+def test_converge_torus_rejects_unresolved_or_repeated_sides(capsys, levels):
+    # below side 16 the residual is under-resolution, not FD error; two levels
+    # on one side would fit an order to a repeated grid
+    assert main(["converge", "--identity", "derivation-torus",
+                 "--levels", levels, "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "need distinct sides of at least 16" in err
+    assert "the smallest valid level is 241" in err
+
+
+def test_converge_torus_fits_second_order_on_resolved_levels(capsys):
+    assert main(["converge", "--identity", "derivation-torus",
+                 "--levels", "256,1024,4096", "--seed", "7"]) == 0
+    text = capsys.readouterr().out
+    assert float(text.split("fitted order vs 1/nodes:")[1].splitlines()[0]) >= 1.9
+
+
+def test_converge_two_route_reports_floor(capsys):
+    assert main(["converge", "--identity", "two-route-circle",
+                 "--levels", "32,64,128", "--seed", "7"]) == 0
+    assert "fitted order vs 1/nodes: floor" in capsys.readouterr().out
