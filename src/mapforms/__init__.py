@@ -35,7 +35,7 @@ from .forms import (DegreeError, Form, ProductForm, ScalarFunc, broadcast_rows,
 from .grassmannian import (EmbeddedSubmanifold, EmbeddingError,
                            diffM_action_on_N, embed, mw_form, mw_gram_matrix,
                            tilda_eval)
-from .mapspace import (MapPoint, MapSpaceForm, MapTangent,
+from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                        PeriodicTargetError, action_pullback_M,
                        action_pullback_S, bar_map, bar_map_direct,
                        boundary_pullback, generator_M, generator_S, hat_map,

@@ -110,17 +110,24 @@ def torus_graph_map(dom: SourceDomain) -> ms.MapPoint:
 # ---------------------------------------------------------------------------
 # random generators
 
-def random_scalar(dim: int, rng: np.random.Generator, n_terms: int = 2,
-                  max_mode: int = 2, amp: float = 1.0,
-                  integer_modes: bool = True) -> ScalarFunc:
-    """Random trigonometric scalar; integer modes make it 2pi-periodic."""
+def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int = 2,
+                max_mode: int = 2, amp: float = 1.0, integer_modes: bool = True):
+    """Modes (n_terms, dim), amplitudes and phases of one random
+    trigonometric scalar, drawn in that order."""
     if integer_modes:
         K = rng.integers(-max_mode, max_mode + 1, size=(n_terms, dim)).astype(float)
     else:
         K = rng.uniform(-1.0, 1.0, size=(n_terms, dim))
     A = amp * rng.uniform(-1.0, 1.0, size=n_terms)
     P = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
-    return trig_scalar(dim, K, A, P)
+    return K, A, P
+
+
+def random_scalar(dim: int, rng: np.random.Generator, n_terms: int = 2,
+                  max_mode: int = 2, amp: float = 1.0,
+                  integer_modes: bool = True) -> ScalarFunc:
+    """Random trigonometric scalar; integer modes make it 2pi-periodic."""
+    return trig_scalar(dim, *_trig_terms(dim, rng, n_terms, max_mode, amp, integer_modes))
 
 
 def random_form(dim: int, degree: int, rng: np.random.Generator,
@@ -131,16 +138,22 @@ def random_form(dim: int, degree: int, rng: np.random.Generator,
     return coefficient_form(dim, degree, coeffs, name=f"rand{degree}")
 
 
-def _sampled(funcs, dom: SourceDomain) -> Array:
-    """Random scalars evaluated on every node: (n_nodes, len(funcs))."""
-    return np.column_stack([g.value(dom.nodes) for g in funcs])
+def _sampled(dom: SourceDomain, count: int, rng: np.random.Generator,
+             amp: float) -> Array:
+    """`count` random scalars, drawn as by random_scalar one after another,
+    sampled on every node: (n_nodes, count).  One sine evaluation covers
+    the terms of every component; each component then takes its own dot
+    with its amplitudes, as its ScalarFunc would."""
+    K, A, P = zip(*(_trig_terms(dom.chart_dim, rng, amp=amp) for _ in range(count)))
+    S = np.sin(dom.nodes @ np.concatenate(K).T + np.concatenate(P))
+    S = S.reshape(dom.n_nodes, count, -1)
+    return np.column_stack([S[:, c] @ a for c, a in enumerate(A)])
 
 
 def random_map(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
                amp: float = 1.0, around=None) -> ms.MapPoint:
-    funcs = [random_scalar(dom.chart_dim, rng, amp=amp) for _ in range(target_dim)]
     base = np.zeros(target_dim) if around is None else np.asarray(around, dtype=float)
-    vals = base + _sampled(funcs, dom)
+    vals = base + _sampled(dom, target_dim, rng, amp)
     warn_if_rough(dom, vals)
     return ms.MapPoint(dom, vals)
 
@@ -148,19 +161,17 @@ def random_map(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
 def random_loop(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
                 amp: float = 0.25) -> ms.MapPoint:
     """A perturbed unit circle; stays embedded for small amplitudes."""
-    funcs = [random_scalar(1, rng, amp=amp) for _ in range(target_dim)]
     s = dom.nodes[:, 0]
     circle = np.zeros((dom.n_nodes, target_dim))
     circle[:, 0], circle[:, 1] = np.cos(s), np.sin(s)
-    vals = circle + _sampled(funcs, dom)
+    vals = circle + _sampled(dom, target_dim, rng, amp)
     warn_if_rough(dom, vals)
     return ms.MapPoint(dom, vals)
 
 
 def random_tangent(f: ms.MapPoint, rng: np.random.Generator,
                    amp: float = 1.0) -> ms.MapTangent:
-    funcs = [random_scalar(f.dom.chart_dim, rng, amp=amp) for _ in range(f.target_dim)]
-    return ms.MapTangent(f, _sampled(funcs, f.dom))
+    return ms.MapTangent(f, _sampled(f.dom, f.target_dim, rng, amp))
 
 
 def random_affine_field(dim: int, rng: np.random.Generator,

@@ -129,7 +129,7 @@ def _converge_derivation(kind):
         dom = circle(nodes) if kind == "circle" else torus2(_torus_side(nodes))
         m, p, q = (3, 2, 0) if kind == "circle" else (4, 2, 1)
         rng = np.random.default_rng([seed, 90])
-        return abs(derivation_residual(dom, m, p, q, rng, fd_step))
+        return abs(derivation_residual(dom, m, p, q, rng)(fd_step))
     return runner
 
 

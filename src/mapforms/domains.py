@@ -11,9 +11,10 @@ The spectral right inverse of d on the torus (zero-mean gauge) and the
 induced projection onto closed forms live here, together with the
 stream-function construction of exact divergence-free fields.
 
-Domains are immutable after construction; the only cached table (the
-interval differentiation matrix) sits behind a thread-safe memoizer, so
-differentiation and resampling are safe for concurrent use.
+Domains are immutable after construction; the cached tables (the interval
+differentiation matrix and the spectral wavenumbers) sit behind a
+thread-safe memoizer, so differentiation and resampling are safe for
+concurrent use.
 """
 
 from __future__ import annotations
@@ -125,16 +126,18 @@ class SourceDomain:
     def differentiate(self, values: Array, axis: int = 0) -> Array:
         """Derivative of node-sampled data along a parameter axis: spectral
         on periodic domains, 4th-order finite differences (one-sided at the
-        ends) on the interval.  values may be (n_nodes,) or (n_nodes, m)."""
+        ends) on the interval.  values may be (n_nodes,), (n_nodes, m) or a
+        stack (B, n_nodes, m); each map of a stack is differentiated exactly
+        as it would be alone."""
         values = np.asarray(values, dtype=float)
         if axis < 0 or axis >= max(self.dim, 1) or self.dim == 0:
             raise IndexError(f"axis {axis} out of range for dim-{self.dim} domain")
+        node = max(values.ndim - 2, 0)
         if self.kind == "circle":
-            return _spectral_derivative(values, axis=0, length=TWO_PI)
+            return _spectral_derivative(values, axis=node, length=TWO_PI)
         if self.kind == "torus2":
-            nx, ny = self.shape
-            grid = values.reshape((nx, ny) + values.shape[1:])
-            out = _spectral_derivative(grid, axis=axis, length=TWO_PI)
+            grid = values.reshape(values.shape[:node] + self.shape + values.shape[node + 1:])
+            out = _spectral_derivative(grid, axis=node + axis, length=TWO_PI)
             return out.reshape(values.shape)
         if self.kind == "interval":
             D = _fd4_matrix(self.shape[0], self.spacing[0])
@@ -142,9 +145,10 @@ class SourceDomain:
         raise IndexError(self.kind)
 
     def map_jacobian(self, values: Array) -> Array:
-        """Tangent map of node-sampled values (n_nodes, m) -> (n_nodes, m, k)."""
+        """Tangent map of node-sampled values (n_nodes, m) -> (n_nodes, m, k),
+        or of a stack of maps (B, n_nodes, m) -> (B, n_nodes, m, k)."""
         if self.dim == 0:
-            return np.zeros((self.n_nodes, values.shape[1], 0))
+            return np.zeros(values.shape + (0,))
         cols = [self.differentiate(values, axis=a) for a in range(self.dim)]
         return np.stack(cols, axis=-1)
 
@@ -190,22 +194,20 @@ class SourceDomain:
 
     def smoothness_defect(self, values: Array) -> float:
         """Relative magnitude of the Nyquist-band spectral coefficients;
-        a proxy for how well the grid resolves the sampled data."""
+        a proxy for how well the grid resolves the sampled data.  The worst
+        column counts, from one transform of all columns."""
         if self.kind not in ("circle", "torus2"):
             return 0.0
         flat = np.asarray(values, dtype=float).reshape(self.n_nodes, -1)
-        worst = 0.0
-        for j in range(flat.shape[1]):
-            if self.kind == "circle":
-                c = np.abs(np.fft.fft(flat[:, j]))
-                band = c[self.shape[0] // 2]
-            else:
-                grid = flat[:, j].reshape(self.shape)
-                c = np.abs(np.fft.fft2(grid))
-                band = max(c[self.shape[0] // 2, :].max(), c[:, self.shape[1] // 2].max())
-            scale = max(np.max(c), 1e-30)
-            worst = max(worst, band / scale)
-        return float(worst)
+        if self.kind == "circle":
+            c = np.abs(np.fft.fft(flat, axis=0))
+            band = c[self.shape[0] // 2]
+        else:
+            c = np.abs(np.fft.fft2(flat.reshape(self.shape + (-1,)), axes=(0, 1)))
+            band = np.maximum(c[self.shape[0] // 2].max(axis=0),
+                              c[:, self.shape[1] // 2].max(axis=0))
+        scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
+        return float(np.max(band / scale, initial=0.0))
 
 
 def circle(n: int) -> SourceDomain:
@@ -264,10 +266,14 @@ def make_domain(kind: str, nodes: int) -> SourceDomain:
 # ---------------------------------------------------------------------------
 # spectral helpers
 
+@functools.lru_cache(maxsize=32)
 def _wavenumbers(n: int, length: float) -> Array:
+    """Angular wavenumbers of an n-point grid of the given period (read-only,
+    cached)."""
     k = np.fft.fftfreq(n, d=1.0 / n) * (TWO_PI / length)
     if n % 2 == 0:
         k[n // 2] = 0.0  # odd-symmetric derivative: drop the Nyquist mode
+    k.flags.writeable = False
     return k
 
 

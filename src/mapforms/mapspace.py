@@ -2,7 +2,8 @@
 
 A map point is a node-indexed sample of f: S -> R^m; a tangent vector is a
 node-indexed vector field along f.  Differential forms on F(S,M) are
-evaluators on (map point, tangents) tuples.
+evaluators on stacks of map points with one tangent array per slot, so that
+the shifted maps of a finite difference are evaluated together.
 
 The central constructions are the two routes to the pairing of a form on M
 with a form on S:
@@ -65,17 +66,54 @@ class MapPoint:
         """Tangent map Tf at every node, shape (n_nodes, m, k)."""
         return self.dom.map_jacobian(self.values)
 
-    def shifted(self, t: float, tangent: "MapTangent") -> "MapPoint":
-        if self.periodic_target:
-            raise PeriodicTargetError(
-                "cannot translate a torus-valued map; lift it to the covering "
-                "chart before applying map-space differentials")
-        return replace(self, values=self.values + t * tangent.vectors)
+
+@dataclass(frozen=True)
+class MapStack:
+    """B maps on one domain, values (B, n_nodes, m): the argument of every
+    map-space form evaluator.  Stacks are built from validated map points
+    and their shifts, so they carry no finiteness check of their own."""
+
+    dom: SourceDomain
+    values: Array
+    periodic_target: bool = False
+
+    def __post_init__(self):
+        if self.values.ndim != 3 or self.values.shape[1] != self.dom.n_nodes:
+            raise ValueError("stack values must be (B, n_nodes, target_dim)")
+
+    @classmethod
+    def of(cls, f: MapPoint) -> "MapStack":
+        """The stack of the single map f."""
+        return cls(f.dom, f.values[None], f.periodic_target)
+
+    @property
+    def size(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def target_dim(self) -> int:
+        return self.values.shape[2]
+
+    def point(self, b: int) -> MapPoint:
+        return MapPoint(self.dom, self.values[b], self.periodic_target)
+
+    def jacobian(self) -> Array:
+        """Tangent maps of every map of the stack, shape (B, n_nodes, m, k)."""
+        return self.dom.map_jacobian(self.values)
+
+    def as_rows(self, arr: Array) -> Array:
+        """A stacked nodal array (B, n_nodes, ...) as rows (B * n_nodes, ...)."""
+        return arr.reshape((-1,) + arr.shape[2:])
+
+    def from_rows(self, arr: Array) -> Array:
+        """Rows (B * n_nodes, ...) back to a stacked array (B, n_nodes, ...)."""
+        return arr.reshape((self.size, self.dom.n_nodes) + arr.shape[1:])
 
 
 @dataclass(frozen=True)
 class MapTangent:
-    """A vector field along a map point: one target vector per node."""
+    """A vector field along a map point: one target vector per node.  A
+    tangent based at a MapStack holds one field per map, (B, n_nodes, m)."""
 
     base: MapPoint
     vectors: Array
@@ -90,10 +128,15 @@ class MapTangent:
 
 @dataclass(frozen=True)
 class MapSpaceForm:
-    """A differential n-form on F(S,M) as an evaluator plus a tag."""
+    """A differential n-form on F(S,M) as an evaluator plus a tag.
+
+    evaluator(F, tangents) takes a MapStack F of B maps and n tangent
+    arrays, each (B, n_nodes, m) with row b along map b, and returns the B
+    values (B,).  Calling the form on one map point and its tangents
+    evaluates a stack of one."""
 
     degree: int
-    evaluator: Callable[[MapPoint, tuple], float]
+    evaluator: Callable[[MapStack, tuple], Array]
     tag: str = ""
 
     def __call__(self, f: MapPoint, *tangents: MapTangent) -> float:
@@ -101,7 +144,8 @@ class MapSpaceForm:
             raise DegreeError(
                 f"{self.tag or 'form'} of degree {self.degree} evaluated on "
                 f"{len(tangents)} tangents")
-        return float(self.evaluator(f, tuple(tangents)))
+        ts = tuple(t.vectors[None] for t in tangents)
+        return float(self.evaluator(MapStack.of(f), ts)[0])
 
 
 def map_from_function(dom: SourceDomain, func, target_dim: int,
@@ -115,7 +159,7 @@ def map_from_function(dom: SourceDomain, func, target_dim: int,
 
 
 def zero_mapspace_form(degree: int, tag: str = "0") -> MapSpaceForm:
-    return MapSpaceForm(degree, lambda f, ts: 0.0, tag=tag)
+    return MapSpaceForm(degree, lambda F, ts: np.zeros(F.size), tag=tag)
 
 
 def mapspace_sum(*forms: MapSpaceForm) -> MapSpaceForm:
@@ -124,14 +168,14 @@ def mapspace_sum(*forms: MapSpaceForm) -> MapSpaceForm:
         raise DegreeError("mapspace_sum needs forms of equal degree")
     fs = list(forms)
 
-    def ev(f, ts):
-        return sum(w.evaluator(f, ts) for w in fs)
+    def ev(F, ts):
+        return sum(w.evaluator(F, ts) for w in fs)
 
     return MapSpaceForm(fs[0].degree, ev, tag="+".join(w.tag for w in fs))
 
 
 def mapspace_scale(c: float, w: MapSpaceForm) -> MapSpaceForm:
-    return MapSpaceForm(w.degree, lambda f, ts: c * w.evaluator(f, ts),
+    return MapSpaceForm(w.degree, lambda F, ts: c * w.evaluator(F, ts),
                         tag=f"{c:g}*{w.tag}")
 
 
@@ -162,27 +206,30 @@ def _pairing_degree(omega: Form, alpha_f: Form, dom: SourceDomain) -> int:
 
 
 def _hat_density(omega: Form, alpha_f: Form, dom: SourceDomain):
-    """The integrand of the pointwise route at every node, before the
-    quadrature weights: density(f, [Y^1..Y^n as (n_nodes, m) arrays]) has
-    shape (n_nodes,), and its value at a node sees only the tangent values
-    at that node."""
+    """The integrand of the pointwise route at every node of every map of a
+    stack, before the quadrature weights: density(F, [Y^1..Y^n as
+    (B, n_nodes, m) arrays]) has shape (B, n_nodes), and its value at a node
+    sees only that map's tangent values at that node.  The tangent maps of
+    the whole stack come from one differentiation, and ω is evaluated once
+    per shuffle term on all B * n_nodes rows."""
     k, q = dom.dim, alpha_f.degree
     splits = shuffles(k - q, q)  # Tf columns fed to omega, frame fed to alpha
     frame = [broadcast_rows(e, dom.nodes) for e in np.eye(dom.chart_dim)]
     alpha_vals = [sign * alpha_f.evaluator(dom.nodes, [frame[b] for b in right])
                   for _, right, sign in splits]
 
-    def density(f: MapPoint, tang) -> Array:
-        if f.dom.kind != dom.kind or f.dom.n_nodes != dom.n_nodes:
+    def density(F: MapStack, tang) -> Array:
+        if F.dom.kind != dom.kind or F.dom.n_nodes != dom.n_nodes:
             raise DimensionMismatch("map point lives on a different domain")
-        if f.target_dim != omega.ambient_dim:
+        if F.target_dim != omega.ambient_dim:
             raise DimensionMismatch("map target dim != form chart dim")
-        Tf = f.jacobian()
-        acc = np.zeros(dom.n_nodes)
+        Tf = F.jacobian()
+        x, ys = F.as_rows(F.values), [F.as_rows(t) for t in tang]
+        acc = np.zeros(len(x))
         for (left, _, _), al in zip(splits, alpha_vals):
-            cols = [Tf[:, :, a] for a in left]
-            acc = acc + omega.evaluator(f.values, list(tang) + cols) * al
-        return acc
+            cols = [F.as_rows(Tf[..., a]) for a in left]
+            acc = acc + omega.evaluator(x, ys + cols) * np.tile(al, F.size)
+        return F.from_rows(acc)
 
     return density
 
@@ -201,8 +248,8 @@ def hat_pairing(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
     density = _hat_density(omega, alpha_f, dom)
     sw = dom.signed_weights
 
-    def ev(f: MapPoint, tangents) -> float:
-        return float(sw @ density(f, [t.vectors for t in tangents]))
+    def ev(F: MapStack, tangents) -> Array:
+        return np.array([sw @ d for d in density(F, tangents)])
 
     return MapSpaceForm(n, ev, tag=f"hat({omega.name},{alpha_f.name})")
 
@@ -211,14 +258,17 @@ def hat_gram(omega: Form, alpha, dom: SourceDomain, f: MapPoint) -> Array:
     """Gram matrix at f of the degree-2 pairing hat_pairing(omega, alpha) on
     the nodal tangent basis, ordered node-major.  It is block diagonal: the
     block of node l is the weighted integrand at l on pairs of coordinate
-    vectors, so m^2 batched integrand evaluations replace (n m)^2 pairings."""
+    vectors, so one integrand evaluation on the m^2 pairs, stacked, replaces
+    (n m)^2 pairings."""
     alpha_f = _as_s_form(alpha, dom)
     if _pairing_degree(omega, alpha_f, dom) != 2:
         raise DegreeError("a Gram matrix needs a pairing of degree 2")
     density = _hat_density(omega, alpha_f, dom)
-    e = [broadcast_rows(row, f.values) for row in np.eye(f.target_dim)]
-    blocks = np.array([[density(f, [ea, eb]) for eb in e] for ea in e])  # (m, m, n)
     n, m = f.values.shape
+    F = MapStack(f.dom, np.broadcast_to(f.values, (m * m, n, m)), f.periodic_target)
+    e = np.broadcast_to(np.eye(m)[:, None, :], (m, n, m))
+    ea, eb = np.repeat(e, m, axis=0), np.tile(e, (m, 1, 1))  # pair (a, b) at a * m + b
+    blocks = density(F, [ea, eb]).reshape(m, m, n)
     idx = np.arange(n * m).reshape(n, m)
     G = np.zeros((n * m, n * m))
     G[idx[:, :, None], idx[:, None, :]] = np.moveaxis(blocks * dom.signed_weights, -1, 0)
@@ -232,18 +282,16 @@ def hat_pairing_fiber(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
     """Same pairing through its definition: pull ω back along the evaluation
     map of the affine slice f + sum t_j Y_j, wedge with the pulled-back
     S-side form on the product chart, fiber-integrate over S, and read the
-    result off at t = 0 on the coordinate directions."""
+    result off at t = 0 on the coordinate directions.  The oracle builds
+    its product form per map, so a stack is evaluated map by map."""
     alpha_f = _as_s_form(alpha, dom)
     n = _pairing_degree(omega, alpha_f, dom)
     p, q = omega.degree, alpha_f.degree
     cz = dom.chart_dim
 
-    def ev(f: MapPoint, tangents) -> float:
-        if f.target_dim != omega.ambient_dim:
-            raise DimensionMismatch("map target dim != form chart dim")
+    def value(f: MapPoint, vectors) -> float:
         # Tf with the tangents appended as columns: (n_nodes, m, k + n)
-        J = np.concatenate([f.jacobian()] + [t.vectors[:, :, None] for t in tangents],
-                           axis=2)
+        J = np.concatenate([f.jacobian()] + [v[:, :, None] for v in vectors], axis=2)
         chart_dim = cz + n
 
         def ev_pull(z, vs):
@@ -257,7 +305,13 @@ def hat_pairing_fiber(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
 
         beta = wedge(Form(p, chart_dim, ev_pull), Form(q, chart_dim, pr_alpha))
         fib = fiber_integrate(product_form(cz, n, beta), dom)
-        return float(fib.evaluator(np.zeros((1, n)), list(np.eye(n)[:, None, :]))[0])
+        return fib.evaluator(np.zeros((1, n)), list(np.eye(n)[:, None, :]))[0]
+
+    def ev(F: MapStack, tangents) -> Array:
+        if F.target_dim != omega.ambient_dim:
+            raise DimensionMismatch("map target dim != form chart dim")
+        return np.array([value(F.point(b), [t[b] for t in tangents])
+                         for b in range(F.size)])
 
     return MapSpaceForm(n, ev, tag=f"hatfib({omega.name},{alpha_f.name})")
 
@@ -279,8 +333,10 @@ def bar_map_direct(omega: Form, dom: SourceDomain) -> MapSpaceForm:
     must agree with bar_map."""
     sw = dom.signed_weights / dom.volume
 
-    def ev(f: MapPoint, tangents) -> float:
-        return float(sw @ omega.evaluator(f.values, [t.vectors for t in tangents]))
+    def ev(F: MapStack, tangents) -> Array:
+        vals = F.from_rows(omega.evaluator(F.as_rows(F.values),
+                                           [F.as_rows(t) for t in tangents]))
+        return np.array([sw @ v for v in vals])
 
     return MapSpaceForm(omega.degree, ev, tag=f"bardirect({omega.name})")
 
@@ -314,19 +370,22 @@ def pullback_tangent(psi: ChartMap, Y: MapTangent) -> MapTangent:
     return MapTangent(pullback_action(psi, Y.base), moved.values)
 
 
-def generator_M(X, f: MapPoint) -> MapTangent:
-    """Infinitesimal push-forward action of a field on M: X∘f nodewise."""
-    return MapTangent(f, as_field(X, f.target_dim).rows(f.values))
+def generator_M(X, f) -> MapTangent:
+    """Infinitesimal push-forward action of a field on M: X∘f nodewise.  f
+    is a map point or a MapStack; the tangent is based at f."""
+    vals = as_field(X, f.target_dim).rows(f.values.reshape(-1, f.target_dim))
+    return MapTangent(f, np.reshape(vals, f.values.shape))
 
 
-def generator_S(Z, f: MapPoint) -> MapTangent:
-    """Infinitesimal reparameterization action of a field on S: -(Tf)Z."""
+def generator_S(Z, f) -> MapTangent:
+    """Infinitesimal reparameterization action of a field on S: -(Tf)Z.  f
+    is a map point or a MapStack; the tangent is based at f."""
     Tf = f.jacobian()
     if isinstance(Z, np.ndarray) and Z.shape == (f.dom.n_nodes, f.dom.dim):
         zv = Z
     else:
         zv = as_field(Z, f.dom.chart_dim).rows(f.dom.nodes)[:, :f.dom.dim]
-    vals = -np.einsum("imk,ik->im", Tf, zv)
+    vals = -np.einsum("...imk,ik->...im", Tf, zv)
     return MapTangent(f, vals)
 
 
@@ -338,33 +397,45 @@ def map_space_d(W: MapSpaceForm, step: float = DEFAULT_FD_STEP) -> MapSpaceForm:
     differences (flat targets; no bracket terms):
 
         dW(Y_0..Y_n)(f) = sum_i (-1)^i D_{Y_i}[ W(Y_0..ŷ_i..Y_n) ](f).
+
+    All 2(n+1) shifts of every map of the stack go to W in one call.
     """
     n = W.degree
 
-    def ev(f: MapPoint, tangents) -> float:
+    def ev(F: MapStack, tangents) -> Array:
+        if F.periodic_target:
+            raise PeriodicTargetError(
+                "cannot translate a torus-valued map; lift it to the covering "
+                "chart before applying map-space differentials")
+        shifts = [(i, t) for i in range(n + 1) for t in (step, -step)]
+        shifted = replace(F, values=np.concatenate(
+            [F.values + t * tangents[i] for i, t in shifts]))
+        rest = tuple(np.concatenate([tangents[j + (j >= i)] for i, _ in shifts])
+                     for j in range(n))
+        vals = W.evaluator(shifted, rest).reshape(n + 1, 2, F.size)
         total = 0.0
         for i in range(n + 1):
-            rest = tangents[:i] + tangents[i + 1:]
-            fp = f.shifted(step, tangents[i])
-            fm = f.shifted(-step, tangents[i])
-            wp = W.evaluator(fp, tuple(t.rebased(fp) for t in rest))
-            wm = W.evaluator(fm, tuple(t.rebased(fm) for t in rest))
-            total += (-1.0) ** i * (wp - wm) / (2.0 * step)
+            total = total + (-1.0) ** i * (vals[i, 0] - vals[i, 1]) / (2.0 * step)
         return total
 
     return MapSpaceForm(n + 1, ev, tag=f"d({W.tag})")
 
 
 def map_space_interior(W: MapSpaceForm, T) -> MapSpaceForm:
-    """Insertion of a tangent field (a callable f -> MapTangent, e.g. a
-    group generator) into the leading slot; on a 0-form this returns the
-    zero form by convention."""
+    """Insertion of a tangent field into the leading slot: a MapTangent,
+    whose vectors fill the slot at every map, or a callable taking a
+    MapStack to a MapTangent along it (e.g. a group generator).  On a
+    0-form this returns the zero form by convention."""
     if W.degree == 0:
         return zero_mapspace_form(0, tag=f"i_T({W.tag})")
-    tfield = T if callable(T) else (lambda f: T.rebased(f))
 
-    def ev(f: MapPoint, tangents) -> float:
-        return W.evaluator(f, (tfield(f),) + tuple(tangents))
+    def field(F: MapStack) -> Array:
+        if isinstance(T, MapTangent):
+            return np.broadcast_to(T.vectors, F.values.shape)
+        return T(F).vectors
+
+    def ev(F: MapStack, tangents) -> Array:
+        return W.evaluator(F, (field(F),) + tuple(tangents))
 
     return MapSpaceForm(W.degree - 1, ev, tag=f"i_T({W.tag})")
 
@@ -382,15 +453,22 @@ def map_space_lie(W: MapSpaceForm, T, step: float = DEFAULT_FD_STEP) -> MapSpace
 
 def map_space_lie_flow(W: MapSpaceForm, transport, t_step: float = 1e-4) -> MapSpaceForm:
     """Flow route for the Lie derivative: transport(t) must return a pair
-    (map action, tangent action) implementing the time-t flow on F(S,M)."""
+    (map action, tangent action) implementing the time-t flow on F(S,M).
+    The actions take map points, so they run map by map; the transported
+    maps of both times go to W in one call."""
 
-    def ev(f: MapPoint, tangents) -> float:
-        vals = []
+    def ev(F: MapStack, tangents) -> Array:
+        moved, moved_ts = [], []
         for t in (t_step, -t_step):
             act_f, act_t = transport(t)
-            ft = act_f(f)
-            ts = tuple(act_t(y, ft) for y in tangents)
-            vals.append(W.evaluator(ft, ts))
+            for b in range(F.size):
+                f = F.point(b)
+                ft = act_f(f)
+                moved.append(ft.values)
+                moved_ts.append([act_t(MapTangent(f, y[b]), ft).vectors for y in tangents])
+        vals = W.evaluator(replace(F, values=np.stack(moved)),
+                           tuple(np.stack(ys) for ys in zip(*moved_ts)))
+        vals = vals.reshape(2, F.size)
         return (vals[0] - vals[1]) / (2.0 * t_step)
 
     return MapSpaceForm(W.degree, ev, tag=f"Lflow({W.tag})")
@@ -435,25 +513,33 @@ def reparam_transport(psi_of_t):
 
 def action_pullback_M(W: MapSpaceForm, phi: ChartMap) -> MapSpaceForm:
     """Pullback of W under the push-forward action f -> φ∘f (φ need not be
-    invertible: this also covers maps into a different target)."""
+    invertible: this also covers maps into a different target).  φ and its
+    Jacobian are evaluated once on the rows of the whole stack."""
 
-    def ev(f: MapPoint, tangents) -> float:
-        ft = pushforward_action(phi, f)
-        moved = tuple(MapTangent(ft, pushforward_tangent(phi, y).vectors)
-                      for y in tangents)
-        return W.evaluator(ft, moved)
+    def ev(F: MapStack, tangents) -> Array:
+        y, J = phi.value_and_jacobian_rows(F.as_rows(F.values))
+        moved = tuple(F.from_rows(np.einsum("nij,nj->ni", J, F.as_rows(t)))
+                      for t in tangents)
+        return W.evaluator(replace(F, values=F.from_rows(y)), moved)
 
     return MapSpaceForm(W.degree, ev, tag=f"push({phi.name})*{W.tag}")
 
 
 def action_pullback_S(W: MapSpaceForm, psi: ChartMap) -> MapSpaceForm:
-    """Pullback of W under the reparameterization action f -> f∘ψ^{-1}."""
+    """Pullback of W under the reparameterization action f -> f∘ψ^{-1}; the
+    maps and tangents of a stack are resampled one by one at the same
+    points ψ^{-1}(nodes)."""
 
-    def ev(f: MapPoint, tangents) -> float:
-        ft = pullback_action(psi, f)
-        moved = tuple(MapTangent(ft, pullback_tangent(psi, y).vectors)
-                      for y in tangents)
-        return W.evaluator(ft, moved)
+    def ev(F: MapStack, tangents) -> Array:
+        if psi.inverse is None:
+            raise ValueError("the reparameterization needs an inverse")
+        pts = psi.inverse_rows(F.dom.nodes)
+
+        def moved(arr):
+            return np.stack([F.dom.resample(a, pts) for a in arr])
+
+        return W.evaluator(replace(F, values=moved(F.values)),
+                           tuple(moved(t) for t in tangents))
 
     return MapSpaceForm(W.degree, ev, tag=f"reparam({psi.name})*{W.tag}")
 
@@ -472,10 +558,12 @@ def restrict_boundary(f: MapPoint) -> MapPoint:
 def boundary_pullback(W_boundary: MapSpaceForm) -> MapSpaceForm:
     """Pullback along the restriction map F(S,M) -> F(∂S,M)."""
 
-    def ev(f: MapPoint, tangents) -> float:
-        fb = restrict_boundary(f)
-        moved = tuple(MapTangent(fb, y.vectors[fb.dom.parent_indices])
-                      for y in tangents)
-        return W_boundary.evaluator(fb, moved)
+    def ev(F: MapStack, tangents) -> Array:
+        bdom = F.dom.boundary()
+        if bdom is None:
+            raise ValueError("the domain has no boundary")
+        idx = bdom.parent_indices
+        return W_boundary.evaluator(MapStack(bdom, F.values[:, idx], F.periodic_target),
+                                    tuple(t[:, idx] for t in tangents))
 
     return MapSpaceForm(W_boundary.degree, ev, tag=f"r_bd*({W_boundary.tag})")

@@ -34,7 +34,7 @@ from .domains import (ScalarField, SourceDomain, exact_divfree_field,
 from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     exterior_derivative, pullback, sample_difference,
                     scalar_coordinate, volume_form)
-from .mapspace import (MapPoint, MapSpaceForm, MapTangent, bar_map,
+from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
                        generator_M, generator_S, hat_pairing, hat_map,
                        map_space_d, pullback_action, pushforward_action)
 
@@ -212,7 +212,10 @@ def momentum_lifted(action: LiftedGAction, dom: SourceDomain,
 
 def momentum_component_form(momentum_value: Callable[[MapPoint], float],
                             tag: str = "J") -> MapSpaceForm:
-    return MapSpaceForm(0, lambda f, ts: momentum_value(f), tag=tag)
+    """A momentum component as a 0-form; momentum_value takes one map point,
+    so a stack is evaluated map by map."""
+    return MapSpaceForm(0, lambda F, ts: np.array(
+        [momentum_value(F.point(b)) for b in range(F.size)], dtype=float), tag=tag)
 
 
 def hamiltonian_identity_residual(omega_bar: MapSpaceForm,
@@ -314,10 +317,45 @@ def stream_generator(dom: SourceDomain, alpha: ScalarField):
     return gen, Z
 
 
-def pullback_coefficient(f: MapPoint, omega: Form) -> Array:
-    """Nodal coefficient of f*omega on the 2-torus (against dx∧dy)."""
-    Tf = f.jacobian()
-    return omega.evaluator(f.values, [Tf[:, :, 0], Tf[:, :, 1]])
+def pullback_coefficient(f, omega: Form) -> Array:
+    """Nodal coefficient of f*omega on the 2-torus (against dx∧dy): shape
+    (n_nodes,) for a map point, (B, n_nodes) for a MapStack."""
+    Tf, m = f.jacobian(), f.target_dim
+    vals = omega.evaluator(f.values.reshape(-1, m),
+                           [Tf[..., 0].reshape(-1, m), Tf[..., 1].reshape(-1, m)])
+    return vals.reshape(f.values.shape[:-1])
+
+
+def _diffex_routes(omega: ExactTwoForm, dom: SourceDomain, alpha: ScalarField):
+    """Both routes to <J(f), X_alpha> = ∫_S f*omega ∧ b(d alpha) for every
+    map of a stack, with the zero-mean potential solved once: the generic
+    pairing machinery and the direct nodal quadrature."""
+    potential = right_inverse_b(dom, alpha.d_components())
+    pairing = hat_pairing(omega.form, potential, dom)
+    sw = dom.signed_weights
+
+    def routes(F: MapStack) -> tuple:
+        coeff = pullback_coefficient(F, omega.form)
+        direct = [float(np.sum(sw * c * potential.values)) for c in coeff]
+        return pairing.evaluator(F, ()), np.array(direct)
+
+    return routes
+
+
+def momentum_diffex_form(omega: ExactTwoForm, dom: SourceDomain,
+                         alpha: ScalarField) -> MapSpaceForm:
+    """<J, X_alpha> as a 0-form on F(S,M); both routes are evaluated on the
+    whole stack and must agree."""
+    routes = _diffex_routes(omega, dom, alpha)
+
+    def ev(F: MapStack, ts) -> Array:
+        route1, route2 = routes(F)
+        for r1, r2 in zip(route1, route2):
+            if abs(r1 - r2) > 1e-8 * max(1.0, abs(r1)):
+                raise AssertionError(f"momentum routes disagree: {r1!r} vs {r2!r}")
+        return route1
+
+    return MapSpaceForm(0, ev, tag="J_diffex")
 
 
 def momentum_diffex(omega: ExactTwoForm, dom: SourceDomain, f: MapPoint,
@@ -325,16 +363,10 @@ def momentum_diffex(omega: ExactTwoForm, dom: SourceDomain, f: MapPoint,
     """<J(f), X_alpha> = ∫_S f*omega ∧ b(d alpha), with the zero-mean
     potential.  Two routes are computed: the generic pairing machinery and
     the direct nodal quadrature; they must agree."""
-    potential = right_inverse_b(dom, alpha.d_components())
-    route1 = hat_pairing(omega.form, potential, dom)(f)
-    coeff = pullback_coefficient(f, omega.form)
-    route2 = float(np.sum(dom.signed_weights * coeff * potential.values))
     if return_routes:
-        return route1, route2
-    if abs(route1 - route2) > 1e-8 * max(1.0, abs(route1)):
-        raise AssertionError(
-            f"momentum routes disagree: {route1!r} vs {route2!r}")
-    return route1
+        route1, route2 = _diffex_routes(omega, dom, alpha)(MapStack.of(f))
+        return float(route1[0]), float(route2[0])
+    return momentum_diffex_form(omega, dom, alpha)(f)
 
 
 def diffex_identity_residual(omega: ExactTwoForm, dom: SourceDomain,
@@ -344,8 +376,7 @@ def diffex_identity_residual(omega: ExactTwoForm, dom: SourceDomain,
     gen, _ = stream_generator(dom, alpha)
     ob = bar_map(omega.form, dom)
     lhs = ob(f, gen(f), Y)
-    dJ = map_space_d(momentum_component_form(
-        lambda g: momentum_diffex(omega, dom, g, alpha)), step)
+    dJ = map_space_d(momentum_diffex_form(omega, dom, alpha), step)
     return abs(lhs - dJ(f, Y))
 
 
@@ -465,18 +496,19 @@ def twist_two_form(H: Form, B: Form, D: AffineSubspace,
     the boundary-restricted transgression of the potential on D."""
     hat_H = hat_map(H, dom)
     bdom = dom.boundary()
-    sw = bdom.signed_weights
+    sw, ends = bdom.signed_weights, bdom.parent_indices
 
-    def bd_ev(f: MapPoint, tangents) -> float:
+    def bd_ev(F: MapStack, tangents) -> Array:
         # transgression of B over the signed endpoint pair, in D-coordinates
-        u = (f.values[bdom.parent_indices] - D.origin) @ D.basis
-        vs = [t.vectors[bdom.parent_indices] @ D.basis for t in tangents]
-        return float(sw @ B.evaluator(u, vs))
+        u = ((F.values[:, ends] - D.origin) @ D.basis).reshape(-1, D.dim)
+        vs = [(t[:, ends] @ D.basis).reshape(-1, D.dim) for t in tangents]
+        vals = B.evaluator(u, vs).reshape(F.size, len(ends))
+        return np.array([sw @ v for v in vals])
 
     boundary_term = MapSpaceForm(B.degree, bd_ev, tag="bd-pot")
 
-    def ev(f, ts):
-        return hat_H.evaluator(f, ts) - boundary_term.evaluator(f, ts)
+    def ev(F, ts):
+        return hat_H.evaluator(F, ts) - boundary_term.evaluator(F, ts)
 
     return MapSpaceForm(hat_H.degree, ev, tag="twist")
 

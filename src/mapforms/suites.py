@@ -108,28 +108,30 @@ class _Records(list):
 
     def ladder(self, test_id, statement, dom, residual, trial_keys, ladder_key,
                steps=None):
-        """Record an FD-limited identity given its signed residual(rng, h):
-        the worst |residual| at the FD step over the draws seeded by
-        [seed, *key] for each trial key, and the order fitted to
-        |r(h) - r(2e-5)| on the fixed draw [seed, *ladder_key].  The tiny
+        """Record an FD-limited identity given residual(rng), which draws one
+        case from rng and returns its signed residual as a function of the
+        step h: the worst |r(fd_step)| over the draws seeded by [seed, *key]
+        for each trial key, and the order fitted to |r(h) - r(2e-5)| on the
+        draw [seed, *ladder_key], made once for the whole ladder.  The tiny
         reference step removes an error floor that does not depend on h
         (quadrature or differentiation mismatch of the sampled data)."""
         seed, steps = self.config.seed, steps or self.config.order_steps
-        worst = max(abs(residual(np.random.default_rng([seed, *key]), self.config.fd_step))
+        worst = max(abs(residual(np.random.default_rng([seed, *key]))(self.config.fd_step))
                     for key in trial_keys)
-
-        def at(h):
-            return residual(np.random.default_rng([seed, *ladder_key]), h)
-
+        at = residual(np.random.default_rng([seed, *ladder_key]))
         floor = at(2e-5)
         self.add(test_id, statement, worst, IDENTITY_TOL, dom, fd=True,
                  fit=fit_order(steps, [abs(at(h) - floor) for h in steps]))
 
 
+def _relative(a: float, b: float) -> float:
+    """Signed a - b relative to max(1, |a|, |b|)."""
+    return (a - b) / max(1.0, abs(a), abs(b))
+
+
 def _gap(lhs, rhs, f, *ts) -> float:
     """Signed lhs - rhs at (f, ts), relative to max(1, |lhs|, |rhs|)."""
-    a, b = lhs(f, *ts), rhs(f, *ts)
-    return (a - b) / max(1.0, abs(a), abs(b))
+    return _relative(lhs(f, *ts), rhs(f, *ts))
 
 
 # ---------------------------------------------------------------------------
@@ -181,16 +183,19 @@ def two_route_sweep(kind: str, cases: int, config: SuiteConfig):
 # ---------------------------------------------------------------------------
 # hat calculus
 
-def derivation_residual(dom, m, p, q, rng, fd_step) -> float:
-    """Signed relative residual of the derivation identity on one random case."""
+def derivation_residual(dom, m, p, q, rng):
+    """Signed relative residual of the derivation identity on one random case
+    drawn from rng, as a function of the FD step h; the right-hand side does
+    not depend on h and is evaluated once."""
     om, al, f, ts = _hat_case(dom, m, p, q, rng)
     W = hat_pairing(om, al, dom)
     terms = [hat_pairing(exterior_derivative(om), al, dom)]
     if q < dom.dim:  # d(alpha) vanishes identically only at top degree
         terms.append(mapspace_scale((-1.0) ** p,
                                     hat_pairing(om, exterior_derivative(al), dom)))
-    extra = cat.random_tangent(f, rng)
-    return _gap(map_space_d(W, fd_step), mapspace_sum(*terms), f, *ts, extra)
+    args = (f, *ts, cat.random_tangent(f, rng))
+    rhs = mapspace_sum(*terms)(*args)
+    return lambda h: _relative(map_space_d(W, h)(*args), rhs)
 
 
 def run_hat_calculus(config: SuiteConfig):
@@ -212,7 +217,7 @@ def run_hat_calculus(config: SuiteConfig):
         dom = doms[kind]
         records.ladder(f"derivation-{kind}-p{p}q{q}",
                        "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^", dom,
-                       lambda rngx, h: derivation_residual(dom, m, p, q, rngx, h),
+                       lambda rngx: derivation_residual(dom, m, p, q, rngx),
                        [(2, i) for i in range(config.trials)], (3,))
 
     # push-forward action identity, affine (exact) and nonlinear target map
@@ -240,12 +245,12 @@ def run_hat_calculus(config: SuiteConfig):
                         - hat_pairing(pullback(omX, phi), al, dom)(fX, *tX)), tol, dom)
 
     # infinitesimal version with refinement order
-    def lie_residual(rngL, h):
+    def lie_residual(rngL):
         omL, alL, fL, tsL = _hat_case(dom, 3, 2, 0, rngL)
         X = cat.random_affine_field(3, rngL, amp=0.6)
         WL = hat_pairing(omL, alL, dom)
-        return _gap(map_space_lie(WL, lambda g: generator_M(X, g), h),
-                    hat_pairing(lie_derivative(omL, X, h), alL, dom), fL, *tsL)
+        return lambda h: _gap(map_space_lie(WL, lambda g: generator_M(X, g), h),
+                              hat_pairing(lie_derivative(omL, X, h), alL, dom), fL, *tsL)
 
     records.ladder("action-lie-M", "L_{Xbar}(w.a)^ = (L_X w.a)^", dom,
                    lie_residual, [(5,)], (5,))
@@ -284,14 +289,15 @@ def run_hat_calculus(config: SuiteConfig):
                     tol, dom)
 
     # infinitesimal reparameterization
-    def lieS_residual(rngZ, h):
+    def lieS_residual(rngZ):
         omZ, alZ, fZ, _ = _hat_case(dom, 3, 2, 1, rngZ)
         WZ = hat_pairing(omZ, alZ, dom)
         tz = [cat.random_tangent(fZ, rngZ) for _ in range(2)]
         Zf = cat.random_scalar(1, rngZ, amp=0.5)
         Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
-        return _gap(map_space_lie(WZ, lambda g: generator_S(Zfield, g), h),
-                    hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom), fZ, *tz)
+        return lambda h: _gap(map_space_lie(WZ, lambda g: generator_S(Zfield, g), h),
+                              hat_pairing(omZ, lie_derivative(alZ, Zfield, h), dom),
+                              fZ, *tz)
 
     records.ladder("action-lie-S", "L_{Zhat}(w.a)^ = (w.L_Z a)^", dom,
                    lieS_residual, [(8,)], (8,))
@@ -601,31 +607,33 @@ def run_boundary(config: SuiteConfig):
     iv = interval(config.interval_nodes)
     bdom = iv.boundary()
 
-    def identity_residual(om, a_scalar, f, ts, h, drop_boundary=False):
-        """Signed relative residual of the boundary derivation identity."""
+    def identity_residual(om, a_scalar, f, ts, drop_boundary=False):
+        """Signed relative residual of the boundary derivation identity as a
+        function of the FD step h; the right-hand side is evaluated once."""
         al = coefficient_form(1, 0, {(): a_scalar})
-        lhs = map_space_d(hat_pairing(om, al, iv), h)
+        W = hat_pairing(om, al, iv)
         terms = [hat_pairing(exterior_derivative(om), al, iv),
                  mapspace_scale((-1.0) ** om.degree,
                                 hat_pairing(om, exterior_derivative(al), iv))]
         if not drop_boundary:
             terms.append(mapspace_scale((-1.0) ** (om.degree - 1),
                                         boundary_pullback(hat_pairing(om, al, bdom))))
-        return _gap(lhs, mapspace_sum(*terms), f, *ts)
+        rhs = mapspace_sum(*terms)(f, *ts)
+        return lambda h: _relative(map_space_d(W, h)(f, *ts), rhs)
 
-    def boundary_residual(p, rngx, h):
+    def boundary_residual(p, rngx):
         om = cat.random_form(3, p, rngx, amp=0.8)
         a_scalar = cat.random_scalar(1, rngx, integer_modes=False)
         f = cat.random_map(iv, 3, rngx, amp=0.8)
         ts = [cat.random_tangent(f, rngx, amp=0.8) for _ in range(p)]
-        return identity_residual(om, a_scalar, f, ts, h)
+        return identity_residual(om, a_scalar, f, ts)
 
     # the quadrature mismatch of the end-corrected weights is h-independent
     ladder_steps = tuple(4.0 * h for h in config.order_steps)
     for p in (1, 2):
         records.ladder(f"boundary-derivation-p{p}",
                        "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^ + (-1)^(p+q-k) r_bd*(w.a|bd)^",
-                       iv, lambda rngx, h: boundary_residual(p, rngx, h),
+                       iv, lambda rngx: boundary_residual(p, rngx),
                        [(50, p, i) for i in range(config.trials)], (51, p), ladder_steps)
 
     # designed witness: w = dx, a(s) = 1 + s and the constant tangent e_x
@@ -636,8 +644,8 @@ def run_boundary(config: SuiteConfig):
     one_plus_s = scalar_sum([scalar_const(1.0, 1), scalar_coordinate(0, 1)])
     f = cat.random_map(iv, 3, rng, amp=0.8)
     ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (iv.n_nodes, 1)))]
-    witness = abs(identity_residual(dx, one_plus_s, f, ex, config.fd_step,
-                                    drop_boundary=True))
+    witness = abs(identity_residual(dx, one_plus_s, f, ex,
+                                    drop_boundary=True)(config.fd_step))
     endpoint = boundary_pullback(hat_pairing(
         dx, coefficient_form(1, 0, {(): one_plus_s}), bdom))(f, *ex)
     records.add("boundary-witness",
@@ -673,22 +681,30 @@ def run_momentum(config: SuiteConfig):
     ob = bar_map(sys.omega, dom)
 
     def add_ladder(test_id, statement, d, residual):
-        """FD-limited record with the order fitted to the raw residuals."""
+        """FD-limited record with the order fitted to the raw residuals of
+        residual(h), whose case is drawn once for the whole ladder."""
         steps = config.order_steps
         records.add(test_id, statement, residual(config.fd_step), IDENTITY_TOL, d,
                     fd=True, fit=fit_order(steps, [residual(h) for h in steps]))
 
-    def hamiltonian_residual(salt, generators, h):
-        """Worst i_{gen} omega bar - d<J, xi> over (field, momentum) pairs,
-        each at a random map and tangent drawn from [seed, salt]."""
+    def hamiltonian_residual(salt, generators):
+        """Worst i_{gen} omega bar - d<J, xi> over (field, momentum) pairs as
+        a function of the FD step, each pair at a random map and tangent
+        drawn from [seed, salt]."""
         rngx = np.random.default_rng([config.seed, salt])
-        worst = 0.0
+        cases = []
         for field, momentum in generators:
             g = cat.random_map(dom, 2, rngx, amp=0.8)
-            Y = cat.random_tangent(g, rngx)
-            worst = max(worst, me.hamiltonian_identity_residual(
-                ob, lambda mp: generator_M(field, mp), momentum, g, Y, h))
-        return worst
+            cases.append((field, momentum, g, cat.random_tangent(g, rngx)))
+
+        def residual(h):
+            worst = 0.0
+            for field, momentum, g, Y in cases:
+                worst = max(worst, me.hamiltonian_identity_residual(
+                    ob, lambda mp: generator_M(field, mp), momentum, g, Y, h))
+            return worst
+
+        return residual
 
     # lifted finite-dimensional action
     act = me.se2_action()
@@ -696,7 +712,7 @@ def run_momentum(config: SuiteConfig):
               for a in range(act.dim_g)]
     add_ladder("momentum-lifted-identity",
                "i_{gen} omega bar = d<Jbar, xi> for the lifted finite-dim action", dom,
-               lambda h: hamiltonian_residual(61, lifted, h))
+               hamiltonian_residual(61, lifted))
 
     circle_map = cat.unit_circle_map(dom, 2)
     J = me.momentum_lifted(act, dom, circle_map)
@@ -716,7 +732,7 @@ def run_momentum(config: SuiteConfig):
                for p in sys.catalog[:3]]
     add_ladder("momentum-diffham-identity",
                "i_{Xbar_h} omega bar = d(h bar) with h normalized at the base point", dom,
-               lambda h: hamiltonian_residual(62, diffham, h))
+               hamiltonian_residual(62, diffham))
 
     records.add("momentum-diffham-circle-value", "<J(unit circle), X_x> = mean of cos = 0",
                 abs(me.momentum_diffham(sys, dom, circle_map, sys.pair("x"))), 1e-12, dom)
@@ -742,16 +758,13 @@ def run_momentum(config: SuiteConfig):
                 max(abs(r1 - oracle), abs(r2 - oracle), abs(r1 - r2)), 1e-9, domt,
                 detail=f"value {r1:.12f}, oracle {oracle:.12f}")
 
-    def diffex_residual(h):
-        rngx = np.random.default_rng([config.seed, 63])
-        g = cat.random_map(domt, 4, rngx, amp=0.7)
-        Y = cat.random_tangent(g, rngx)
-        a = cat.random_stream(domt, rngx, max_mode=2)
-        return me.diffex_identity_residual(om_curved, domt, g, a, Y, h)
-
+    rngx = np.random.default_rng([config.seed, 63])
+    g = cat.random_map(domt, 4, rngx, amp=0.7)
+    Y = cat.random_tangent(g, rngx)
+    a = cat.random_stream(domt, rngx, max_mode=2)
     add_ladder("momentum-diffex-identity",
                "d<J, X_alpha> = i_{gen(alpha)} omega bar on F(T^2, R^4)", domt,
-               diffex_residual)
+               lambda h: me.diffex_identity_residual(om_curved, domt, g, a, Y, h))
 
     records.add("momentum-diffex-trivial", "constant alpha or constant f give zero momentum",
                 max(abs(me.momentum_diffex(om_ex, domt, f4,

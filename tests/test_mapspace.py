@@ -199,7 +199,7 @@ def test_generators():
 def test_map_space_d_of_constant_function():
     dom = circle(32)
     from mapforms.mapspace import MapSpaceForm
-    W = MapSpaceForm(0, lambda f, ts: 4.2)
+    W = MapSpaceForm(0, lambda F, ts: np.full(F.size, 4.2))
     dW = map_space_d(W, 1e-4)
     f = unit_circle(32)
     assert dW(f, cat.random_tangent(f, np.random.default_rng(21))) == 0.0
