@@ -3,11 +3,12 @@
 A pair of forms, one on a flat target chart and one on a compact oriented
 source manifold, induces a form on the space of maps between them by fiber
 integration of the pulled-back wedge product.  This package discretizes the
-whole construction (spectral grids on the circle and flat 2-torus, a
-4th-order interval with signed boundary) and verifies its calculus: the
-derivation rule with and without boundary terms, compatibility with both
-diffeomorphism actions, the induced weak symplectic structures, momentum
-maps for three hamiltonian actions, and their non-equivariance cocycles.
+whole construction (spectral grids on flat k-tori of any dimension, the
+circle and the 2-torus among them, and a 4th-order interval with signed
+boundary) and verifies its calculus: the derivation rule with and without
+boundary terms, compatibility with both diffeomorphism actions, the induced
+weak symplectic structures, momentum maps for three hamiltonian actions,
+and their non-equivariance cocycles.
 
 The induced-form operations live in :mod:`mapforms.mapspace`; plain
 exterior algebra in :mod:`mapforms.forms`; grids and the spectral right
@@ -24,7 +25,7 @@ from .domains import (NotExactError, ScalarField, SmoothnessWarning,
                       SourceDomain, circle, exact_divfree_field,
                       field_from_function, interval, make_domain,
                       nodal_vector_field, projection_P, right_inverse_b,
-                      torus2)
+                      torus, torus2)
 from .forms import (DegreeError, Form, ProductForm, ScalarFunc, broadcast_rows,
                     coefficient_form, constant_form, coordinate_form,
                     exterior_derivative, fiber_integrate, form_scale,

@@ -21,6 +21,9 @@ from .forms import (Form, ScalarFunc, coefficient_form, coordinate_form,
 
 Array = np.ndarray
 
+# largest mode number of the random trigonometric data
+MAX_MODE = 2
+
 
 # ---------------------------------------------------------------------------
 # named forms
@@ -111,7 +114,7 @@ def torus_graph_map(dom: SourceDomain) -> ms.MapPoint:
 # random generators
 
 def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int = 2,
-                max_mode: int = 2, amp: float = 1.0, integer_modes: bool = True):
+                max_mode: int = MAX_MODE, amp: float = 1.0, integer_modes: bool = True):
     """Modes (n_terms, dim), amplitudes and phases of one random
     trigonometric scalar, drawn in that order."""
     if integer_modes:
@@ -124,7 +127,7 @@ def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int = 2,
 
 
 def random_scalar(dim: int, rng: np.random.Generator, n_terms: int = 2,
-                  max_mode: int = 2, amp: float = 1.0,
+                  max_mode: int = MAX_MODE, amp: float = 1.0,
                   integer_modes: bool = True) -> ScalarFunc:
     """Random trigonometric scalar; integer modes make it 2pi-periodic."""
     return trig_scalar(dim, *_trig_terms(dim, rng, n_terms, max_mode, amp, integer_modes))

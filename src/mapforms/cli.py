@@ -29,7 +29,7 @@ import numpy as np
 from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
-from .domains import circle, torus2
+from .domains import circle, make_domain, torus2
 from .forms import coefficient_form, integrate
 from .report import VerificationReport, fit_order, make_environment
 from .suites import (SUITES, SuiteConfig, brane_catalog, brane_checks,
@@ -110,7 +110,7 @@ MIN_TORUS_SIDE = 16
 
 
 def _torus_side(nodes: int) -> int:
-    return int(round(np.sqrt(nodes)))
+    return make_domain("torus2", nodes).shape[0]
 
 
 def _check_torus_levels(levels):
@@ -126,7 +126,7 @@ def _check_torus_levels(levels):
 
 def _converge_derivation(kind):
     def runner(nodes: int, fd_step: float, seed: int) -> float:
-        dom = circle(nodes) if kind == "circle" else torus2(_torus_side(nodes))
+        dom = make_domain(kind, nodes)
         m, p, q = (3, 2, 0) if kind == "circle" else (4, 2, 1)
         rng = np.random.default_rng([seed, 90])
         return abs(derivation_residual(dom, m, p, q, rng)(fd_step))

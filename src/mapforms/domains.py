@@ -1,13 +1,15 @@
 """Discretized compact oriented source manifolds.
 
-Three domains are provided: the circle [0,2pi) with periodic spectral
-differentiation, the flat 2-torus [0,2pi)^2, and the unit interval [0,1]
-with 4th-order finite differences and end-corrected (Gregory) quadrature
-weights.  The interval carries a 0-dimensional boundary domain whose two
-nodes are signed (-1 at 0, +1 at 1), which is what makes the boundary
-integration rules come out with the documented signs.
+Two families of domains are provided: the flat k-torus [0,2pi)^k on a
+tensor grid, `torus(shape)` with k = len(shape) and periodic spectral
+differentiation (the circle is k = 1, the 2-torus k = 2), and the unit
+interval [0,1] with 4th-order finite differences and end-corrected
+(Gregory) quadrature weights.  The interval carries a 0-dimensional
+boundary domain whose two nodes are signed (-1 at 0, +1 at 1), which is
+what makes the boundary integration rules come out with the documented
+signs.
 
-The spectral right inverse of d on the torus (zero-mean gauge) and the
+The spectral right inverse of d on the 2-torus (zero-mean gauge) and the
 induced projection onto closed forms live here, together with the
 stream-function construction of exact divergence-free fields.
 
@@ -20,8 +22,9 @@ concurrent use.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -75,13 +78,11 @@ class SourceDomain:
 
     @property
     def spacing(self) -> tuple:
-        if self.kind == "circle":
-            return (TWO_PI / self.shape[0],)
-        if self.kind == "torus2":
-            return (TWO_PI / self.shape[0], TWO_PI / self.shape[1])
-        if self.kind == "interval":
-            return (1.0 / (self.shape[0] - 1),)
-        return ()
+        if self.periods is not None:
+            return tuple(p / n for p, n in zip(self.periods, self.shape))
+        if self.dim == 0:
+            return ()
+        return (1.0 / (self.shape[0] - 1),)
 
     @property
     def signed_weights(self) -> Array:
@@ -101,22 +102,20 @@ class SourceDomain:
         KeyError if any point is off the grid."""
         s = np.asarray(s, dtype=float)
         rows = np.atleast_2d(s) if s.ndim else s.reshape(1, 1)
-        if self.kind in ("circle", "torus2"):
+        if self.periods is not None:
             per_axis = np.rint(rows / self.spacing).astype(int) % self.shape
             j = np.ravel_multi_index(tuple(per_axis.T), self.shape)
             d = (rows - self.nodes[j] + np.pi) % TWO_PI - np.pi
             off = ~np.all(np.isclose(d, 0.0, atol=1e-9), axis=1)
-        elif self.kind == "interval":
-            j = np.rint(rows[:, 0] / self.spacing[0]).astype(int)
-            inside = (j >= 0) & (j < self.shape[0])
-            j = np.clip(j, 0, self.shape[0] - 1)
-            off = ~inside | ~np.isclose(rows[:, 0], self.nodes[j, 0], atol=1e-9)
-        elif self.kind == "points":
+        elif self.dim == 0:
             match = np.all(np.isclose(rows[:, None, :], self.nodes[None], atol=1e-9), axis=2)
             j = np.argmax(match, axis=1)
             off = ~np.any(match, axis=1)
         else:
-            raise KeyError(self.kind)
+            j = np.rint(rows[:, 0] / self.spacing[0]).astype(int)
+            inside = (j >= 0) & (j < self.shape[0])
+            j = np.clip(j, 0, self.shape[0] - 1)
+            off = ~inside | ~np.isclose(rows[:, 0], self.nodes[j, 0], atol=1e-9)
         if np.any(off):
             raise KeyError(f"off-node parameter {rows[np.argmax(off)]}")
         return int(j[0]) if s.ndim <= 1 else j
@@ -132,17 +131,12 @@ class SourceDomain:
         values = np.asarray(values, dtype=float)
         if axis < 0 or axis >= max(self.dim, 1) or self.dim == 0:
             raise IndexError(f"axis {axis} out of range for dim-{self.dim} domain")
+        if self.periods is None:
+            return _fd4_matrix(self.shape[0], self.spacing[0]) @ values
         node = max(values.ndim - 2, 0)
-        if self.kind == "circle":
-            return _spectral_derivative(values, axis=node, length=TWO_PI)
-        if self.kind == "torus2":
-            grid = values.reshape(values.shape[:node] + self.shape + values.shape[node + 1:])
-            out = _spectral_derivative(grid, axis=node + axis, length=TWO_PI)
-            return out.reshape(values.shape)
-        if self.kind == "interval":
-            D = _fd4_matrix(self.shape[0], self.spacing[0])
-            return D @ values
-        raise IndexError(self.kind)
+        grid = values.reshape(values.shape[:node] + self.shape + values.shape[node + 1:])
+        out = _spectral_derivative(grid, axis=node + axis, length=self.periods[axis])
+        return out.reshape(values.shape)
 
     def map_jacobian(self, values: Array) -> Array:
         """Tangent map of node-sampled values (n_nodes, m) -> (n_nodes, m, k),
@@ -161,16 +155,14 @@ class SourceDomain:
         values = np.asarray(values, dtype=float)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         flat = values.reshape(self.n_nodes, -1)
-        if self.kind == "circle":
-            out = _trig_interp_1d(flat, pts[:, 0])
-        elif self.kind == "torus2":
-            out = _trig_interp_2d(flat, self.shape, pts)
-        elif self.kind == "interval":
+        if self.periods is not None:
+            out = _trig_interp(flat, self.shape, pts)
+        elif self.dim == 0:
+            raise ValueError(f"no interpolation on domain kind {self.kind!r}")
+        else:
             if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
                 raise ValueError("interval resampling outside [0,1]")
             out = _spline_interp(self.nodes[:, 0], flat, np.clip(pts[:, 0], 0.0, 1.0))
-        else:
-            raise ValueError(f"no interpolation on domain kind {self.kind!r}")
         return out.reshape((pts.shape[0],) + values.shape[1:])
 
     # -- boundary -----------------------------------------------------------
@@ -178,7 +170,7 @@ class SourceDomain:
     def boundary(self) -> Optional["SourceDomain"]:
         """The induced boundary domain, or None when S is closed.  For the
         interval this is the signed point pair {0-, 1+}."""
-        if self.kind != "interval":
+        if self.periods is not None or self.dim == 0:
             return None
         n = self.shape[0]
         return SourceDomain(
@@ -196,52 +188,53 @@ class SourceDomain:
         """Relative magnitude of the Nyquist-band spectral coefficients;
         a proxy for how well the grid resolves the sampled data.  The worst
         column counts, from one transform of all columns."""
-        if self.kind not in ("circle", "torus2"):
+        if self.periods is None:
             return 0.0
-        flat = np.asarray(values, dtype=float).reshape(self.n_nodes, -1)
-        if self.kind == "circle":
-            c = np.abs(np.fft.fft(flat, axis=0))
-            band = c[self.shape[0] // 2]
-        else:
-            c = np.abs(np.fft.fft2(flat.reshape(self.shape + (-1,)), axes=(0, 1)))
-            band = np.maximum(c[self.shape[0] // 2].max(axis=0),
-                              c[:, self.shape[1] // 2].max(axis=0))
+        c = np.asarray(values, dtype=float).reshape(self.shape + (-1,))
+        for a in reversed(range(self.dim)):  # the axis order of np.fft.fftn
+            c = np.fft.fft(c, axis=a)
+        c = np.abs(c)
         scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
-        return float(np.max(band / scale, initial=0.0))
+        # dividing by the positive scale keeps the order, so the running
+        # maximum of each Nyquist plane's ratio is the ratio of the band
+        return max(float((c[(slice(None),) * a + (n // 2,)] / scale).max(initial=0.0))
+                   for a, n in enumerate(self.shape))
+
+
+def torus(shape) -> SourceDomain:
+    """Flat k-torus [0,2pi)^k on a tensor grid, k = len(shape), nodes in
+    C order (the last axis varies fastest).  Its kind is "circle" for k = 1
+    and "torus<k>" otherwise."""
+    shape = tuple(int(n) for n in shape)
+    k = len(shape)
+    axes = [np.arange(n) * (TWO_PI / n) for n in shape]
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
+    w = np.full(nodes.shape[0], math.prod(TWO_PI / n for n in shape))
+    return SourceDomain(kind="circle" if k == 1 else f"torus{k}", dim=k, shape=shape,
+                        nodes=nodes, weights=w, periods=(TWO_PI,) * k)
 
 
 def circle(n: int) -> SourceDomain:
     """Unit circle as the periodic chart [0,2pi) with n uniform nodes."""
-    theta = np.arange(n) * (TWO_PI / n)
-    return SourceDomain(
-        kind="circle", dim=1, shape=(n,),
-        nodes=theta[:, None],
-        weights=np.full(n, TWO_PI / n),
-        periods=(TWO_PI,),
-    )
+    return torus((n,))
 
 
 def torus2(nx: int, ny: Optional[int] = None) -> SourceDomain:
     """Flat 2-torus [0,2pi)^2 on an nx-by-ny tensor grid."""
-    ny = nx if ny is None else ny
-    x = np.arange(nx) * (TWO_PI / nx)
-    y = np.arange(ny) * (TWO_PI / ny)
-    X, Y = np.meshgrid(x, y, indexing="ij")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    w = np.full(nx * ny, (TWO_PI / nx) * (TWO_PI / ny))
-    return SourceDomain(kind="torus2", dim=2, shape=(nx, ny), nodes=nodes,
-                        weights=w, periods=(TWO_PI, TWO_PI))
+    return torus((nx, nx if ny is None else ny))
 
 
 # 4th-order end-corrected trapezoid (Gregory) weights
 _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+# the one-sided 5-point closures at both ends need this many nodes
+MIN_INTERVAL_NODES = 8
 
 
 def interval(n: int) -> SourceDomain:
-    """Unit interval [0,1] with n uniform nodes (n >= 8), 4th-order
-    differentiation and quadrature."""
-    if n < 8:
-        raise ValueError("interval domain needs at least 8 nodes")
+    """Unit interval [0,1] with n uniform nodes (n >= MIN_INTERVAL_NODES),
+    4th-order differentiation and quadrature."""
+    if n < MIN_INTERVAL_NODES:
+        raise ValueError(f"interval domain needs at least {MIN_INTERVAL_NODES} nodes")
     h = 1.0 / (n - 1)
     x = np.linspace(0.0, 1.0, n)
     w = np.full(n, h)
@@ -252,12 +245,12 @@ def interval(n: int) -> SourceDomain:
 
 
 def make_domain(kind: str, nodes: int) -> SourceDomain:
-    """Build a domain from CLI/config parameters."""
+    """The domain of a kind with about `nodes` nodes: the 2-torus takes the
+    square grid of side round(sqrt(nodes))."""
     if kind == "circle":
         return circle(nodes)
     if kind == "torus2":
-        side = int(round(np.sqrt(nodes)))
-        return torus2(max(side, 4))
+        return torus2(int(round(np.sqrt(nodes))))
     if kind == "interval":
         return interval(nodes)
     raise ValueError(f"unknown domain kind {kind!r}")
@@ -277,13 +270,18 @@ def _wavenumbers(n: int, length: float) -> Array:
     return k
 
 
+@functools.lru_cache(maxsize=64)
+def _derivative_symbol(n: int, length: float, trailing: int) -> Array:
+    """i k of an n-point grid of the given period, shaped to broadcast over
+    `trailing` further axes (read-only, cached)."""
+    ik = (1j * _wavenumbers(n, length)).reshape((n,) + (1,) * trailing)
+    ik.flags.writeable = False
+    return ik
+
+
 def _spectral_derivative(values: Array, axis: int, length: float) -> Array:
-    n = values.shape[axis]
-    k = _wavenumbers(n, length)
-    shape = [1] * values.ndim
-    shape[axis] = n
     vhat = np.fft.fft(values, axis=axis)
-    vhat *= (1j * k).reshape(shape)
+    vhat *= _derivative_symbol(values.shape[axis], length, values.ndim - axis - 1)
     return np.real(np.fft.ifft(vhat, axis=axis))
 
 
@@ -310,23 +308,22 @@ def _nyquist_basis(n: int, pts: Array) -> Array:
     return E
 
 
-def _trig_interp_1d(flat: Array, pts: Array) -> Array:
-    n = flat.shape[0]
-    c = np.fft.fft(flat, axis=0) / n
-    E = _nyquist_basis(n, pts)
-    return np.real(E @ c)
-
-
-def _trig_interp_2d(flat: Array, shape: tuple, pts: Array) -> Array:
-    nx, ny = shape
-    comps = flat.shape[1]
-    # coefficients of every component side by side: c[a, j, b] (nx, comps, ny)
-    c = np.stack([np.fft.fft2(flat[:, j].reshape(nx, ny)) for j in range(comps)],
-                 axis=1) / (nx * ny)
-    Ex = _nyquist_basis(nx, pts[:, 0])
-    Ey = _nyquist_basis(ny, pts[:, 1])
-    rows = (Ex @ c.reshape(nx, comps * ny)).reshape(-1, comps, ny)
-    return np.real(np.sum(rows * Ey[:, None, :], axis=2))
+def _trig_interp(flat: Array, shape: tuple, pts: Array) -> Array:
+    """Tensor-product trigonometric interpolant of every column of flat
+    (n_nodes, comps) at pts (P, k): the coefficients of all columns, laid
+    out (n_0, comps, n_1, ...), meet the axis-0 basis in one matrix product;
+    the other axes are then summed out one by one from the last."""
+    k, comps = len(shape), flat.shape[1]
+    c = flat.reshape(shape + (comps,))
+    for a in reversed(range(k)):  # the axis order of np.fft.fftn
+        c = np.fft.fft(c, axis=a)
+    c = c.transpose((0, k, *range(1, k))) / flat.shape[0]
+    out = _nyquist_basis(shape[0], pts[:, 0]) @ c.reshape(shape[0], -1)
+    out = out.reshape((len(pts), comps) + shape[1:])
+    for a in reversed(range(1, k)):
+        E = _nyquist_basis(shape[a], pts[:, a])
+        out = np.sum(out * E.reshape((len(pts),) + (1,) * a + (shape[a],)), axis=-1)
+    return np.real(out)
 
 
 def _spline_interp(x: Array, y: Array, pts: Array) -> Array:
@@ -371,9 +368,7 @@ class ScalarField:
 
     def d_components(self) -> Array:
         """Nodal components of the differential, shape (n_nodes, k)."""
-        return np.column_stack([
-            self.dom.differentiate(self.values, axis=a) for a in range(self.dom.dim)
-        ])
+        return self.dom.map_jacobian(self.values)
 
     def as_zero_form(self) -> Form:
         """Wrap as a degree-0 form; evaluation is restricted to grid nodes."""

@@ -132,16 +132,6 @@ def scalar_sum(funcs: Sequence[ScalarFunc]) -> ScalarFunc:
     return ScalarFunc(value, grad, hess)
 
 
-def scalar_partial(f: ScalarFunc, j: int) -> ScalarFunc:
-    """The j-th partial derivative of f as a ScalarFunc (needs f.grad)."""
-    if f.grad is None:
-        raise ValueError("scalar_partial needs an analytic gradient")
-    grad = None
-    if f.hess is not None:
-        grad = lambda x: np.asarray(f.hess(x), dtype=float)[..., j, :]  # noqa: E731
-    return ScalarFunc(lambda x: np.asarray(f.grad(x), dtype=float)[..., j], grad)
-
-
 def trig_scalar(dim: int, modes, amps, phases) -> ScalarFunc:
     """Sum of amps[r] * sin(modes[r] . x + phases[r]) with analytic
     gradient and Hessian; periodic on [0,2pi)^dim for integer modes."""
@@ -234,19 +224,13 @@ def strip_analytic(a: Form) -> Form:
     return Form(a.degree, a.ambient_dim, a.evaluator, analytic_d=None, name=a.name)
 
 
-def _scalar_negate(f: ScalarFunc) -> ScalarFunc:
-    grad = (lambda x: -np.asarray(f.grad(x), dtype=float)) if f.grad is not None else None
-    hess = (lambda x: -np.asarray(f.hess(x), dtype=float)) if f.hess is not None else None
-    return ScalarFunc(lambda x: -f.value(x), grad, hess)
-
-
-def coefficient_form(dim: int, degree: int, coeffs: dict, name: str = "",
-                     _exact: bool = False) -> Form:
+def coefficient_form(dim: int, degree: int, coeffs: dict, name: str = "") -> Form:
     """Form sum_I c_I(x) dx^I from {increasing multi-index: ScalarFunc}.
 
     When every coefficient carries an analytic gradient, the exterior
-    derivative is attached analytically; derivatives of derivatives are the
-    exact zero form.
+    derivative sum_J (sum ±∂_j c_I) dx^J is attached analytically, with one
+    gradient per coefficient and evaluation; derivatives of derivatives are
+    the exact zero form.
     """
     items = [(tuple(I), c) for I, c in sorted(coeffs.items())]
     for I, _ in items:
@@ -256,27 +240,27 @@ def coefficient_form(dim: int, degree: int, coeffs: dict, name: str = "",
     def ev(x, vs):
         return sum((c.value(x) * _minor_det(vs, I) for I, c in items), np.zeros(len(x)))
 
-    if _exact:
-        analytic = zero_form(dim, degree + 1)
-    elif items and all(c.grad is not None for _, c in items):
-        dcoeffs: dict = {}
-        for I, c in items:
+    analytic = None
+    if items and all(c.grad is not None for _, c in items):
+        # dx^j ∧ dx^I = (-1)^(position of j in J) dx^J: J -> [(coefficient, j, sign)]
+        by_J: dict = {}
+        for r, (I, _) in enumerate(items):
             for j in range(dim):
-                if j in I:
-                    continue
-                J = tuple(sorted((j,) + I))
-                term = scalar_partial(c, j)
-                if (-1) ** J.index(j) < 0:
-                    term = _scalar_negate(term)
-                dcoeffs.setdefault(J, []).append(term)
-        dsum = {J: scalar_sum(parts) for J, parts in dcoeffs.items()}
-        if dsum:
-            analytic = coefficient_form(dim, degree + 1, dsum,
-                                        name=f"d({name})", _exact=True)
-        else:
-            analytic = zero_form(dim, degree + 1)
-    else:
-        analytic = None
+                if j not in I:
+                    J = tuple(sorted((j,) + I))
+                    by_J.setdefault(J, []).append((r, j, (-1.0) ** J.index(j)))
+        dterms = sorted(by_J.items())
+
+        def dev(x, vs):
+            grads = [np.asarray(c.grad(x), dtype=float) for _, c in items]
+            total = np.zeros(len(x))
+            for J, parts in dterms:
+                coeff = sum(sign * grads[r][..., j] for r, j, sign in parts)
+                total = total + coeff * _minor_det(vs, J)
+            return total
+
+        analytic = (Form(degree + 1, dim, dev, analytic_d=zero_form(dim, degree + 2),
+                         name=f"d({name})") if dterms else zero_form(dim, degree + 1))
     return Form(degree, dim, ev, analytic_d=analytic, name=name)
 
 

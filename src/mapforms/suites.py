@@ -20,7 +20,8 @@ from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
 from .charts import affine_map, constant_field, rotation3
-from .domains import ScalarField, circle, interval, nodal_vector_field, torus2
+from .domains import (MIN_INTERVAL_NODES, ScalarField, circle, interval,
+                      nodal_vector_field, torus2)
 from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
                     form_scale, form_sum, interior, product_form, pullback,
                     sample_difference, scalar_const, scalar_coordinate,
@@ -66,6 +67,16 @@ class SuiteConfig:
             value = getattr(self, name)
             if not integral(value) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        # a grid the random data cannot live on: the catalog's modes reach
+        # ±MAX_MODE, so each periodic axis needs more than 2 MAX_MODE nodes
+        for name in ("nodes", "torus_side"):
+            if getattr(self, name) <= 2 * cat.MAX_MODE:
+                raise ValueError(
+                    f"{name} must exceed {2 * cat.MAX_MODE} to resolve random data with "
+                    f"modes up to {cat.MAX_MODE}, got {getattr(self, name)}")
+        if self.interval_nodes < MIN_INTERVAL_NODES:
+            raise ValueError(f"interval_nodes must be at least {MIN_INTERVAL_NODES}, "
+                             f"got {self.interval_nodes}")
         if not positive(self.fd_step):
             raise ValueError(f"fd_step must be a positive number, got {self.fd_step!r}")
         if (not isinstance(self.order_steps, tuple) or not self.order_steps

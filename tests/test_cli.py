@@ -178,6 +178,27 @@ def test_demo_branes(tmp_path):
     assert summary["passed"] is True
 
 
+# grids the data cannot live on: the random data has modes up to ±2, and the
+# interval's one-sided closures need 8 nodes
+@pytest.mark.parametrize("raw, message", [
+    ({"interval_nodes": 5}, "interval_nodes must be at least 8, got 5"),
+    ({"torus_side": 1}, "torus_side must exceed 4 to resolve random data with "
+                        "modes up to 2, got 1"),
+])
+def test_unresolving_grid_is_usage_error(tmp_path, capsys, raw, message):
+    code, out = _config_error(tmp_path, capsys, raw)
+    assert code == 2
+    assert message in out.err
+    assert "checks passed" not in out.out
+
+
+def test_three_circle_nodes_is_usage_error(capsys):
+    assert main(["verify", "--suite", "bar-calculus", "--nodes", "3"]) == 2
+    out = capsys.readouterr()
+    assert "nodes must exceed 4 to resolve random data with modes up to 2, got 3" in out.err
+    assert "checks passed" not in out.out
+
+
 def test_demo_unknown_name():
     assert main(["demo", "no-such-demo"]) == 2
 
@@ -207,6 +228,25 @@ def test_converge_torus_rejects_unresolved_or_repeated_sides(capsys, levels):
     err = capsys.readouterr().err
     assert "need distinct sides of at least 16" in err
     assert "the smallest valid level is 241" in err
+
+
+def test_converge_builds_its_domains_with_make_domain(monkeypatch, capsys):
+    import mapforms.cli as cli
+    from mapforms.domains import make_domain
+    calls = []
+
+    def spy(kind, nodes):
+        calls.append((kind, nodes))
+        return make_domain(kind, nodes)
+
+    monkeypatch.setattr(cli, "make_domain", spy)
+    assert main(["converge", "--identity", "derivation-circle", "--levels", "32,64"]) == 0
+    assert calls == [("circle", 32), ("circle", 64)]
+    calls.clear()
+    # the level check reads its sides from the same mapping
+    assert main(["converge", "--identity", "derivation-torus", "--levels", "100,400"]) == 2
+    assert "got sides [10, 20]" in capsys.readouterr().err
+    assert calls[:2] == [("torus2", 100), ("torus2", 400)]
 
 
 def test_converge_torus_fits_second_order_on_resolved_levels(capsys):

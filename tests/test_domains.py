@@ -29,6 +29,13 @@ def test_make_domain_round_trip():
         make_domain("disk", 10)
 
 
+def test_make_domain_does_not_clamp_the_torus_side():
+    # one mapping from (kind, nodes): side round(sqrt(nodes)), nothing hidden
+    assert make_domain("torus2", 1).n_nodes == 1
+    assert make_domain("torus2", 9).shape == (3, 3)
+    assert make_domain("torus2", 240).shape == (15, 15)
+
+
 def test_closed_domains_have_no_boundary():
     assert circle(16).boundary() is None
     assert torus2(8).boundary() is None

@@ -1,6 +1,6 @@
 """Exterior algebra and calculus on flat charts."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from mapforms.forms import (DegreeError, _minor_det, antisymmetry_defect,
                             coefficient_form, coordinate_form, exterior_derivative, form_scale,
                             form_sum, integrate, interior, lie_derivative,
                             lie_derivative_flow, multilinearity_defect,
-                            pullback, sample_difference, scalar_coordinate,
+                            ScalarFunc, pullback, sample_difference, scalar_coordinate,
                             strip_analytic, trig_scalar, volume_form, wedge,
                             zero_form)
 from mapforms.charts import ChartMap, DimensionMismatch
@@ -104,6 +104,25 @@ def test_exterior_derivative_richardson():
     a = cat.random_form(3, 1, rng)
     fd = exterior_derivative(strip_analytic(a), step=1e-3, richardson=True)
     assert sample_difference(fd, a.analytic_d, rng, 10) < 1e-9
+
+
+def test_analytic_d_takes_one_gradient_per_coefficient():
+    rng = np.random.default_rng(8)
+    calls = []
+
+    def counted(c):
+        return ScalarFunc(c.value, lambda x: calls.append(len(x)) or c.grad(x), c.hess)
+
+    coeffs = {I: counted(cat.random_scalar(4, rng)) for I in combinations(range(4), 2)}
+    a = coefficient_form(4, 2, coeffs)
+    x = rng.uniform(-1.0, 1.0, (7, 4))
+    vs = [rng.uniform(-1.0, 1.0, (7, 4)) for _ in range(3)]
+    a.analytic_d.evaluator(x, vs)
+    assert calls == [7] * len(coeffs)  # one gradient per coefficient, not per partial
+    fd = exterior_derivative(strip_analytic(a), step=1e-3, richardson=True)
+    assert sample_difference(fd, a.analytic_d, rng, 10) < 1e-9
+    assert a.analytic_d.analytic_d.degree == 4
+    assert a.analytic_d.analytic_d.evaluator(x, vs + vs[:1]).tolist() == [0.0] * 7
 
 
 def test_dd_vanishes_under_fd():
