@@ -43,7 +43,7 @@ for I in [(0, 1), (0, 2), (1, 2)]:
     K = rng.uniform(-1, 1, (2, 3))
     K[:, 0] = rng.integers(-2, 3, 2)
     coeffs[I] = mf.trig_scalar(3, K, rng.uniform(-1, 1, 2), rng.uniform(0, 6.28, 2))
-w = mf.product_form(1, 2, mf.coefficient_form(3, 2, coeffs))
+w = mf.coefficient_form(3, 2, coeffs)
 dom = mf.circle(48)
 fib = mf.fiber_integrate(w, dom)
 print("\nfiber integral of a 2-form over the circle is a 1-form on R^2:")
@@ -51,23 +51,21 @@ print("  value at (0.3,-0.2) on e_1:", fib(np.array([0.3, -0.2]), np.array([1.0,
 
 # rule check: insertion of a target field commutes with the fiber integral
 X = mf.affine_field(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2))
-w3 = mf.product_form(1, 2, mf.coefficient_form(3, 3, {
-    (0, 1, 2): mf.trig_scalar(3, [[1.0, 0.3, -0.4]], [0.7], [0.2])}))
+w3 = mf.coefficient_form(3, 3, {
+    (0, 1, 2): mf.trig_scalar(3, [[1.0, 0.3, -0.4]], [0.7], [0.2])})
 from mapforms.forms import vertical_field
 lhs = mf.interior(mf.fiber_integrate(w3, dom), X)
-rhs = mf.fiber_integrate(mf.product_form(1, 2, mf.interior(
-    w3.chart_form, vertical_field(X, 1))), dom)
+rhs = mf.fiber_integrate(mf.interior(w3, vertical_field(X, 1)), dom)
 print("insertion rule residual:", mf.sample_difference(lhs, rhs, rng, 10))
 
 # the boundary rule on the interval, with its sign
 iv = mf.interval(65)
-beta = mf.product_form(1, 2, mf.coefficient_form(3, 2, {
+beta = mf.coefficient_form(3, 2, {
     (0, 1): mf.trig_scalar(3, rng.uniform(-1, 1, (2, 3)),
-                           rng.uniform(-1, 1, 2), rng.uniform(0, 6.28, 2))}))
+                           rng.uniform(-1, 1, 2), rng.uniform(0, 6.28, 2))})
 lhs = mf.form_sum(
     mf.exterior_derivative(mf.fiber_integrate(beta, iv), step=1e-5),
-    mf.form_scale(-1.0, mf.fiber_integrate(
-        mf.product_form(1, 2, mf.exterior_derivative(beta.chart_form)), iv)))
+    mf.form_scale(-1.0, mf.fiber_integrate(mf.exterior_derivative(beta), iv)))
 rhs = mf.form_scale(-1.0, mf.fiber_integrate(beta, iv.boundary()))
 print("boundary rule residual (n=2, sign -1):",
       mf.sample_difference(lhs, rhs, rng, 10))

@@ -23,7 +23,7 @@ rng = np.random.default_rng(4)
 # --- the finite-dimensional action: rotations + translations ---------------
 act = me.se2_action()
 circle_loop = cat.unit_circle_map(dom, 2)
-J = me.momentum_lifted(act, dom, circle_loop)
+J = [Ja(circle_loop) for Ja in me.momentum_lifted(act, dom)]
 print("momenta of the unit circle (rot, tx, ty):", np.round(J, 12))
 
 print("translation cocycle <J,[tx,ty]> - pairing(tx,ty):")
@@ -40,8 +40,7 @@ print("defining difference at a random map:",
 
 Y = cat.random_tangent(f, rng)
 res = me.hamiltonian_identity_residual(
-    ob, lambda g: mf.generator_M(sx.field, g),
-    lambda g: me.momentum_diffham(sys, dom, g, sx), f, Y)
+    ob, lambda g: mf.generator_M(sx.field, g), me.momentum_diffham(sys, dom, sx), f, Y)
 print("momentum-map defining identity residual:", res)
 
 # --- exact volume preserving reparameterizations of the torus ---------------
@@ -53,7 +52,7 @@ om_ex = me.exact_two_form(theta)
 f4 = cat.torus_graph_map(domt)
 x, y = domt.nodes[:, 0], domt.nodes[:, 1]
 alpha = mf.ScalarField(domt, np.sin(x) * np.sin(y))
-value = me.momentum_diffex(om_ex, domt, f4, alpha)
+value = me.momentum_diffex(om_ex, domt, alpha)(f4)
 print("\nstream-function momentum on the flat torus embedding:", value)
 print("   (pi^2 =", np.pi ** 2, ")")
 

@@ -26,11 +26,11 @@ from .domains import (NotExactError, ScalarField, SmoothnessWarning,
                       field_from_function, interval, make_domain,
                       nodal_vector_field, projection_P, right_inverse_b,
                       torus, torus2)
-from .forms import (DegreeError, Form, ProductForm, ScalarFunc, broadcast_rows,
+from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     coefficient_form, constant_form, coordinate_form,
                     exterior_derivative, fiber_integrate, form_scale,
                     form_sum, integrate, interior, lie_derivative,
-                    lie_derivative_flow, product_form, product_map, pullback,
+                    lie_derivative_flow, product_map, pullback,
                     sample_difference, trig_scalar, volume_form, wedge,
                     zero_form)
 from .grassmannian import (EmbeddedSubmanifold, EmbeddingError,

@@ -34,6 +34,10 @@ from .forms import DegreeError, Form, broadcast_rows
 Array = np.ndarray
 
 TWO_PI = 2.0 * np.pi
+# closedness and zero-period gate of right_inverse_b
+EXACTNESS_TOL = 1e-8
+# relative Nyquist-band energy above which warn_if_rough warns
+ROUGHNESS_THRESHOLD = 1e-8
 
 
 class SmoothnessWarning(UserWarning):
@@ -440,20 +444,20 @@ def exactness_residuals(dom: SourceDomain, comps: Array) -> tuple:
     return float(np.max(np.abs(curl))), periods
 
 
-def right_inverse_b(dom: SourceDomain, beta, tol: float = 1e-8) -> ScalarField:
+def right_inverse_b(dom: SourceDomain, beta) -> ScalarField:
     """The zero-mean potential of a numerically exact 1-form on the 2-torus,
     via the spectral Poisson solve Δα = div(beta#).
 
     Raises NotExactError when the closedness or zero-period residual exceeds
-    tol; the zero-mean gauge is the fixed choice of right inverse and is part
+    EXACTNESS_TOL; the zero-mean gauge is the fixed choice of right inverse and is part
     of the reported conventions, because momentum values depend on it.
     """
     comps = sample_one_form(dom, beta)
     curl, periods = exactness_residuals(dom, comps)
-    if curl > tol or periods > tol:
+    if curl > EXACTNESS_TOL or periods > EXACTNESS_TOL:
         raise NotExactError(
             f"1-form is not exact: curl residual {curl:.3e}, period residual "
-            f"{periods:.3e} (tol {tol:.1e})")
+            f"{periods:.3e} (tol {EXACTNESS_TOL:.1e})")
     nx, ny = dom.shape
     b1 = comps[:, 0].reshape(nx, ny)
     b2 = comps[:, 1].reshape(nx, ny)
@@ -496,9 +500,9 @@ def exact_divfree_field(dom: SourceDomain, alpha) -> Array:
     return Z
 
 
-def warn_if_rough(dom: SourceDomain, values: Array, threshold: float = 1e-8) -> float:
+def warn_if_rough(dom: SourceDomain, values: Array) -> float:
     defect = dom.smoothness_defect(values)
-    if defect > threshold:
+    if defect > ROUGHNESS_THRESHOLD:
         warnings.warn(
             f"sampled data keeps {defect:.2e} relative energy at the Nyquist "
             f"band; the grid may be too coarse", SmoothnessWarning)

@@ -368,13 +368,13 @@ def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
                     exterior_derivative(interior(a, Xf), step, richardson))
 
 
-def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5,
-                        flow_steps: int = 64) -> Form:
+def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5) -> Form:
     """Independent flow route: central difference of (phi_t^X)^* a in t.
-    A flow without an exact form is RK4, pulled back through the tangent-
-    linear Jacobian of the RK4 map; no step uses the Cartan formula."""
-    fwd = pullback(a, X.flow(t_step, flow_steps))
-    bwd = pullback(a, X.flow(-t_step, flow_steps))
+    A flow without an exact form is RK4 (`VectorField.flow`), pulled back
+    through the tangent-linear Jacobian of the RK4 map; no step uses the
+    Cartan formula."""
+    fwd = pullback(a, X.flow(t_step))
+    bwd = pullback(a, X.flow(-t_step))
 
     def ev(x, vs):
         return (fwd.evaluator(x, vs) - bwd.evaluator(x, vs)) / (2.0 * t_step)
@@ -394,31 +394,6 @@ def integrate(a: Form, dom) -> float:
             f"integrate: form degree {a.degree} != domain dim {dom.dim}")
     frame = [broadcast_rows(e, dom.nodes) for e in np.eye(dom.chart_dim)[:dom.dim]]
     return float(dom.signed_weights @ a.evaluator(dom.nodes, frame))
-
-
-@dataclass(frozen=True)
-class ProductForm:
-    """A form on a product chart S x V, with the split bookkeeping needed by
-    fiber integration.  Mixed tangent vectors are (S-part, V-part) pairs."""
-
-    s_dim: int
-    v_dim: int
-    degree: int
-    chart_form: Form
-
-    def evaluate(self, s, x, pairs) -> float:
-        """Value at a single point (s, x) on single (S-part, V-part) pairs."""
-        point = np.concatenate([np.atleast_1d(np.asarray(s, dtype=float)),
-                                np.asarray(x, dtype=float)])
-        vecs = [np.concatenate([np.asarray(zs, dtype=float), np.asarray(zx, dtype=float)])
-                for zs, zx in pairs]
-        return self.chart_form(point, *vecs)
-
-
-def product_form(s_dim: int, v_dim: int, chart_form: Form) -> ProductForm:
-    if chart_form.ambient_dim != s_dim + v_dim:
-        raise DimensionMismatch("chart form dim != s_dim + v_dim")
-    return ProductForm(s_dim, v_dim, chart_form.degree, chart_form)
 
 
 def product_map(s_map: Optional[ChartMap], v_map: Optional[ChartMap],
@@ -454,9 +429,10 @@ def horizontal_field(Z: VectorField, v_dim: int) -> VectorField:
     return VectorField(func, Z.dim + v_dim, name=f"{Z.name}x0", batched=True)
 
 
-def fiber_integrate(w: ProductForm, dom) -> Form:
-    """Integrate an n-form on S x V over the k-dimensional S factor,
-    producing an (n-k)-form on V.
+def fiber_integrate(w: Form, dom) -> Form:
+    """Integrate an n-form on the product chart S x V, whose leading
+    dom.chart_dim coordinates are those of S, over the k-dimensional S
+    factor, producing an (n-k)-form on V.
 
     The integrand at a node feeds the V-insertion slots first and the
     oriented S frame last; putting the frame last is what makes insertion of
@@ -464,12 +440,15 @@ def fiber_integrate(w: ProductForm, dom) -> Form:
     Over a 0-dimensional domain (a boundary point pair) the frame is empty
     and the node signs weight the sum.
     """
-    k = dom.dim
-    n = w.degree
+    k, n = dom.dim, w.degree
+    cz, nn = dom.chart_dim, dom.n_nodes
+    v_dim = w.ambient_dim - cz
+    if v_dim < 0:
+        raise DimensionMismatch(
+            f"fiber integral of a form on dim {w.ambient_dim} over a chart of dim {cz}")
     if n < k:
         raise DegreeError(f"fiber integral of a degree-{n} form over a dim-{k} domain")
-    cz, nn = dom.chart_dim, dom.n_nodes
-    frame = np.eye(cz + w.v_dim)[:k]
+    frame = np.eye(w.ambient_dim)[:k]
     sw = dom.signed_weights
 
     def ev(x, vecs):
@@ -477,11 +456,11 @@ def fiber_integrate(w: ProductForm, dom) -> Form:
         rows = len(x) * nn
         points = np.hstack([np.tile(dom.nodes, (len(x), 1)), np.repeat(x, nn, axis=0)])
         ins = [np.hstack([np.zeros((rows, cz)), np.repeat(v, nn, axis=0)]) for v in vecs]
-        fr = [np.broadcast_to(e, (rows, cz + w.v_dim)) for e in frame]
-        vals = w.chart_form.evaluator(points, ins + fr)
+        fr = [np.broadcast_to(e, (rows, w.ambient_dim)) for e in frame]
+        vals = w.evaluator(points, ins + fr)
         return vals.reshape(len(x), nn) @ sw
 
-    return Form(n - k, w.v_dim, ev, name=f"fib({w.chart_form.name})")
+    return Form(n - k, v_dim, ev, name=f"fib({w.name})")
 
 
 # ---------------------------------------------------------------------------

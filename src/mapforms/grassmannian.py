@@ -48,8 +48,12 @@ class EmbeddedSubmanifold:
         return self.rep.target_dim
 
 
-def embed(rep: MapPoint, distance_threshold: float = 1e-6,
-          singular_value_threshold: float = 1e-6) -> EmbeddedSubmanifold:
+# the injectivity and immersion gates of embed
+MIN_NODE_DISTANCE = 1e-6
+MIN_SINGULAR_VALUE = 1e-6
+
+
+def embed(rep: MapPoint) -> EmbeddedSubmanifold:
     """Gate a map point as an embedding: positive minimum pairwise nodal
     distance (injectivity proxy) and full-rank tangent map at every node."""
     vals = rep.values
@@ -58,16 +62,16 @@ def embed(rep: MapPoint, distance_threshold: float = 1e-6,
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     dist[np.arange(n), np.arange(n)] = np.inf
     dmin = float(dist.min())
-    if dmin <= distance_threshold:
+    if dmin <= MIN_NODE_DISTANCE:
         raise EmbeddingError(
             f"nodes collide: min pairwise distance {dmin:.3e} <= "
-            f"{distance_threshold:.1e}")
+            f"{MIN_NODE_DISTANCE:.1e}")
     Tf = rep.jacobian()
     smin = float(np.linalg.svd(Tf, compute_uv=False)[:, -1].min())
-    if smin <= singular_value_threshold:
+    if smin <= MIN_SINGULAR_VALUE:
         raise EmbeddingError(
             f"tangent map near rank-deficient: min singular value {smin:.3e} "
-            f"<= {singular_value_threshold:.1e}")
+            f"<= {MIN_SINGULAR_VALUE:.1e}")
     return EmbeddedSubmanifold(rep, dmin, smin)
 
 

@@ -3,7 +3,9 @@
 A map point is a node-indexed sample of f: S -> R^m; a tangent vector is a
 node-indexed vector field along f.  Differential forms on F(S,M) are
 evaluators on stacks of map points with one tangent array per slot, so that
-the shifted maps of a finite difference are evaluated together.
+the shifted maps of a finite difference are evaluated together.  Every
+map-space quantity is such a form: pairings, group-action pull-backs, the
+derivatives d, i and L, and the momenta of mechanics (0-forms).
 
 The central constructions are the two routes to the pairing of a form on M
 with a form on S:
@@ -17,7 +19,10 @@ with a form on S:
   route is validated against.
 
 Exterior calculus on F(S,M) uses constant-extension central differences,
-which is well defined because the targets are flat charts.
+which is well defined because the targets are flat charts.  The Lie
+derivative has a second, flow route: the central difference in t of the
+forms pulled back by the time-t action.  Only the fiber-route oracle
+evaluates a stack map by map.
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField, as_field
+from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
 from .forms import (DegreeError, Form, broadcast_rows, constant_form,
-                    fiber_integrate, product_form, shuffles, volume_form,
-                    wedge)
+                    fiber_integrate, shuffles, volume_form, wedge)
 
 Array = np.ndarray
 
@@ -149,12 +153,10 @@ class MapSpaceForm:
 
 
 def map_from_function(dom: SourceDomain, func, target_dim: int,
-                      periodic_target: bool = False,
-                      check_smoothness: bool = True) -> MapPoint:
+                      periodic_target: bool = False) -> MapPoint:
     vals = np.array([np.asarray(func(s), dtype=float) for s in dom.nodes])
     vals = vals.reshape(dom.n_nodes, target_dim)
-    if check_smoothness:
-        warn_if_rough(dom, vals)
+    warn_if_rough(dom, vals)
     return MapPoint(dom, vals, periodic_target)
 
 
@@ -182,10 +184,18 @@ def mapspace_scale(c: float, w: MapSpaceForm) -> MapSpaceForm:
 # ---------------------------------------------------------------------------
 # the pairing, pointwise route
 
+def check_grid(data, dom: SourceDomain) -> None:
+    """Raise DimensionMismatch unless data (a map stack, map point or nodal
+    field) is sampled on the grid of dom: the same kind and shape, not just
+    the same node count."""
+    if (data.dom.kind, data.dom.shape) != (dom.kind, dom.shape):
+        raise DimensionMismatch(f"data sampled on the {data.dom.kind} grid {data.dom.shape}, "
+                                f"not on {dom.kind} {dom.shape}")
+
+
 def _as_s_form(alpha, dom: SourceDomain) -> Form:
     if isinstance(alpha, ScalarField):
-        if alpha.dom.n_nodes != dom.n_nodes or alpha.dom.kind != dom.kind:
-            raise DimensionMismatch("nodal S-side form sampled on a different domain")
+        check_grid(alpha, dom)
         return alpha.as_zero_form()
     if isinstance(alpha, (int, float)):
         return constant_form(dom.chart_dim, float(alpha))
@@ -219,8 +229,7 @@ def _hat_density(omega: Form, alpha_f: Form, dom: SourceDomain):
                   for _, right, sign in splits]
 
     def density(F: MapStack, tang) -> Array:
-        if F.dom.kind != dom.kind or F.dom.n_nodes != dom.n_nodes:
-            raise DimensionMismatch("map point lives on a different domain")
+        check_grid(F, dom)
         if F.target_dim != omega.ambient_dim:
             raise DimensionMismatch("map target dim != form chart dim")
         Tf = F.jacobian()
@@ -304,10 +313,11 @@ def hat_pairing_fiber(omega: Form, alpha, dom: SourceDomain) -> MapSpaceForm:
             return alpha_f.evaluator(z[:, :cz], [v[:, :cz] for v in vs])
 
         beta = wedge(Form(p, chart_dim, ev_pull), Form(q, chart_dim, pr_alpha))
-        fib = fiber_integrate(product_form(cz, n, beta), dom)
+        fib = fiber_integrate(beta, dom)
         return fib.evaluator(np.zeros((1, n)), list(np.eye(n)[:, None, :]))[0]
 
     def ev(F: MapStack, tangents) -> Array:
+        check_grid(F, dom)
         if F.target_dim != omega.ambient_dim:
             raise DimensionMismatch("map target dim != form chart dim")
         return np.array([value(F.point(b), [t[b] for t in tangents])
@@ -363,11 +373,6 @@ def pullback_action(psi: ChartMap, f: MapPoint) -> MapPoint:
         raise ValueError("the reparameterization needs an inverse")
     vals = f.dom.resample(f.values, psi.inverse_rows(f.dom.nodes))
     return replace(f, values=vals)
-
-
-def pullback_tangent(psi: ChartMap, Y: MapTangent) -> MapTangent:
-    moved = pullback_action(psi, replace(Y.base, values=Y.vectors))
-    return MapTangent(pullback_action(psi, Y.base), moved.values)
 
 
 def generator_M(X, f) -> MapTangent:
@@ -451,64 +456,19 @@ def map_space_lie(W: MapSpaceForm, T, step: float = DEFAULT_FD_STEP) -> MapSpace
     return replace(mapspace_sum(a, b), tag=f"L_T({W.tag})")
 
 
-def map_space_lie_flow(W: MapSpaceForm, transport, t_step: float = 1e-4) -> MapSpaceForm:
-    """Flow route for the Lie derivative: transport(t) must return a pair
-    (map action, tangent action) implementing the time-t flow on F(S,M).
-    The actions take map points, so they run map by map; the transported
-    maps of both times go to W in one call."""
+def map_space_lie_flow(pulled_back, t_step: float = 1e-4) -> MapSpaceForm:
+    """Flow route for the Lie derivative: the central difference in t of
+    pulled_back(t), the form pulled back by the time-t flow of an action,
+    e.g. lambda t: action_pullback_M(W, X.flow(t)) for the push-forward
+    generator of X, or lambda t: action_pullback_S(W, psi_t) for a
+    reparameterization flow psi_t.  No step uses the Cartan formula (the
+    map-space counterpart of forms.lie_derivative_flow)."""
+    fwd, bwd = pulled_back(t_step), pulled_back(-t_step)
 
     def ev(F: MapStack, tangents) -> Array:
-        moved, moved_ts = [], []
-        for t in (t_step, -t_step):
-            act_f, act_t = transport(t)
-            for b in range(F.size):
-                f = F.point(b)
-                ft = act_f(f)
-                moved.append(ft.values)
-                moved_ts.append([act_t(MapTangent(f, y[b]), ft).vectors for y in tangents])
-        vals = W.evaluator(replace(F, values=np.stack(moved)),
-                           tuple(np.stack(ys) for ys in zip(*moved_ts)))
-        vals = vals.reshape(2, F.size)
-        return (vals[0] - vals[1]) / (2.0 * t_step)
+        return (fwd.evaluator(F, tangents) - bwd.evaluator(F, tangents)) / (2.0 * t_step)
 
-    return MapSpaceForm(W.degree, ev, tag=f"Lflow({W.tag})")
-
-
-def pushforward_transport(X: VectorField, flow_steps: int = 64):
-    """Transport data for the flow of the push-forward generator of X."""
-
-    def transport(t):
-        phi = X.flow(t, flow_steps)
-
-        def act_f(f):
-            return pushforward_action(phi, f)
-
-        def act_t(y, ft):
-            moved = pushforward_tangent(phi, y)
-            return MapTangent(ft, moved.vectors)
-
-        return act_f, act_t
-
-    return transport
-
-
-def reparam_transport(psi_of_t):
-    """Transport data for a reparameterization flow; psi_of_t(t) must return
-    the time-t diffeomorphism of S (e.g. a rigid shift)."""
-
-    def transport(t):
-        psi = psi_of_t(t)
-
-        def act_f(f):
-            return pullback_action(psi, f)
-
-        def act_t(y, ft):
-            moved = pullback_tangent(psi, y)
-            return MapTangent(ft, moved.vectors)
-
-        return act_f, act_t
-
-    return transport
+    return MapSpaceForm(fwd.degree, ev, tag=f"Lflow({fwd.tag})")
 
 
 def action_pullback_M(W: MapSpaceForm, phi: ChartMap) -> MapSpaceForm:

@@ -10,6 +10,10 @@ pairing induced by a symplectic form on M and a normalized volume form on S:
 * exact volume preserving diffeomorphisms of S (stream functions on the
   2-torus), with potentials fixed by the zero-mean right inverse of d.
 
+Each momentum component is a 0-form on F(S,M), a MapSpaceForm evaluated on
+stacks and called as J(f) on one map, so one hamiltonian_identity_residual
+checks i_{gen} omega_bar = dJ for all three actions.
+
 Sign conventions, fixed once and validated by the dual-route oracles below:
 hamiltonian fields satisfy i_{X_h} ω = dh, and the Lie algebra bracket used
 in every cocycle pairing is the opposite of the Jacobi-Lie bracket of the
@@ -35,8 +39,14 @@ from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     exterior_derivative, pullback, sample_difference,
                     scalar_coordinate, volume_form)
 from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
-                       generator_M, generator_S, hat_pairing, hat_map,
-                       map_space_d, pullback_action, pushforward_action)
+                       check_grid, generator_M, generator_S, hat_pairing,
+                       hat_map, map_space_d, pullback_action, pushforward_action)
+
+# Gauss-Legendre points of the line integral in hamiltonian_of
+HAMILTONIAN_QUAD_POINTS = 24
+# twist check: the i*H = dB and boundary-data gates, and the closedness tolerance
+TWIST_GATE_TOL = 1e-8
+TWIST_TOL = 1e-5
 
 Array = np.ndarray
 
@@ -133,13 +143,12 @@ def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSyst
                              np.zeros(2), tuple(pairs))
 
 
-def hamiltonian_of(sys: HamiltonianSystem, X: VectorField,
-                   quad_points: int = 24) -> Callable[[Array], Array]:
+def hamiltonian_of(sys: HamiltonianSystem, X: VectorField) -> Callable[[Array], Array]:
     """Normalized Hamiltonian of a field by line integration from the base
     point: h(x) = ∫_0^1 omega(X(γ(t)), γ'(t)) dt along the straight segment.
     Independent of the catalog; used as the bracket-side oracle.  Batched
     like ScalarFunc.value: points (N, dim) give values (N,)."""
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(HAMILTONIAN_QUAD_POINTS)
     t = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     x0 = sys.base_point
@@ -148,8 +157,8 @@ def hamiltonian_of(sys: HamiltonianSystem, X: VectorField,
         seg = np.asarray(x, dtype=float) - x0
         # every quadrature point of every segment, quadrature-major
         y = (x0 + t[:, None, None] * seg).reshape(-1, x0.size)
-        segs = np.tile(seg, (quad_points, 1))
-        vals = sys.omega.evaluator(y, [X.rows(y), segs]).reshape(quad_points, len(seg))
+        segs = np.tile(seg, (len(t), 1))
+        vals = sys.omega.evaluator(y, [X.rows(y), segs]).reshape(len(t), len(seg))
         return w @ vals
 
     return h
@@ -202,39 +211,42 @@ def se2_action() -> LiftedGAction:
                          (J_rot, J_tx, J_ty), C)
 
 
-def momentum_lifted(action: LiftedGAction, dom: SourceDomain,
-                    f: MapPoint) -> Array:
-    """Componentwise average of the base momenta along the map, with the
-    normalized volume: a constant map returns the base momentum exactly."""
+def _averaged(value: Callable[[Array], Array], dom: SourceDomain,
+              tag: str) -> MapSpaceForm:
+    """The 0-form f -> ∫_S value(f) μ with normalized μ; value takes the
+    target points of every node of every map of a stack in one call."""
     w = dom.signed_weights / dom.volume
-    return np.array([w @ J.value(f.values) for J in action.momenta])
+
+    def ev(F: MapStack, ts) -> Array:
+        check_grid(F, dom)
+        return np.array([w @ v for v in F.from_rows(value(F.as_rows(F.values)))])
+
+    return MapSpaceForm(0, ev, tag=tag)
 
 
-def momentum_component_form(momentum_value: Callable[[MapPoint], float],
-                            tag: str = "J") -> MapSpaceForm:
-    """A momentum component as a 0-form; momentum_value takes one map point,
-    so a stack is evaluated map by map."""
-    return MapSpaceForm(0, lambda F, ts: np.array(
-        [momentum_value(F.point(b)) for b in range(F.size)], dtype=float), tag=tag)
+def momentum_lifted(action: LiftedGAction, dom: SourceDomain) -> tuple:
+    """One 0-form per basis element: the average of the base momentum along
+    the map, with the normalized volume, so a constant map returns the base
+    momentum exactly."""
+    return tuple(_averaged(J.value, dom, f"J_{name}")
+                 for name, J in zip(action.names, action.momenta))
 
 
 def hamiltonian_identity_residual(omega_bar: MapSpaceForm,
                                   generator: Callable[[MapPoint], MapTangent],
-                                  momentum_value: Callable[[MapPoint], float],
-                                  f: MapPoint, Y: MapTangent,
+                                  J: MapSpaceForm, f: MapPoint, Y: MapTangent,
                                   step: float = DEFAULT_FD_STEP) -> float:
-    """|omega_bar(gen(f), Y) - d<J>(Y)(f)|: the defining property of a
-    momentum map component, with the differential taken on F(S,M)."""
+    """|omega_bar(gen(f), Y) - dJ(Y)(f)|: the defining property of a
+    momentum map component J, with the differential taken on F(S,M)."""
     lhs = omega_bar(f, generator(f), Y)
-    dJ = map_space_d(momentum_component_form(momentum_value), step)
-    return abs(lhs - dJ(f, Y))
+    return abs(lhs - map_space_d(J, step)(f, Y))
 
 
 def cocycle_lifted(action: LiftedGAction, sys: HamiltonianSystem,
                    dom: SourceDomain, f: MapPoint, i: int, j: int) -> float:
     """Defining difference <Jbar(f), [e_i, e_j]> - omega_bar(gen_i, gen_j)(f);
     independent of f and equal to the base-action cocycle."""
-    Jbar = momentum_lifted(action, dom, f)
+    Jbar = np.array([J(f) for J in momentum_lifted(action, dom)])
     bracket_coeffs = action.structure[i, j]
     term1 = float(bracket_coeffs @ Jbar)
     ob = bar_map(sys.omega, dom)
@@ -256,13 +268,13 @@ def cocycle_lifted_base(action: LiftedGAction, sys: HamiltonianSystem,
 # ---------------------------------------------------------------------------
 # hamiltonian diffeomorphisms of M
 
-def momentum_diffham(sys: HamiltonianSystem, dom: SourceDomain, f: MapPoint,
-                     pair: HamiltonianPair) -> float:
-    """<J(f), X_h> = ∫_S (h∘f) μ with normalized μ and h(base point) = 0."""
+def momentum_diffham(sys: HamiltonianSystem, dom: SourceDomain,
+                     pair: HamiltonianPair) -> MapSpaceForm:
+    """The 0-form <J, X_h>: f -> ∫_S (h∘f) μ with normalized μ and
+    h(base point) = 0."""
     if abs(pair.h(sys.base_point)) > 1e-10:
         raise ValueError(f"hamiltonian {pair.name!r} not normalized at the base point")
-    w = dom.signed_weights / dom.volume
-    return float(w @ pair.h.value(f.values))
+    return _averaged(pair.h.value, dom, f"J_{pair.name}")
 
 
 def cocycle_diffham(sys: HamiltonianSystem, X: HamiltonianPair,
@@ -326,7 +338,7 @@ def pullback_coefficient(f, omega: Form) -> Array:
     return vals.reshape(f.values.shape[:-1])
 
 
-def _diffex_routes(omega: ExactTwoForm, dom: SourceDomain, alpha: ScalarField):
+def diffex_routes(omega: ExactTwoForm, dom: SourceDomain, alpha: ScalarField):
     """Both routes to <J(f), X_alpha> = ∫_S f*omega ∧ b(d alpha) for every
     map of a stack, with the zero-mean potential solved once: the generic
     pairing machinery and the direct nodal quadrature."""
@@ -342,11 +354,12 @@ def _diffex_routes(omega: ExactTwoForm, dom: SourceDomain, alpha: ScalarField):
     return routes
 
 
-def momentum_diffex_form(omega: ExactTwoForm, dom: SourceDomain,
-                         alpha: ScalarField) -> MapSpaceForm:
-    """<J, X_alpha> as a 0-form on F(S,M); both routes are evaluated on the
-    whole stack and must agree."""
-    routes = _diffex_routes(omega, dom, alpha)
+def momentum_diffex(omega: ExactTwoForm, dom: SourceDomain,
+                    alpha: ScalarField) -> MapSpaceForm:
+    """The 0-form <J, X_alpha> on F(S,M), with the zero-mean potential; both
+    routes of diffex_routes are evaluated on the whole stack and must
+    agree."""
+    routes = diffex_routes(omega, dom, alpha)
 
     def ev(F: MapStack, ts) -> Array:
         route1, route2 = routes(F)
@@ -356,28 +369,6 @@ def momentum_diffex_form(omega: ExactTwoForm, dom: SourceDomain,
         return route1
 
     return MapSpaceForm(0, ev, tag="J_diffex")
-
-
-def momentum_diffex(omega: ExactTwoForm, dom: SourceDomain, f: MapPoint,
-                    alpha: ScalarField, return_routes: bool = False):
-    """<J(f), X_alpha> = ∫_S f*omega ∧ b(d alpha), with the zero-mean
-    potential.  Two routes are computed: the generic pairing machinery and
-    the direct nodal quadrature; they must agree."""
-    if return_routes:
-        route1, route2 = _diffex_routes(omega, dom, alpha)(MapStack.of(f))
-        return float(route1[0]), float(route2[0])
-    return momentum_diffex_form(omega, dom, alpha)(f)
-
-
-def diffex_identity_residual(omega: ExactTwoForm, dom: SourceDomain,
-                             f: MapPoint, alpha: ScalarField, Y: MapTangent,
-                             step: float = DEFAULT_FD_STEP) -> float:
-    """Residual of d<J, X_alpha> = i_{gen} omega_bar on F(S,M)."""
-    gen, _ = stream_generator(dom, alpha)
-    ob = bar_map(omega.form, dom)
-    lhs = ob(f, gen(f), Y)
-    dJ = map_space_d(momentum_diffex_form(omega, dom, alpha), step)
-    return abs(lhs - dJ(f, Y))
 
 
 def stream_poisson(dom: SourceDomain, a1: ScalarField, a2: ScalarField) -> ScalarField:
@@ -418,7 +409,7 @@ def cocycle_diffex_defining(omega: ExactTwoForm, dom: SourceDomain,
                             a2: ScalarField) -> float:
     """Dual route: <J(f), [X_1, X_2]> - omega_bar(gen_1, gen_2)(f)."""
     gb = stream_bracket(dom, a1, a2)
-    term1 = momentum_diffex(omega, dom, f, gb)
+    term1 = momentum_diffex(omega, dom, gb)(f)
     ob = bar_map(omega.form, dom)
     g1, _ = stream_generator(dom, a1)
     g2, _ = stream_generator(dom, a2)
@@ -545,7 +536,6 @@ def constrained_random_data(dom: SourceDomain, D: AffineSubspace,
 def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
                       rng: np.random.Generator, n_trials: int = 3,
                       fd_step: float = DEFAULT_FD_STEP,
-                      gate_tol: float = 1e-8, tol: float = 1e-5,
                       f=None, tangent_sets=None) -> BraneReport:
     """Closedness of the twist candidate on maps sending the boundary into D.
 
@@ -561,9 +551,9 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
     if dB is None:
         dB = exterior_derivative(B, step=1e-5)
     gate = sample_difference(iH, dB, rng, n_samples=20)
-    if gate > gate_tol:
+    if gate > TWIST_GATE_TOL:
         return BraneReport(False, f"i*H - dB residual {gate:.3e} exceeds "
-                           f"{gate_tol:.1e}", gate, 0.0, 0.0, False)
+                           f"{TWIST_GATE_TOL:.1e}", gate, 0.0, 0.0, False)
     W = twist_two_form(H, B, D, dom)
     dW = map_space_d(W, fd_step)
     worst = 0.0
@@ -581,11 +571,11 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
             for t in ts:
                 defect = max(defect, float(np.linalg.norm(
                     t.vectors[i] - D.project_vector(t.vectors[i]))))
-        if defect > gate_tol:
+        if defect > TWIST_GATE_TOL:
             return BraneReport(False, f"boundary data leaves the subspace by "
                                f"{defect:.3e}", gate, defect, 0.0, False)
         worst = max(worst, abs(dW(g, *ts[:3])))
-    return BraneReport(True, "", gate, defect, worst, worst < tol)
+    return BraneReport(True, "", gate, defect, worst, worst < TWIST_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +588,7 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
     actions on F(T^2, R^2), plus the nodewise commutation check."""
     from .catalog import random_map, random_stream, random_tangent, rigid_shift_2d
     report: dict = {}
-    ob = bar_map(sys.omega, dom)
+    ob, ob_ex = bar_map(sys.omega, dom), bar_map(omega_exact.form, dom)
 
     # commuting actions: rigid reparameterization vs affine target map
     f = random_map(dom, 2, rng, amp=0.8)
@@ -619,10 +609,11 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
         pair = sys.catalog[int(rng.integers(len(sys.catalog)))]
         worst_ham = max(worst_ham, hamiltonian_identity_residual(
             ob, lambda m: generator_M(pair.field, m),
-            lambda m: momentum_diffham(sys, dom, m, pair), g, Y, fd_step))
+            momentum_diffham(sys, dom, pair), g, Y, fd_step))
         alpha = random_stream(dom, rng, max_mode=2)
-        worst_ex = max(worst_ex, diffex_identity_residual(
-            omega_exact, dom, g, alpha, Y, fd_step))
+        worst_ex = max(worst_ex, hamiltonian_identity_residual(
+            ob_ex, stream_generator(dom, alpha)[0],
+            momentum_diffex(omega_exact, dom, alpha), g, Y, fd_step))
     report["diffham_residual"] = worst_ham
     report["diffex_residual"] = worst_ex
 
@@ -631,6 +622,8 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
     a2 = random_stream(dom, rng, max_mode=2)
     base = random_map(dom, 2, rng, amp=0.8)
     bump = random_map(dom, 2, rng, amp=0.5)
+    J_ham = [momentum_diffham(sys, dom, p) for p in sys.catalog]
+    J_ex = momentum_diffex(omega_exact, dom, a1)
     path = []
     cvals = []
     for t in np.linspace(0.0, 1.0, 5):
@@ -638,15 +631,14 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
         cvals.append(cocycle_diffex(omega_exact, dom, ft, a1, a2))
         path.append({
             "t": float(t),
-            "momentum_diffham": [momentum_diffham(sys, dom, ft, p)
-                                 for p in sys.catalog],
-            "momentum_diffex": momentum_diffex(omega_exact, dom, ft, a1),
+            "momentum_diffham": [J(ft) for J in J_ham],
+            "momentum_diffex": J_ex(ft),
             "cocycle_diffex": cvals[-1],
         })
     report["diffex_cocycle_spread"] = float(np.max(cvals) - np.min(cvals))
     report["homotopy_path"] = path
     report["momentum_samples"] = {
-        "diffham": [momentum_diffham(sys, dom, base, p) for p in sys.catalog],
-        "diffex": momentum_diffex(omega_exact, dom, base, a1),
+        "diffham": [J(base) for J in J_ham],
+        "diffex": J_ex(base),
     }
     return report

@@ -26,7 +26,7 @@ from mapforms.domains import (circle, exact_divfree_field, interval,
 from mapforms.forms import (coefficient_form, constant_form, coordinate_form,
                             exterior_derivative, fiber_integrate, form_scale,
                             form_sum, horizontal_field, integrate, interior,
-                            lie_derivative, lie_derivative_flow, product_form,
+                            lie_derivative, lie_derivative_flow,
                             product_map, pullback, scalar_const,
                             scalar_coordinate, scalar_sum,
                             shuffles, strip_analytic, trig_scalar,
@@ -101,7 +101,7 @@ def test_batched_form_matches_single_points(name):
                          ids=["circle", "torus2", "interval", "points"])
 def test_batched_fiber_integral_matches_single_points(dom):
     rng = np.random.default_rng(12)
-    w = product_form(dom.chart_dim, 2, cat.random_form(dom.chart_dim + 2, dom.dim + 1, rng))
+    w = cat.random_form(dom.chart_dim + 2, dom.dim + 1, rng)
     check_form(fiber_integrate(w, dom))
 
 

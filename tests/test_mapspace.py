@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from mapforms import catalog as cat
-from mapforms.charts import constant_field, rotation2
-from mapforms.domains import circle, interval, torus2
+from mapforms.charts import DimensionMismatch, constant_field, rotation2
+from mapforms.domains import ScalarField, circle, interval, torus2
 from mapforms.forms import (DegreeError, coefficient_form, coordinate_form,
                             exterior_derivative, interior, pullback,
                             trig_scalar, volume_form)
@@ -18,8 +18,7 @@ from mapforms.mapspace import (MapPoint, MapTangent, PeriodicTargetError,
                                map_space_d, map_space_interior, map_space_lie,
                                map_space_lie_flow, mapspace_scale,
                                mapspace_sum, pullback_action,
-                               pushforward_action, pushforward_transport,
-                               reparam_transport, restrict_boundary)
+                               pushforward_action, restrict_boundary)
 
 
 def unit_circle(n=64, m=2):
@@ -299,16 +298,32 @@ def test_lie_derivative_dual_routes():
 
     X = cat.random_affine_field(3, rng, amp=0.6)
     cartan = map_space_lie(W, lambda g: generator_M(X, g), 1e-4)
-    flow = map_space_lie_flow(W, pushforward_transport(X), 1e-4)
+    flow = map_space_lie_flow(lambda t: action_pullback_M(W, X.flow(t)), 1e-4)
     a, b = cartan(f, *ts), flow(f, *ts)
     assert abs(a - b) < 1e-5 * max(1.0, abs(a))
 
     Z = constant_field(np.array([0.5]))
     cartanZ = map_space_lie(W, lambda g: generator_S(Z, g), 1e-4)
-    flowZ = map_space_lie_flow(W, reparam_transport(
-        lambda t: cat.rigid_shift(0.5 * t)), 1e-4)
+    flowZ = map_space_lie_flow(lambda t: action_pullback_S(W, cat.rigid_shift(0.5 * t)),
+                               1e-4)
     a, b = cartanZ(f, *ts), flowZ(f, *ts)
     assert abs(a - b) < 1e-5 * max(1.0, abs(a))
+
+
+def test_pairing_rejects_another_grid_with_the_same_node_count():
+    # torus2(12, 48) and torus2(24) are both of kind torus2 with 576 nodes
+    rng = np.random.default_rng(30)
+    dom, other = torus2(24), torus2(12, 48)
+    assert (dom.kind, dom.n_nodes) == (other.kind, other.n_nodes)
+    W = hat_pairing(cat.random_form(3, 1, rng),
+                    cat.random_form(2, 1, rng, integer_modes=True), dom)
+    f = cat.random_map(other, 3, rng, amp=0.5)
+    with pytest.raises(DimensionMismatch):
+        W(f)
+    with pytest.raises(DimensionMismatch):
+        hat_pairing_fiber(cat.random_form(3, 2, rng), 1.0, dom)(f)
+    with pytest.raises(DimensionMismatch):
+        hat_pairing(volume_form(3), ScalarField(other, np.ones(other.n_nodes)), dom)
 
 
 def test_restrict_boundary_values():

@@ -6,11 +6,11 @@ import pytest
 
 from mapforms import catalog as cat
 from mapforms import mechanics as me
-from mapforms.charts import constant_field
+from mapforms.charts import DimensionMismatch, constant_field
 from mapforms.domains import ScalarField, circle, interval, torus2
 from mapforms.forms import (broadcast_rows, coefficient_form, coordinate_form, scalar_const,
                             scalar_coordinate, trig_scalar, volume_form)
-from mapforms.mapspace import MapPoint, MapTangent, bar_map, generator_M
+from mapforms.mapspace import MapPoint, MapStack, MapTangent, bar_map, generator_M
 
 
 @pytest.fixture(scope="module")
@@ -49,10 +49,15 @@ def test_catalog_validation_rejects_unnormalized(sys_r2):
 
 def test_momentum_diffham_values(sys_r2, loop_domain):
     f = cat.unit_circle_map(loop_domain, 2)
-    assert abs(me.momentum_diffham(sys_r2, loop_domain, f, sys_r2.pair("x"))) < 1e-14
+    assert abs(me.momentum_diffham(sys_r2, loop_domain, sys_r2.pair("x"))(f)) < 1e-14
     const = MapPoint(loop_domain, np.tile([0.4, -0.3], (loop_domain.n_nodes, 1)))
-    got = me.momentum_diffham(sys_r2, loop_domain, const, sys_r2.pair("xy"))
+    got = me.momentum_diffham(sys_r2, loop_domain, sys_r2.pair("xy"))(const)
     assert got == pytest.approx(0.4 * -0.3)
+    # the interval's end-corrected weights are not the circle's
+    other = interval(loop_domain.n_nodes)
+    with pytest.raises(DimensionMismatch):
+        me.momentum_diffham(sys_r2, loop_domain, sys_r2.pair("xy"))(
+            MapPoint(other, np.tile([0.4, -0.3], (other.n_nodes, 1))))
 
 
 def test_diffham_hamiltonian_identity(sys_r2, loop_domain):
@@ -64,8 +69,7 @@ def test_diffham_hamiltonian_identity(sys_r2, loop_domain):
         Y = cat.random_tangent(f, rng)
         worst = max(worst, me.hamiltonian_identity_residual(
             ob, lambda g, p=pair: generator_M(p.field, g),
-            lambda g, p=pair: me.momentum_diffham(sys_r2, loop_domain, g, p),
-            f, Y))
+            me.momentum_diffham(sys_r2, loop_domain, pair), f, Y))
     assert worst < 1e-6
 
 
@@ -100,7 +104,7 @@ def test_cocycle_diffham_jacobi(sys_r2):
 def test_lifted_action(sys_r2, loop_domain):
     act = me.se2_action()
     f = cat.unit_circle_map(loop_domain, 2)
-    J = me.momentum_lifted(act, loop_domain, f)
+    J = [Ja(f) for Ja in me.momentum_lifted(act, loop_domain)]
     assert np.allclose(J, [-0.5, 0.0, 0.0], atol=1e-12)
     rng = np.random.default_rng(4)
     g = cat.random_map(loop_domain, 2, rng, amp=0.7)
@@ -124,19 +128,20 @@ def test_momentum_diffex_oracle_value(torus_domain, exact_form_r4):
     # independent oracle: direct quadrature of the pulled-back integrand
     oracle = float(np.sum(dom.weights * np.sin(x) ** 2 * np.sin(y) ** 2))
     assert oracle == pytest.approx(np.pi ** 2)
-    r1, r2 = me.momentum_diffex(exact_form_r4, dom, f, alpha, return_routes=True)
+    r1, r2 = (r[0] for r in me.diffex_routes(exact_form_r4, dom, alpha)(MapStack.of(f)))
     assert r1 == pytest.approx(oracle, abs=1e-10)
     assert r2 == pytest.approx(oracle, abs=1e-10)
+    assert me.momentum_diffex(exact_form_r4, dom, alpha)(f) == r1
 
 
 def test_momentum_diffex_trivial_cases(torus_domain, exact_form_r4):
     dom = torus_domain
     f = cat.torus_graph_map(dom)
     zero = ScalarField(dom, np.zeros(dom.n_nodes))
-    assert me.momentum_diffex(exact_form_r4, dom, f, zero) == 0.0
+    assert me.momentum_diffex(exact_form_r4, dom, zero)(f) == 0.0
     const = MapPoint(dom, np.tile([0.2, 0.4, -0.1, 0.3], (dom.n_nodes, 1)))
     alpha = ScalarField(dom, np.sin(dom.nodes[:, 0]))
-    assert me.momentum_diffex(exact_form_r4, dom, const, alpha) == 0.0
+    assert me.momentum_diffex(exact_form_r4, dom, alpha)(const) == 0.0
 
 
 def test_exact_two_form_gate():
@@ -151,8 +156,10 @@ def test_diffex_hamiltonian_identity(torus_domain, exact_form_r4):
         f = cat.random_map(torus_domain, 4, rng, amp=0.7)
         Y = cat.random_tangent(f, rng)
         alpha = cat.random_stream(torus_domain, rng, max_mode=2)
-        worst = max(worst, me.diffex_identity_residual(
-            exact_form_r4, torus_domain, f, alpha, Y))
+        worst = max(worst, me.hamiltonian_identity_residual(
+            bar_map(exact_form_r4.form, torus_domain),
+            me.stream_generator(torus_domain, alpha)[0],
+            me.momentum_diffex(exact_form_r4, torus_domain, alpha), f, Y))
     assert worst < 1e-6
 
 

@@ -25,8 +25,7 @@ from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                                hat_pairing_fiber, map_space_d,
                                map_space_interior, map_space_lie,
                                map_space_lie_flow, mapspace_scale,
-                               mapspace_sum, pushforward_transport,
-                               reparam_transport, zero_mapspace_form)
+                               mapspace_sum, zero_mapspace_form)
 
 B = 3
 DOMAINS = {"circle": lambda: circle(16), "torus2": lambda: torus2(8),
@@ -43,11 +42,15 @@ def _reparam(kind):
                     batched=True)
 
 
-def _transport(kind):
+def _reparam_flow(kind, t):
+    """A one-parameter family of diffeomorphisms of the source chart, the
+    identity at t = 0."""
     if kind == "circle":
-        return reparam_transport(lambda t: cat.rigid_shift(0.4 * t))
-    X = cat.random_affine_field(3, np.random.default_rng(5), amp=0.6)
-    return pushforward_transport(X)
+        return cat.rigid_shift(0.4 * t)
+    if kind == "torus2":
+        return cat.rigid_shift_2d(0.3 * t, -0.2 * t)
+    return ChartMap(lambda s: s ** (1.0 + t), 1, 1, inverse=lambda s: s ** (1.0 / (1.0 + t)),
+                    name="power", batched=True)
 
 
 def _forms(kind, dom):
@@ -60,6 +63,7 @@ def _forms(kind, dom):
     W = hat_pairing(om2, al, dom)                    # degree 2 - (k - (k - 1)) = 1
     X = cat.random_affine_field(3, rng, amp=0.6)
     Z = constant_field(np.full(dom.chart_dim, 0.4))
+    sys = me.canonical_r2()
     Y0 = MapTangent(MapPoint(dom, np.zeros((dom.n_nodes, 3))),
                     np.tile([0.2, -0.1, 0.3], (dom.n_nodes, 1)))
     out = [
@@ -77,12 +81,14 @@ def _forms(kind, dom):
         ("interior_tangent", map_space_interior(map_space_d(W), Y0)),
         ("lie_M", map_space_lie(W, lambda g: generator_M(X, g))),
         ("lie_S", map_space_lie(W, lambda g: generator_S(Z, g))),
-        ("lie_flow", map_space_lie_flow(W, _transport(kind))),
+        ("lie_flow_M", map_space_lie_flow(lambda t: action_pullback_M(W, X.flow(t)))),
+        ("lie_flow_S", map_space_lie_flow(
+            lambda t: action_pullback_S(W, _reparam_flow(kind, t)))),
         ("push", action_pullback_M(bar_map(om2, dom), affine_map(
             [[1.0, 0.4, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]], [0.2, 0.0, -0.1]))),
         ("reparam", action_pullback_S(W, _reparam(kind))),
-        ("momentum", me.momentum_component_form(
-            lambda g: float(np.sum(g.values ** 2)))),
+        ("momentum_lifted", me.momentum_lifted(me.se2_action(), dom)[0]),
+        ("momentum_diffham", me.momentum_diffham(sys, dom, sys.pair("xy"))),
     ]
     if kind == "interval":
         bdom = dom.boundary()
@@ -93,7 +99,7 @@ def _forms(kind, dom):
     if kind == "torus2":
         alpha = cat.random_stream(dom, rng, max_mode=2)
         theta = coefficient_form(3, 1, {(2,): cat.scalar_coordinate(0, 3)})
-        out.append(("momentum_diffex", me.momentum_diffex_form(
+        out.append(("momentum_diffex", me.momentum_diffex(
             me.exact_two_form(theta), dom, alpha)))
     return out
 
@@ -135,6 +141,26 @@ def _counted(W):
         return W.evaluator(F, ts)
 
     return MapSpaceForm(W.degree, ev, tag=W.tag), sizes
+
+
+def test_map_space_d_of_a_diffham_momentum_makes_one_hamiltonian_call():
+    dom = circle(16)
+    sys = me.canonical_r2()
+    pair = sys.pair("xy")
+    calls = []
+
+    def value(x):
+        calls.append(x.shape)
+        return pair.h.value(x)
+
+    counted = me.HamiltonianPair(pair.name, cat.ScalarFunc(value, pair.h.grad), pair.field)
+    dJ = map_space_d(me.momentum_diffham(sys, dom, counted))
+    calls.clear()  # the normalization check at the base point
+    f = cat.random_map(dom, 2, np.random.default_rng(9))
+    Y = cat.random_tangent(f, np.random.default_rng(10))
+    for n_eval in (1, 2):
+        dJ(f, Y)
+        assert calls == [(2 * 16, 2)] * n_eval
 
 
 @pytest.mark.parametrize("kind", sorted(DOMAINS))
