@@ -32,9 +32,9 @@ from . import mechanics as me
 from .domains import circle, make_domain, torus2
 from .forms import coefficient_form, integrate
 from .report import VerificationReport, fit_order, make_environment
-from .suites import (SUITES, SuiteConfig, brane_catalog, brane_checks,
-                     derivation_residual, mw_links, run_suite, two_route_residual,
-                     unit_loop)
+from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
+                     brane_checks, derivation_residual, mw_links, run_suite,
+                     two_route_residual, unit_loop)
 
 USAGE_ERROR = 2
 
@@ -125,9 +125,10 @@ def _check_torus_levels(levels):
 
 
 def _converge_derivation(kind):
+    m, p, q = next(case[1:] for case in DERIVATION_CASES if case[0] == kind)
+
     def runner(nodes: int, fd_step: float, seed: int) -> float:
         dom = make_domain(kind, nodes)
-        m, p, q = (3, 2, 0) if kind == "circle" else (4, 2, 1)
         rng = np.random.default_rng([seed, 90])
         return abs(derivation_residual(dom, m, p, q, rng)(fd_step))
     return runner

@@ -9,9 +9,10 @@ boundary domain whose two nodes are signed (-1 at 0, +1 at 1), which is
 what makes the boundary integration rules come out with the documented
 signs.
 
-The spectral right inverse of d on the 2-torus (zero-mean gauge) and the
-induced projection onto closed forms live here, together with the
-stream-function construction of exact divergence-free fields.
+The spectral right inverse of d on every flat torus (zero-mean gauge), the
+induced projection onto closed forms and, in dimension 2, the
+stream-function construction of exact divergence-free fields live here.
+Methods dispatch on the grid's structure; `kind` is only a label of it.
 
 Domains are immutable after construction; the cached tables (the interval
 differentiation matrix and the spectral wavenumbers) sit behind a
@@ -58,7 +59,6 @@ class SourceDomain:
     domain (a boundary point pair) has per-node signs instead of a frame.
     """
 
-    kind: str
     dim: int
     shape: tuple
     nodes: Array
@@ -67,6 +67,13 @@ class SourceDomain:
     periods: Optional[tuple] = None
     node_signs: Optional[Array] = None
     parent_indices: Optional[Array] = None
+
+    @property
+    def kind(self) -> str:
+        """The structure's label: circle, torus<k>, points (dim 0) or interval."""
+        if self.periods is not None:
+            return "circle" if self.dim == 1 else f"torus{self.dim}"
+        return "points" if self.dim == 0 else "interval"
 
     @property
     def n_nodes(self) -> int:
@@ -178,7 +185,6 @@ class SourceDomain:
             return None
         n = self.shape[0]
         return SourceDomain(
-            kind="points",
             dim=0,
             shape=(2,),
             nodes=np.array([[0.0], [1.0]]),
@@ -214,8 +220,8 @@ def torus(shape) -> SourceDomain:
     axes = [np.arange(n) * (TWO_PI / n) for n in shape]
     nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, k)
     w = np.full(nodes.shape[0], math.prod(TWO_PI / n for n in shape))
-    return SourceDomain(kind="circle" if k == 1 else f"torus{k}", dim=k, shape=shape,
-                        nodes=nodes, weights=w, periods=(TWO_PI,) * k)
+    return SourceDomain(dim=k, shape=shape, nodes=nodes, weights=w,
+                        periods=(TWO_PI,) * k)
 
 
 def circle(n: int) -> SourceDomain:
@@ -244,8 +250,7 @@ def interval(n: int) -> SourceDomain:
     w = np.full(n, h)
     w[:3] = _GREGORY_EDGE * h
     w[-3:] = _GREGORY_EDGE[::-1] * h
-    return SourceDomain(kind="interval", dim=1, shape=(n,), nodes=x[:, None],
-                        weights=w)
+    return SourceDomain(dim=1, shape=(n,), nodes=x[:, None], weights=w)
 
 
 def make_domain(kind: str, nodes: int) -> SourceDomain:
@@ -417,7 +422,7 @@ def nodal_vector_field(dom: SourceDomain, vectors: Array):
 
 
 # ---------------------------------------------------------------------------
-# the right inverse of d on the torus, and friends
+# the right inverse of d on every torus, and friends
 
 def sample_one_form(dom: SourceDomain, beta) -> Array:
     """Nodal components (n_nodes, k) of a 1-form given as a Form or as a
@@ -434,70 +439,57 @@ def sample_one_form(dom: SourceDomain, beta) -> Array:
                             for a in range(dom.dim)])
 
 
-def exactness_residuals(dom: SourceDomain, comps: Array) -> tuple:
-    """(curl residual, period residual) of nodal 1-form components."""
-    if dom.kind != "torus2":
-        raise ValueError("exactness test implemented on the 2-torus")
-    b1, b2 = comps[:, 0], comps[:, 1]
-    curl = dom.differentiate(b2, axis=0) - dom.differentiate(b1, axis=1)
-    periods = max(abs(float(np.mean(b1))), abs(float(np.mean(b2))))
-    return float(np.max(np.abs(curl))), periods
-
-
 def right_inverse_b(dom: SourceDomain, beta) -> ScalarField:
-    """The zero-mean potential of a numerically exact 1-form on the 2-torus,
-    via the spectral Poisson solve Δα = div(beta#).
+    """The zero-mean potential of a numerically exact 1-form on a periodic
+    domain, via the spectral Poisson solve Δα = div(beta#):
+    α̂ = -(i k · β̂) / |k|².
 
-    Raises NotExactError when the closedness or zero-period residual exceeds
-    EXACTNESS_TOL; the zero-mean gauge is the fixed choice of right inverse and is part
-    of the reported conventions, because momentum values depend on it.
+    Raises NotExactError when a curl ∂_i β_j - ∂_j β_i (i < j) or a period
+    (the mean of a component) exceeds EXACTNESS_TOL; the zero-mean gauge is
+    the fixed choice of right inverse and is part of the reported
+    conventions, because momentum values depend on it.
     """
+    if dom.periods is None:
+        raise ValueError(f"right_inverse_b needs a periodic domain, not {dom.kind}")
     comps = sample_one_form(dom, beta)
-    curl, periods = exactness_residuals(dom, comps)
+    curl = max((float(np.max(np.abs(dom.differentiate(comps[:, j], axis=i)
+                                     - dom.differentiate(comps[:, i], axis=j))))
+                for i in range(dom.dim) for j in range(i + 1, dom.dim)), default=0.0)
+    periods = max(abs(float(np.mean(comps[:, a]))) for a in range(dom.dim))
     if curl > EXACTNESS_TOL or periods > EXACTNESS_TOL:
         raise NotExactError(
             f"1-form is not exact: curl residual {curl:.3e}, period residual "
             f"{periods:.3e} (tol {EXACTNESS_TOL:.1e})")
-    nx, ny = dom.shape
-    b1 = comps[:, 0].reshape(nx, ny)
-    b2 = comps[:, 1].reshape(nx, ny)
-    kx = _wavenumbers(nx, TWO_PI)[:, None]
-    ky = _wavenumbers(ny, TWO_PI)[None, :]
-    div_hat = 1j * kx * np.fft.fft2(b1) + 1j * ky * np.fft.fft2(b2)
-    k2 = kx ** 2 + ky ** 2
-    dead = k2 == 0.0  # mean mode plus the zeroed Nyquist lines
+    ks = [_wavenumbers(n, TWO_PI).reshape((1,) * a + (n,) + (1,) * (dom.dim - a - 1))
+          for a, n in enumerate(dom.shape)]
+    terms = [1j * k * np.fft.fftn(comps[:, a].reshape(dom.shape)) for a, k in enumerate(ks)]
+    # both sums start from the axis-0 term, so T^2 keeps the 2-D solve bit for bit
+    div_hat = sum(terms[1:], terms[0])
+    k2 = sum((k ** 2 for k in ks[1:]), ks[0] ** 2)
+    # dead: the 2^k modes whose every wavenumber is 0 or Nyquist (zeroed)
+    dead = k2 == 0.0
     k2 = np.where(dead, 1.0, k2)
     alpha_hat = -div_hat / k2
     alpha_hat[dead] = 0.0
-    alpha = np.real(np.fft.ifft2(alpha_hat)).ravel()
-    return ScalarField(dom, alpha)
+    return ScalarField(dom, np.real(np.fft.ifftn(alpha_hat)).ravel())
 
 
 def projection_P(dom: SourceDomain, alpha) -> ScalarField:
-    """P = 1 - b∘d on scalar fields of the 2-torus: subtracting the zero-mean
-    potential of d(alpha) leaves the constant mean-value field."""
-    if dom.kind != "torus2":
-        raise ValueError("projection_P is defined on the 2-torus")
+    """P = 1 - b∘d on scalar fields of a periodic domain: subtracting the
+    zero-mean potential of d(alpha) leaves the constant mean-value field."""
     f = alpha if isinstance(alpha, ScalarField) else ScalarField(dom, np.asarray(alpha, dtype=float))
     pot = right_inverse_b(dom, f.d_components())
     return f - pot
 
 
 def exact_divfree_field(dom: SourceDomain, alpha) -> Array:
-    """Nodal vector field Z with i_Z(dx∧dy) = d(alpha) on the 2-torus:
-    Z = (∂_y alpha, -∂_x alpha).  The residual of the defining equation is
-    checked against independently differentiated data."""
-    if dom.kind != "torus2":
-        raise ValueError("exact_divfree_field is defined on the 2-torus")
+    """Nodal vector field Z with i_Z(dx∧dy) = d(alpha) on a 2-dimensional
+    domain: Z = (∂_y alpha, -∂_x alpha)."""
+    if dom.dim != 2:
+        raise ValueError(f"exact_divfree_field is defined in dimension 2, not on {dom.kind}")
     f = alpha if isinstance(alpha, ScalarField) else ScalarField(dom, np.asarray(alpha, dtype=float))
     da = f.d_components()
-    Z = np.column_stack([da[:, 1], -da[:, 0]])
-    # i_Z(dx∧dy) = Z_x dy - Z_y dx must reproduce (∂_x a, ∂_y a)
-    residual = max(float(np.max(np.abs(-Z[:, 1] - da[:, 0]))),
-                   float(np.max(np.abs(Z[:, 0] - da[:, 1]))))
-    if residual > 1e-8:
-        raise AssertionError(f"stream-function residual {residual:.3e}")
-    return Z
+    return np.column_stack([da[:, 1], -da[:, 0]])
 
 
 def warn_if_rough(dom: SourceDomain, values: Array) -> float:

@@ -186,9 +186,9 @@ def mapspace_scale(c: float, w: MapSpaceForm) -> MapSpaceForm:
 
 def check_grid(data, dom: SourceDomain) -> None:
     """Raise DimensionMismatch unless data (a map stack, map point or nodal
-    field) is sampled on the grid of dom: the same kind and shape, not just
-    the same node count."""
-    if (data.dom.kind, data.dom.shape) != (dom.kind, dom.shape):
+    field) is sampled on the grid of dom: the same structure and shape, not
+    just the same node count."""
+    if (data.dom.periods, data.dom.dim, data.dom.shape) != (dom.periods, dom.dim, dom.shape):
         raise DimensionMismatch(f"data sampled on the {data.dom.kind} grid {data.dom.shape}, "
                                 f"not on {dom.kind} {dom.shape}")
 

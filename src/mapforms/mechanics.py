@@ -512,9 +512,9 @@ def constrained_random_data(dom: SourceDomain, D: AffineSubspace,
     m = D.ambient_dim
     f0 = random_map(dom, m, rng, amp=amp)
     vals = f0.values.copy()
-    ends = [0, dom.n_nodes - 1]
+    ends = dom.boundary().parent_indices
     x = dom.nodes[:, 0]
-    for e, i in enumerate(ends):
+    for i in ends:
         target = D.origin + D.project_vector(vals[i] - D.origin)
         shift = target - vals[i]
         bump = (1.0 - x) if i == 0 else x
@@ -525,7 +525,7 @@ def constrained_random_data(dom: SourceDomain, D: AffineSubspace,
         t0 = random_tangent(f, rng, amp=amp)
         tv = t0.vectors.copy()
         # blend the endpoint projections in linearly so the field stays smooth
-        for e, i in enumerate(ends):
+        for i in ends:
             delta = D.project_vector(tv[i]) - tv[i]
             bump = (1.0 - x) if i == 0 else x
             tv += np.outer(bump, delta)
@@ -543,8 +543,9 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
     (i*H = dB on D), and the supplied or generated data must respect the
     boundary constraints.  A violated gate makes the check inapplicable, not
     passed."""
-    if dom.kind != "interval":
-        raise ValueError("the open-string check runs on the interval source")
+    bdom = dom.boundary()
+    if bdom is None:
+        raise ValueError(f"the open-string check needs a source with boundary, not {dom.kind}")
     # gate 1: i*H = dB on the subspace
     iH = pullback(H, D.inclusion())
     dB = B.analytic_d
@@ -558,7 +559,7 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
     dW = map_space_d(W, fd_step)
     worst = 0.0
     defect = 0.0
-    ends = [0, dom.n_nodes - 1]
+    ends = bdom.parent_indices
     if f is not None:
         n_trials = min(n_trials, len(tangent_sets))
     for trial in range(n_trials):

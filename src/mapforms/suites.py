@@ -21,7 +21,7 @@ from . import grassmannian as gr
 from . import mechanics as me
 from .charts import affine_map, constant_field, rotation3
 from .domains import (MIN_INTERVAL_NODES, ScalarField, circle, interval,
-                      nodal_vector_field, torus2)
+                      make_domain, nodal_vector_field, torus2)
 from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
                     form_scale, form_sum, interior, pullback,
                     sample_difference, scalar_const, scalar_coordinate,
@@ -169,6 +169,9 @@ TWO_ROUTE_SIGNATURES = {
     "interval": (3, [(1, 0), (2, 0), (2, 1)]),
 }
 
+# (kind, m, p, q) of the derivation-* ladders; `converge` runs a kind's first
+DERIVATION_CASES = [("circle", 3, 2, 0), ("circle", 3, 1, 1), ("torus2", 4, 2, 1)]
+
 
 _KIND_SALT = {"circle": 101, "torus2": 102, "interval": 103}
 
@@ -176,12 +179,8 @@ _KIND_SALT = {"circle": 101, "torus2": 102, "interval": 103}
 def two_route_sweep(kind: str, cases: int, config: SuiteConfig):
     """Worst relative two-route disagreement over `cases` random cases."""
     rng = np.random.default_rng([config.seed, _KIND_SALT[kind]])
-    if kind == "torus2":
-        dom = torus2(16)
-    elif kind == "circle":
-        dom = circle(min(config.nodes, 64))
-    else:
-        dom = interval(min(config.interval_nodes, 65))
+    dom = make_domain(kind, {"circle": min(config.nodes, 64), "torus2": 256,
+                             "interval": min(config.interval_nodes, 65)}[kind])
     m, sigs = TWO_ROUTE_SIGNATURES[kind]
     worst = 0.0
     for i in range(cases):
@@ -222,8 +221,7 @@ def run_hat_calculus(config: SuiteConfig):
                     worst, IDENTITY_TOL, dom)
 
     # derivation identity with refinement order in the FD step
-    for kind, m, p, q in [("circle", 3, 2, 0), ("circle", 3, 1, 1),
-                          ("torus2", 4, 2, 1)]:
+    for kind, m, p, q in DERIVATION_CASES:
         dom = doms[kind]
         records.ladder(f"derivation-{kind}-p{p}q{q}",
                        "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^", dom,

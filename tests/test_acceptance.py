@@ -10,7 +10,6 @@ import numpy as np
 
 from mapforms import catalog as cat
 from mapforms import grassmannian as gr
-from mapforms import mechanics as me
 from mapforms.cli import main
 from mapforms.domains import circle, projection_P, right_inverse_b, torus2
 from mapforms.forms import volume_form

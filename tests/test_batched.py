@@ -31,7 +31,7 @@ from mapforms.forms import (coefficient_form, constant_form, coordinate_form,
                             scalar_coordinate, scalar_sum,
                             shuffles, strip_analytic, trig_scalar,
                             vertical_field, volume_form, wedge, zero_form)
-from mapforms.mapspace import (MapPoint, MapTangent, bar_map_direct, generator_M,
+from mapforms.mapspace import (MapTangent, bar_map_direct, generator_M,
                                generator_S, hat_gram, hat_pairing, pullback_action,
                                pushforward_action, pushforward_tangent)
 

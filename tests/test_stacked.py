@@ -16,7 +16,7 @@ from mapforms import mechanics as me
 from mapforms import suites as su
 from mapforms.charts import ChartMap, affine_map, constant_field
 from mapforms.domains import _wavenumbers, circle, interval, torus2
-from mapforms.forms import coefficient_form, coordinate_form, volume_form
+from mapforms.forms import coefficient_form, volume_form
 from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                                PeriodicTargetError, action_pullback_M,
                                action_pullback_S, bar_map, bar_map_direct,

@@ -1,12 +1,19 @@
 """One periodic grid for every dimension: torus(shape) against closed forms
-on non-cubic grids (an axis swap aliases a mode and fails), and the map-space
-calculus on the 3-torus."""
+on non-cubic grids (an axis swap aliases a mode and fails), the Hodge
+operators on every torus, the derived kind label, and the map-space calculus
+on the 3-torus."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from mapforms import catalog as cat
-from mapforms.domains import circle, torus, torus2
+from mapforms import mechanics as me
+from mapforms.domains import (NotExactError, ScalarField, SourceDomain, circle,
+                              exact_divfree_field, interval, projection_P,
+                              right_inverse_b, torus, torus2)
+from mapforms.forms import coordinate_form, volume_form
 from mapforms.mapspace import MapTangent, hat_map, hat_pairing, hat_pairing_fiber
 from mapforms.report import fit_order
 from mapforms.suites import derivation_residual, two_route_residual
@@ -88,6 +95,66 @@ def test_node_index_matches_multi_index(shape):
     assert dom.node_index(pts[0]) == want[0]
     with pytest.raises(KeyError):
         dom.node_index(pts[0] + 0.5 * np.array(dom.spacing))
+
+
+# ---------------------------------------------------------------------------
+# the right inverse of d and the projection P on every torus
+
+
+def _smooth_field(dom, seed):
+    """A few random modes, each below its axis's Nyquist mode, plus an offset."""
+    rng = np.random.default_rng(seed)
+    K = np.stack([rng.integers(-(n // 2 - 1), n // 2, 4) for n in dom.shape], axis=1)
+    phase = dom.nodes @ K.T + rng.uniform(0.0, 2 * np.pi, 4)
+    return 1.3 + np.sin(phase) @ rng.standard_normal(4)
+
+
+@pytest.mark.parametrize("dom", [circle(48), torus((8, 10, 12))], ids=["circle", "torus3"])
+def test_potential_of_d_alpha_is_alpha_minus_its_mean(dom):
+    alpha = ScalarField(dom, _smooth_field(dom, dom.dim))
+    pot = right_inverse_b(dom, alpha.d_components())
+    assert np.max(np.abs(pot.values - (alpha.values - alpha.mean()))) < 1e-12
+    assert np.max(np.abs(projection_P(dom, alpha).values - alpha.mean())) < 1e-12
+
+
+def test_right_inverse_rejects_closed_forms_with_a_period_on_the_three_torus():
+    dom = torus((6, 8, 10))
+    with pytest.raises(NotExactError, match="period residual 1.000e"):
+        right_inverse_b(dom, coordinate_form((2,), 3))  # closed, period 1 along x_2
+
+
+def test_right_inverse_gates_every_curl_pair():
+    # beta = sin(x_1) dx_2 has zero means, no (0,1) or (0,2) curl, and
+    # curl cos(x_1) in the (1,2) pair only
+    dom = torus((6, 8, 10))
+    comps = np.zeros((dom.n_nodes, 3))
+    comps[:, 2] = np.sin(dom.nodes[:, 1])
+    with pytest.raises(NotExactError, match="curl residual 1.000e"):
+        right_inverse_b(dom, comps)
+
+
+def test_projection_P_on_the_three_torus_is_the_mean():
+    dom = torus((6, 8, 10))
+    alpha = _smooth_field(dom, 5)
+    assert np.max(np.abs(projection_P(dom, alpha).values - alpha.mean())) < 1e-12
+
+
+def test_structure_guards():
+    with pytest.raises(ValueError, match="dimension 2"):
+        exact_divfree_field(torus((6, 8, 10)), np.zeros(480))
+    D = me.affine_subspace([0, 0, 0], np.eye(3)[:, :2])
+    with pytest.raises(ValueError, match="boundary"):
+        me.brane_twist_check(volume_form(3), coordinate_form((0, 1), 2), D, circle(16),
+                             np.random.default_rng(0))
+    with pytest.raises(ValueError, match="periodic"):
+        right_inverse_b(interval(9), np.zeros((9, 1)))
+
+
+def test_kind_is_derived_from_the_grid():
+    assert "kind" not in {f.name for f in dataclasses.fields(SourceDomain)}
+    assert interval(9).boundary().kind == "points"
+    assert interval(9).kind == "interval"
+    assert [torus((4,) * k).kind for k in (1, 2, 3)] == ["circle", "torus2", "torus3"]
 
 
 # ---------------------------------------------------------------------------
