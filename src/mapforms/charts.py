@@ -12,6 +12,7 @@ pure, so evaluation is safe to run concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,7 +245,10 @@ class VectorField(_RowCalculus):
 
     def flow(self, t: float, steps: int = 64) -> ChartMap:
         """Time-t flow map; exact when flow_func is provided, RK4 otherwise,
-        with the RK4 map's own tangent-linear Jacobian (see `_rk4_flow`)."""
+        with the RK4 map's own tangent-linear Jacobian (see `_rk4_flow`).
+        steps, the RK4 step count, must be an integer >= 1 either way."""
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
+            raise ValueError(f"flow steps must be an integer >= 1, got {steps!r}")
         if self.flow_func is not None:
             return self.flow_func(t)
         return _rk4_flow(self, t, steps)

@@ -20,6 +20,7 @@ every operation in this module is safe for concurrent evaluation.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -368,13 +369,25 @@ def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
                     exterior_derivative(interior(a, Xf), step, richardson))
 
 
+def check_t_step(t_step) -> None:
+    """Reject a flow-route step that is not a finite positive number (a
+    zero step would divide 0 by 0 and return NaN)."""
+    if (not isinstance(t_step, numbers.Real) or isinstance(t_step, bool)
+            or not np.isfinite(t_step) or t_step <= 0):
+        raise ValueError(f"t_step must be a finite positive number, got {t_step!r}")
+
+
 def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5) -> Form:
     """Independent flow route: central difference of (phi_t^X)^* a in t.
-    A flow without an exact form is RK4 (`VectorField.flow`), pulled back
-    through the tangent-linear Jacobian of the RK4 map; no step uses the
-    Cartan formula."""
-    fwd = pullback(a, X.flow(t_step))
-    bwd = pullback(a, X.flow(-t_step))
+    A flow without an exact form is one RK4 step per sign (`X.flow(±t, 1)`),
+    pulled back through the tangent-linear Jacobian of the RK4 map; no step
+    uses the Cartan formula.  One step suffices: it matches the exact flow
+    through order t^4 with local error O(t^5), so the central difference is
+    off by O(t^4), about 1e-20 at t = 1e-5, far below the ~1e-16 roundoff
+    that the division by 2t amplifies; more steps only add roundoff."""
+    check_t_step(t_step)
+    fwd = pullback(a, X.flow(t_step, 1))
+    bwd = pullback(a, X.flow(-t_step, 1))
 
     def ev(x, vs):
         return (fwd.evaluator(x, vs) - bwd.evaluator(x, vs)) / (2.0 * t_step)

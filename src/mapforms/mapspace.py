@@ -34,8 +34,9 @@ import numpy as np
 
 from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
-from .forms import (DegreeError, Form, broadcast_rows, constant_form,
-                    fiber_integrate, shuffles, volume_form, wedge)
+from .forms import (DegreeError, Form, broadcast_rows, check_t_step,
+                    constant_form, fiber_integrate, shuffles, volume_form,
+                    wedge)
 
 Array = np.ndarray
 
@@ -461,8 +462,11 @@ def map_space_lie_flow(pulled_back, t_step: float = 1e-4) -> MapSpaceForm:
     pulled_back(t), the form pulled back by the time-t flow of an action,
     e.g. lambda t: action_pullback_M(W, X.flow(t)) for the push-forward
     generator of X, or lambda t: action_pullback_S(W, psi_t) for a
-    reparameterization flow psi_t.  No step uses the Cartan formula (the
+    reparameterization flow psi_t.  Pass a field without an exact flow as
+    X.flow(t, 1): one RK4 step per sign leaves an O(t^4) error in the
+    difference, below its roundoff.  No step uses the Cartan formula (the
     map-space counterpart of forms.lie_derivative_flow)."""
+    check_t_step(t_step)
     fwd, bwd = pulled_back(t_step), pulled_back(-t_step)
 
     def ev(F: MapStack, tangents) -> Array:

@@ -458,6 +458,53 @@ def test_lie_derivative_flow_matches_closed_form():
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_lie_derivative_flow_takes_one_rk4_step_per_sign():
+    rng = np.random.default_rng(38)
+    X = _trig_field(3, rng)
+    calls = {"func": 0, "jacobian": 0}
+
+    def counted(key, func):
+        def wrapped(p):
+            calls[key] += 1
+            return func(p)
+        return wrapped
+
+    Xc = field_from_callable(counted("func", X.func), 3,
+                             jacobian=counted("jacobian", X.jacobian_func), name="counted")
+    a = cat.random_form(3, 1, rng)
+    x, (v, *_) = points(3, seed=39)
+    lie_derivative_flow(a, Xc)(x[0], v[0])
+    # 4 RK4 stages x 2 signs, each one field call and one Jacobian call
+    assert calls == {"func": 8, "jacobian": 8}
+
+
+def test_lie_derivative_flow_matches_a_64_step_route():
+    rng = np.random.default_rng(40)
+    a = cat.random_form(3, 2, rng)
+    X = _trig_field(3, rng)
+    t = 1e-5
+    fwd, bwd = pullback(a, X.flow(t, 64)), pullback(a, X.flow(-t, 64))
+    x, (v, w, *_) = points(3, seed=41)
+    want = (fwd.evaluator(x, [v, w]) - bwd.evaluator(x, [v, w])) / (2.0 * t)
+    got = lie_derivative_flow(a, X, t).evaluator(x, [v, w])
+    assert np.max(np.abs(got - want)) < 1e-9
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, True, "4"])
+@pytest.mark.parametrize("exact", [False, True], ids=["rk4", "exact"])
+def test_flow_rejects_bad_steps(steps, exact):
+    X = affine_field(np.eye(2)) if exact else _trig_field(2, np.random.default_rng(42))
+    with pytest.raises(ValueError, match="steps"):
+        X.flow(0.5, steps)
+
+
+@pytest.mark.parametrize("t_step", [0, 0.0, -1e-5, np.inf, np.nan, True, "1e-5"])
+def test_lie_derivative_flow_rejects_bad_t_step(t_step):
+    X = _trig_field(2, np.random.default_rng(43))
+    with pytest.raises(ValueError, match="t_step"):
+        lie_derivative_flow(coordinate_form((0,), 2), X, t_step)
+
+
 def fd_jacobian_loop(func, x, step):
     """Central-difference Jacobian of a single-point func, column by column."""
     cols = []

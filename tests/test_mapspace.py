@@ -310,6 +310,14 @@ def test_lie_derivative_dual_routes():
     assert abs(a - b) < 1e-5 * max(1.0, abs(a))
 
 
+@pytest.mark.parametrize("t_step", [0, -1e-4, np.inf, np.nan, None])
+def test_map_space_lie_flow_rejects_bad_t_step(t_step):
+    W = hat_pairing(volume_form(2), 1.0, circle(16))
+    X = constant_field(np.array([0.5, -0.2]))
+    with pytest.raises(ValueError, match="t_step"):
+        map_space_lie_flow(lambda t: action_pullback_M(W, X.flow(t)), t_step)
+
+
 def test_pairing_rejects_another_grid_with_the_same_node_count():
     # torus2(12, 48) and torus2(24) are both of kind torus2 with 576 nodes
     rng = np.random.default_rng(30)
