@@ -6,9 +6,12 @@ N real numbers, optionally bundled with an analytic exterior derivative.
 Scalar coefficient functions follow the same batched contract.  There is no
 symbolic layer: wedge products, interior products, pullbacks and Lie
 derivatives all compose evaluators, and the exterior derivative falls back
-to central differences when no analytic derivative is attached.  Calling a
-form or a scalar function on a single point is a thin wrapper around the
-batched evaluator.
+to central differences when no analytic derivative is attached.  A
+chart-level sum goes through each form once: a wedge product stacks its
+shuffle terms as row blocks, and a central difference stacks its shifted
+points, so each factor or differenced form sees one evaluator call.
+Difference steps must be finite and positive.  Calling a form or a scalar
+function on a single point is a thin wrapper around the batched evaluator.
 
 Quadrature integration over a discretized source domain and fiber
 integration over a product chart live here as well.
@@ -19,6 +22,7 @@ every operation in this module is safe for concurrent evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import numbers
 from dataclasses import dataclass
@@ -50,14 +54,16 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def shuffles(p: int, q: int):
-    """All (p,q)-shuffle splits of range(p+q) as (left, right, sign) tuples."""
+@functools.lru_cache(maxsize=None)
+def shuffles(p: int, q: int) -> tuple:
+    """All (p,q)-shuffle splits of range(p+q) as (left, right, sign) tuples;
+    built once per (p, q)."""
     idx = tuple(range(p + q))
     out = []
     for left in itertools.combinations(idx, p):
         right = tuple(i for i in idx if i not in left)
         out.append((left, right, _perm_sign(left + right)))
-    return out
+    return tuple(out)
 
 
 def _minor_det(vectors: Sequence[Array], index: tuple):
@@ -284,9 +290,14 @@ def wedge(a: Form, b: Form) -> Form:
     splits = shuffles(p, q)
 
     def ev(x, vs):
-        return sum((sign * a.evaluator(x, [vs[i] for i in left])
-                    * b.evaluator(x, [vs[i] for i in right])
-                    for left, right, sign in splits), np.zeros(len(x)))
+        # every shuffle term is a block of rows: one call per factor
+        xs = np.concatenate([x] * len(splits))
+        va = a.evaluator(xs, [np.concatenate([vs[left[j]] for left, _, _ in splits])
+                              for j in range(p)]).reshape(len(splits), len(x))
+        vb = b.evaluator(xs, [np.concatenate([vs[right[j]] for _, right, _ in splits])
+                              for j in range(q)]).reshape(len(splits), len(x))
+        return sum((sign * va[s] * vb[s] for s, (_, _, sign) in enumerate(splits)),
+                   np.zeros(len(x)))
 
     analytic = None
     if a.analytic_d is not None and b.analytic_d is not None:
@@ -310,13 +321,20 @@ def interior(a: Form, X) -> Form:
     return Form(a.degree - 1, a.ambient_dim, ev, name=f"i_{Xf.name}({a.name})")
 
 
-def _directional(func: Callable[[Array], Array], x: Array, v: Array,
+def _differences(a: Form, x: Array, directions: Sequence[Array], slots: Sequence,
                  step: float, richardson: bool) -> Array:
-    d1 = (func(x + step * v) - func(x - step * v)) / (2.0 * step)
+    """Central differences (k, N) of a along each of k directions (N, m),
+    a taking slots[i] on direction i; every shifted copy goes to a in one
+    call, row block (i, shift) of the stack."""
+    shifts = (step, -step, 0.5 * step, -0.5 * step) if richardson else (step, -step)
+    xs = np.concatenate([x + t * v for v in directions for t in shifts])
+    rest = [np.concatenate([sl[j] for sl in slots for _ in shifts]) for j in range(a.degree)]
+    f = a.evaluator(xs, rest).reshape(len(directions), len(shifts), len(x))
+    d1 = (f[:, 0] - f[:, 1]) / (2.0 * step)
     if not richardson:
         return d1
     h2 = 0.5 * step
-    d2 = (func(x + h2 * v) - func(x - h2 * v)) / (2.0 * h2)
+    d2 = (f[:, 2] - f[:, 3]) / (2.0 * h2)
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -325,18 +343,21 @@ def exterior_derivative(a: Form, step: float = DEFAULT_FD_STEP,
     """d a.  Returns the attached analytic derivative when present, else the
     coordinate formula with constant-extension central differences:
 
-        (da)(Y_0..Y_p) = sum_i (-1)^i D_{Y_i}[ a(Y_0..ŷ_i..Y_p) ].
+        (da)(Y_0..Y_p) = sum_i (-1)^i D_{Y_i}[ a(Y_0..ŷ_i..Y_p) ],
+
+    all 2(p+1) shifts (4(p+1) with Richardson) in one call to a.
     """
+    check_t_step(step, "step")
     if a.analytic_d is not None:
         return a.analytic_d
     p = a.degree
 
     def ev(x, vs):
+        d = _differences(a, x, vs, [list(vs[:i]) + list(vs[i + 1:]) for i in range(p + 1)],
+                         step, richardson)
         total = np.zeros(len(x))
         for i in range(p + 1):
-            rest = list(vs[:i]) + list(vs[i + 1:])
-            total += (-1.0) ** i * _directional(
-                lambda y: a.evaluator(y, rest), x, vs[i], step, richardson)
+            total += (-1.0) ** i * d[i]
         return total
 
     return Form(p + 1, a.ambient_dim, ev, name=f"d({a.name})")
@@ -358,23 +379,23 @@ def pullback(a: Form, phi: ChartMap) -> Form:
 def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
                    richardson: bool = False) -> Form:
     """Cartan formula L_X = i_X d + d i_X; for functions, L_X h = dh(X)."""
+    check_t_step(step, "step")
     Xf = as_field(X, a.ambient_dim)
     if a.degree == 0:
         def ev(x, vs):
-            return _directional(lambda y: a.evaluator(y, []), x, Xf.rows(x),
-                                step, richardson)
+            return _differences(a, x, [Xf.rows(x)], [[]], step, richardson)[0]
         return Form(0, a.ambient_dim, ev, name=f"L_{Xf.name}({a.name})")
     da = exterior_derivative(a, step, richardson)
     return form_sum(interior(da, Xf),
                     exterior_derivative(interior(a, Xf), step, richardson))
 
 
-def check_t_step(t_step) -> None:
-    """Reject a flow-route step that is not a finite positive number (a
-    zero step would divide 0 by 0 and return NaN)."""
-    if (not isinstance(t_step, numbers.Real) or isinstance(t_step, bool)
-            or not np.isfinite(t_step) or t_step <= 0):
-        raise ValueError(f"t_step must be a finite positive number, got {t_step!r}")
+def check_t_step(step, name: str) -> None:
+    """Reject a difference step, named `name`, that is not a finite positive
+    number (a zero step would divide 0 by 0 and return NaN)."""
+    if (not isinstance(step, numbers.Real) or isinstance(step, bool)
+            or not np.isfinite(step) or step <= 0):
+        raise ValueError(f"{name} must be a finite positive number, got {step!r}")
 
 
 def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5) -> Form:
@@ -385,7 +406,7 @@ def lie_derivative_flow(a: Form, X: VectorField, t_step: float = 1e-5) -> Form:
     through order t^4 with local error O(t^5), so the central difference is
     off by O(t^4), about 1e-20 at t = 1e-5, far below the ~1e-16 roundoff
     that the division by 2t amplifies; more steps only add roundoff."""
-    check_t_step(t_step)
+    check_t_step(t_step, "t_step")
     fwd = pullback(a, X.flow(t_step, 1))
     bwd = pullback(a, X.flow(-t_step, 1))
 

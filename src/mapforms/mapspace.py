@@ -406,6 +406,7 @@ def map_space_d(W: MapSpaceForm, step: float = DEFAULT_FD_STEP) -> MapSpaceForm:
 
     All 2(n+1) shifts of every map of the stack go to W in one call.
     """
+    check_t_step(step, "step")
     n = W.degree
 
     def ev(F: MapStack, tangents) -> Array:
@@ -466,7 +467,7 @@ def map_space_lie_flow(pulled_back, t_step: float = 1e-4) -> MapSpaceForm:
     X.flow(t, 1): one RK4 step per sign leaves an O(t^4) error in the
     difference, below its roundoff.  No step uses the Cartan formula (the
     map-space counterpart of forms.lie_derivative_flow)."""
-    check_t_step(t_step)
+    check_t_step(t_step, "t_step")
     fwd, bwd = pulled_back(t_step), pulled_back(-t_step)
 
     def ev(F: MapStack, tangents) -> Array:

@@ -26,6 +26,7 @@ commuting-action demonstration.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -143,14 +144,20 @@ def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSyst
                              np.zeros(2), tuple(pairs))
 
 
+@functools.lru_cache(maxsize=None)
+def _line_rule() -> tuple:
+    """The Gauss-Legendre rule of hamiltonian_of on [0, 1], (nodes, weights),
+    computed on first use and kept."""
+    nodes, weights = np.polynomial.legendre.leggauss(HAMILTONIAN_QUAD_POINTS)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
 def hamiltonian_of(sys: HamiltonianSystem, X: VectorField) -> Callable[[Array], Array]:
     """Normalized Hamiltonian of a field by line integration from the base
     point: h(x) = ∫_0^1 omega(X(γ(t)), γ'(t)) dt along the straight segment.
     Independent of the catalog; used as the bracket-side oracle.  Batched
     like ScalarFunc.value: points (N, dim) give values (N,)."""
-    nodes, weights = np.polynomial.legendre.leggauss(HAMILTONIAN_QUAD_POINTS)
-    t = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    t, w = _line_rule()
     x0 = sys.base_point
 
     def h(x):

@@ -11,6 +11,8 @@ operation that differences its argument at a step h divides that roundoff
 by h, so it is compared to 1e-14 / h.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobia
                              rotation2, rotation3)
 from mapforms.domains import (circle, exact_divfree_field, interval,
                               nodal_vector_field, torus, torus2)
-from mapforms.forms import (coefficient_form, constant_form, coordinate_form,
+from mapforms.forms import (Form, coefficient_form, constant_form, coordinate_form,
                             exterior_derivative, fiber_integrate, form_scale,
                             form_sum, horizontal_field, integrate, interior,
                             lie_derivative, lie_derivative_flow,
@@ -32,7 +34,8 @@ from mapforms.forms import (coefficient_form, constant_form, coordinate_form,
                             shuffles, strip_analytic, trig_scalar,
                             vertical_field, volume_form, wedge, zero_form)
 from mapforms.mapspace import (MapTangent, bar_map_direct, generator_M,
-                               generator_S, hat_gram, hat_pairing, pullback_action,
+                               generator_S, hat_gram, hat_pairing, map_space_d,
+                               map_space_lie, pullback_action,
                                pushforward_action, pushforward_tangent)
 
 RTOL = 1e-14
@@ -530,6 +533,127 @@ def test_fd_jacobian_rows_matches_per_point():
     calls = []
     _fd_jacobian_rows(lambda y: calls.append(len(y)) or func_rows(y), x, h)
     assert calls == [2 * 3 * N]
+
+
+# ---------------------------------------------------------------------------
+# one evaluator call per chart-level sum: wedge shuffle terms and
+# central-difference shifts, against the per-term loops kept as references
+
+def counted(form, calls):
+    """The form with every evaluator call recorded as its row count."""
+    def ev(x, vs):
+        calls.append(len(x))
+        return form.evaluator(x, vs)
+    return Form(form.degree, form.ambient_dim, ev, name=form.name)
+
+
+def wedge_loop(a, b, x, vs):
+    """The signed shuffle sum term by term: each factor is called once per
+    shuffle term on the same points."""
+    return sum((sign * a.evaluator(x, [vs[i] for i in left])
+                * b.evaluator(x, [vs[i] for i in right])
+                for left, right, sign in shuffles(a.degree, b.degree)), np.zeros(len(x)))
+
+
+def directional_loop(func, x, v, step, richardson):
+    """One central difference of func along v, one call per shifted copy."""
+    d1 = (func(x + step * v) - func(x - step * v)) / (2.0 * step)
+    if not richardson:
+        return d1
+    h2 = 0.5 * step
+    d2 = (func(x + h2 * v) - func(x - h2 * v)) / (2.0 * h2)
+    return (4.0 * d2 - d1) / 3.0
+
+
+def d_loop(a, x, vs, step, richardson):
+    """The coordinate formula for d direction by direction."""
+    total = np.zeros(len(x))
+    for i in range(a.degree + 1):
+        rest = list(vs[:i]) + list(vs[i + 1:])
+        total += (-1.0) ** i * directional_loop(
+            lambda y: a.evaluator(y, rest), x, vs[i], step, richardson)
+    return total
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(6) for q in range(6 - p)])
+def test_wedge_calls_each_factor_once(p, q):
+    rng = np.random.default_rng(50 + 6 * p + q)
+    a, b = cat.random_form(5, p, rng), cat.random_form(5, q, rng)
+    x, vs = points(5, seed=51)
+    calls_a, calls_b = [], []
+    got = wedge(counted(a, calls_a), counted(b, calls_b)).evaluator(x, vs[:p + q])
+    n_terms = len(shuffles(p, q))
+    assert (calls_a, calls_b) == ([n_terms * N], [n_terms * N])
+    ref_a, ref_b = [], []
+    want = wedge_loop(counted(a, ref_a), counted(b, ref_b), x, vs[:p + q])
+    assert (len(ref_a), len(ref_b)) == (n_terms, n_terms)
+    assert_rows_match(got, want)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_fd_exterior_derivative_makes_one_call(p, richardson):
+    rng = np.random.default_rng(60 + p)
+    a = strip_analytic(cat.random_form(4, p, rng))
+    x, vs = points(4, seed=61)
+    h = DEFAULT_FD_STEP
+    calls, ref = [], []
+    got = exterior_derivative(counted(a, calls), h, richardson).evaluator(x, vs[:p + 1])
+    shifts = 4 if richardson else 2
+    assert calls == [shifts * (p + 1) * N]
+    want = d_loop(counted(a, ref), x, vs[:p + 1], h, richardson)
+    assert len(ref) == shifts * (p + 1)
+    assert_rows_match(got, want, RTOL / h)
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+def test_lie_derivative_of_a_function_makes_one_call(richardson):
+    rng = np.random.default_rng(62)
+    g = cat.random_form(3, 0, rng)
+    X = affine_field(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3))
+    x, _ = points(3, seed=63)
+    h = DEFAULT_FD_STEP
+    calls, ref = [], []
+    got = lie_derivative(counted(g, calls), X, h, richardson).evaluator(x, [])
+    shifts = 4 if richardson else 2
+    assert calls == [shifts * N]
+    gc = counted(g, ref)
+    want = directional_loop(lambda y: gc.evaluator(y, []), x, X.rows(x), h, richardson)
+    assert len(ref) == shifts
+    assert_rows_match(got, want, RTOL / h)
+
+
+def perm_sign(perm):
+    """Sign of a permutation as the determinant of its permutation matrix."""
+    return int(round(np.linalg.det(np.eye(len(perm))[list(perm)])))
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(5) for q in range(5 - p)])
+def test_shuffles_are_built_once_and_match_a_permutation_reference(p, q):
+    assert shuffles(p, q) is shuffles(p, q)
+    want = [(perm[:p], perm[p:], perm_sign(perm))
+            for perm in itertools.permutations(range(p + q))
+            if list(perm[:p]) == sorted(perm[:p]) and list(perm[p:]) == sorted(perm[p:])]
+    assert list(shuffles(p, q)) == want
+
+
+def _step_constructors():
+    W = hat_pairing(volume_form(2), 1.0, circle(16))
+    a = strip_analytic(coordinate_form((0,), 2))
+    X = constant_field(np.array([0.5, -0.2]))
+    return {
+        "exterior_derivative": lambda h: exterior_derivative(a, h),
+        "lie_derivative": lambda h: lie_derivative(a, X, h),
+        "map_space_d": lambda h: map_space_d(W, h),
+        "map_space_lie": lambda h: map_space_lie(W, lambda g: generator_M(X, g), h),
+    }
+
+
+@pytest.mark.parametrize("step", [0, -1e-4, np.inf, np.nan, True, "1e-4", None])
+@pytest.mark.parametrize("name", sorted(_step_constructors()))
+def test_difference_constructors_reject_bad_steps(name, step):
+    with pytest.raises(ValueError, match="step must be a finite positive number"):
+        _step_constructors()[name](step)
 
 
 def test_per_point_chart_map_through_pullback_and_actions():
