@@ -37,12 +37,11 @@ from .grassmannian import (EmbeddedSubmanifold, EmbeddingError,
                            diffM_action_on_N, embed, mw_form, mw_gram_matrix,
                            tilda_eval)
 from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
-                       PeriodicTargetError, action_pullback_M,
-                       action_pullback_S, bar_map, bar_map_direct,
-                       boundary_pullback, generator_M, generator_S, hat_map,
-                       hat_pairing, hat_pairing_fiber, map_from_function,
-                       map_space_d, map_space_interior, map_space_lie,
-                       map_space_lie_flow, pullback_action,
+                       action_pullback_M, action_pullback_S, bar_map,
+                       bar_map_direct, boundary_pullback, generator_M,
+                       generator_S, hat_map, hat_pairing, hat_pairing_fiber,
+                       map_from_function, map_space_d, map_space_interior,
+                       map_space_lie, map_space_lie_flow, pullback_action,
                        pushforward_action, restrict_boundary)
 from .mechanics import (AffineSubspace, BraneReport, ExactTwoForm,
                         HamiltonianPair, HamiltonianSystem, LiftedGAction,

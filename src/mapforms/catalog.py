@@ -154,9 +154,8 @@ def _sampled(dom: SourceDomain, count: int, rng: np.random.Generator,
 
 
 def random_map(dom: SourceDomain, target_dim: int, rng: np.random.Generator,
-               amp: float = 1.0, around=None) -> ms.MapPoint:
-    base = np.zeros(target_dim) if around is None else np.asarray(around, dtype=float)
-    vals = base + _sampled(dom, target_dim, rng, amp)
+               amp: float = 1.0) -> ms.MapPoint:
+    vals = _sampled(dom, target_dim, rng, amp)
     warn_if_rough(dom, vals)
     return ms.MapPoint(dom, vals)
 

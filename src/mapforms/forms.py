@@ -9,9 +9,12 @@ derivatives all compose evaluators, and the exterior derivative falls back
 to central differences when no analytic derivative is attached.  A
 chart-level sum goes through each form once: a wedge product stacks its
 shuffle terms as row blocks, and a central difference stacks its shifted
-points, so each factor or differenced form sees one evaluator call.
-Difference steps must be finite and positive.  Calling a form or a scalar
-function on a single point is a thin wrapper around the batched evaluator.
+points, so each factor or differenced form sees one evaluator call.  The
+difference kernel, alternating_differences, takes any evaluator and points
+of any trailing shape: mapspace.map_space_d runs the same formula on stacks
+of maps.  Difference steps must be finite and positive.  Calling a form or
+a scalar function on a single point is a thin wrapper around the batched
+evaluator.
 
 Quadrature integration over a discretized source domain and fiber
 integration over a product chart live here as well.
@@ -321,46 +324,40 @@ def interior(a: Form, X) -> Form:
     return Form(a.degree - 1, a.ambient_dim, ev, name=f"i_{Xf.name}({a.name})")
 
 
-def _differences(a: Form, x: Array, directions: Sequence[Array], slots: Sequence,
-                 step: float, richardson: bool) -> Array:
-    """Central differences (k, N) of a along each of k directions (N, m),
-    a taking slots[i] on direction i; every shifted copy goes to a in one
-    call, row block (i, shift) of the stack."""
-    shifts = (step, -step, 0.5 * step, -0.5 * step) if richardson else (step, -step)
-    xs = np.concatenate([x + t * v for v in directions for t in shifts])
-    rest = [np.concatenate([sl[j] for sl in slots for _ in shifts]) for j in range(a.degree)]
-    f = a.evaluator(xs, rest).reshape(len(directions), len(shifts), len(x))
-    d1 = (f[:, 0] - f[:, 1]) / (2.0 * step)
-    if not richardson:
-        return d1
-    h2 = 0.5 * step
-    d2 = (f[:, 2] - f[:, 3]) / (2.0 * h2)
-    return (4.0 * d2 - d1) / 3.0
+def alternating_differences(evaluate: Callable[[Array, Sequence[Array]], Array],
+                            x: Array, vectors: Sequence[Array], step: float) -> Array:
+    """The coordinate formula for d by constant-extension central differences,
+
+        sum_i (-1)^i D_{Y_i}[ evaluate(., Y_0..ŷ_i..Y_p) ](x),
+
+    at the points x, each Y_i of x's shape.  The points are chart rows (N, m)
+    or map stacks (B, n_nodes, m); evaluate takes them with their slots and
+    returns one value per leading index.  All 2(p+1) shifts are stacked
+    along the leading axis, row block (i, ±step), and go to evaluate in one
+    call."""
+    k = len(vectors)
+    xs = np.concatenate([x + t * v for v in vectors for t in (step, -step)])
+    rest = [np.concatenate([vectors[j + (j >= i)] for i in range(k) for _ in (0, 1)])
+            for j in range(k - 1)]
+    f = evaluate(xs, rest).reshape(k, 2, len(x))
+    total = 0.0
+    for i in range(k):
+        total = total + (-1.0) ** i * (f[i, 0] - f[i, 1]) / (2.0 * step)
+    return total
 
 
-def exterior_derivative(a: Form, step: float = DEFAULT_FD_STEP,
-                        richardson: bool = False) -> Form:
+def exterior_derivative(a: Form, step: float = DEFAULT_FD_STEP) -> Form:
     """d a.  Returns the attached analytic derivative when present, else the
-    coordinate formula with constant-extension central differences:
-
-        (da)(Y_0..Y_p) = sum_i (-1)^i D_{Y_i}[ a(Y_0..ŷ_i..Y_p) ],
-
-    all 2(p+1) shifts (4(p+1) with Richardson) in one call to a.
-    """
+    coordinate formula of alternating_differences, all 2(p+1) shifts in one
+    call to a."""
     check_t_step(step, "step")
     if a.analytic_d is not None:
         return a.analytic_d
-    p = a.degree
 
     def ev(x, vs):
-        d = _differences(a, x, vs, [list(vs[:i]) + list(vs[i + 1:]) for i in range(p + 1)],
-                         step, richardson)
-        total = np.zeros(len(x))
-        for i in range(p + 1):
-            total += (-1.0) ** i * d[i]
-        return total
+        return alternating_differences(a.evaluator, x, vs, step)
 
-    return Form(p + 1, a.ambient_dim, ev, name=f"d({a.name})")
+    return Form(a.degree + 1, a.ambient_dim, ev, name=f"d({a.name})")
 
 
 def pullback(a: Form, phi: ChartMap) -> Form:
@@ -376,18 +373,17 @@ def pullback(a: Form, phi: ChartMap) -> Form:
     return Form(a.degree, phi.source_dim, ev, name=f"{phi.name}*({a.name})")
 
 
-def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP,
-                   richardson: bool = False) -> Form:
-    """Cartan formula L_X = i_X d + d i_X; for functions, L_X h = dh(X)."""
+def lie_derivative(a: Form, X, step: float = DEFAULT_FD_STEP) -> Form:
+    """Cartan formula L_X = i_X d + d i_X; for functions, L_X h = dh(X) by
+    central differences, even when h carries an analytic derivative."""
     check_t_step(step, "step")
     Xf = as_field(X, a.ambient_dim)
     if a.degree == 0:
         def ev(x, vs):
-            return _differences(a, x, [Xf.rows(x)], [[]], step, richardson)[0]
+            return alternating_differences(a.evaluator, x, [Xf.rows(x)], step)
         return Form(0, a.ambient_dim, ev, name=f"L_{Xf.name}({a.name})")
-    da = exterior_derivative(a, step, richardson)
-    return form_sum(interior(da, Xf),
-                    exterior_derivative(interior(a, Xf), step, richardson))
+    return form_sum(interior(exterior_derivative(a, step), Xf),
+                    exterior_derivative(interior(a, Xf), step))
 
 
 def check_t_step(step, name: str) -> None:

@@ -18,11 +18,13 @@ with a form on S:
   generic fiber integration.  It is the definitional oracle the pointwise
   route is validated against.
 
-Exterior calculus on F(S,M) uses constant-extension central differences,
-which is well defined because the targets are flat charts.  The Lie
-derivative has a second, flow route: the central difference in t of the
-forms pulled back by the time-t action.  Only the fiber-route oracle
-evaluates a stack map by map.
+Targets are flat charts: a torus-valued map must be lifted to its covering
+chart first.  So exterior calculus on F(S,M) is the chart formula of
+forms.alternating_differences, with constant-extension central differences
+of whole maps.  The Lie derivative has a second, flow route: the central
+difference in t of the forms pulled back by the time-t action.  The
+momenta of mechanics are bar_map_direct of 0-forms.  Only the fiber-route
+oracle evaluates a stack map by map.
 """
 
 from __future__ import annotations
@@ -34,16 +36,11 @@ import numpy as np
 
 from .charts import DEFAULT_FD_STEP, ChartMap, DimensionMismatch, as_field
 from .domains import ScalarField, SourceDomain, warn_if_rough
-from .forms import (DegreeError, Form, broadcast_rows, check_t_step,
-                    constant_form, fiber_integrate, shuffles, volume_form,
-                    wedge)
+from .forms import (DegreeError, Form, alternating_differences, broadcast_rows,
+                    check_t_step, constant_form, fiber_integrate, shuffles,
+                    volume_form, wedge)
 
 Array = np.ndarray
-
-
-class PeriodicTargetError(ValueError):
-    """Raised by operations that need the affine structure of the target;
-    torus-valued maps must be lifted to the covering chart first."""
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,6 @@ class MapPoint:
 
     dom: SourceDomain
     values: Array
-    periodic_target: bool = False
 
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != self.dom.n_nodes:
@@ -80,7 +76,6 @@ class MapStack:
 
     dom: SourceDomain
     values: Array
-    periodic_target: bool = False
 
     def __post_init__(self):
         if self.values.ndim != 3 or self.values.shape[1] != self.dom.n_nodes:
@@ -89,7 +84,7 @@ class MapStack:
     @classmethod
     def of(cls, f: MapPoint) -> "MapStack":
         """The stack of the single map f."""
-        return cls(f.dom, f.values[None], f.periodic_target)
+        return cls(f.dom, f.values[None])
 
     @property
     def size(self) -> int:
@@ -100,7 +95,7 @@ class MapStack:
         return self.values.shape[2]
 
     def point(self, b: int) -> MapPoint:
-        return MapPoint(self.dom, self.values[b], self.periodic_target)
+        return MapPoint(self.dom, self.values[b])
 
     def jacobian(self) -> Array:
         """Tangent maps of every map of the stack, shape (B, n_nodes, m, k)."""
@@ -153,12 +148,11 @@ class MapSpaceForm:
         return float(self.evaluator(MapStack.of(f), ts)[0])
 
 
-def map_from_function(dom: SourceDomain, func, target_dim: int,
-                      periodic_target: bool = False) -> MapPoint:
+def map_from_function(dom: SourceDomain, func, target_dim: int) -> MapPoint:
     vals = np.array([np.asarray(func(s), dtype=float) for s in dom.nodes])
     vals = vals.reshape(dom.n_nodes, target_dim)
     warn_if_rough(dom, vals)
-    return MapPoint(dom, vals, periodic_target)
+    return MapPoint(dom, vals)
 
 
 def zero_mapspace_form(degree: int, tag: str = "0") -> MapSpaceForm:
@@ -275,7 +269,7 @@ def hat_gram(omega: Form, alpha, dom: SourceDomain, f: MapPoint) -> Array:
         raise DegreeError("a Gram matrix needs a pairing of degree 2")
     density = _hat_density(omega, alpha_f, dom)
     n, m = f.values.shape
-    F = MapStack(f.dom, np.broadcast_to(f.values, (m * m, n, m)), f.periodic_target)
+    F = MapStack(f.dom, np.broadcast_to(f.values, (m * m, n, m)))
     e = np.broadcast_to(np.eye(m)[:, None, :], (m, n, m))
     ea, eb = np.repeat(e, m, axis=0), np.tile(e, (m, 1, 1))  # pair (a, b) at a * m + b
     blocks = density(F, [ea, eb]).reshape(m, m, n)
@@ -341,10 +335,12 @@ def bar_map(omega: Form, dom: SourceDomain) -> MapSpaceForm:
 
 def bar_map_direct(omega: Form, dom: SourceDomain) -> MapSpaceForm:
     """Direct formula (f; Y^1..Y^p) -> ∫_S ω(Y^1..Y^p) μ with normalized μ;
-    must agree with bar_map."""
+    must agree with bar_map.  On a 0-form ω = h this is the average of h
+    along the map, the momenta of mechanics."""
     sw = dom.signed_weights / dom.volume
 
     def ev(F: MapStack, tangents) -> Array:
+        check_grid(F, dom)
         vals = F.from_rows(omega.evaluator(F.as_rows(F.values),
                                            [F.as_rows(t) for t in tangents]))
         return np.array([sw @ v for v in vals])
@@ -402,30 +398,19 @@ def map_space_d(W: MapSpaceForm, step: float = DEFAULT_FD_STEP) -> MapSpaceForm:
     """Exterior derivative on F(S,M) by constant-extension central
     differences (flat targets; no bracket terms):
 
-        dW(Y_0..Y_n)(f) = sum_i (-1)^i D_{Y_i}[ W(Y_0..ŷ_i..Y_n) ](f).
+        dW(Y_0..Y_n)(f) = sum_i (-1)^i D_{Y_i}[ W(Y_0..ŷ_i..Y_n) ](f),
 
-    All 2(n+1) shifts of every map of the stack go to W in one call.
+    the chart formula of forms.alternating_differences with the maps of a
+    stack as points: all 2(n+1) shifts of every map go to W in one call.
     """
     check_t_step(step, "step")
-    n = W.degree
 
     def ev(F: MapStack, tangents) -> Array:
-        if F.periodic_target:
-            raise PeriodicTargetError(
-                "cannot translate a torus-valued map; lift it to the covering "
-                "chart before applying map-space differentials")
-        shifts = [(i, t) for i in range(n + 1) for t in (step, -step)]
-        shifted = replace(F, values=np.concatenate(
-            [F.values + t * tangents[i] for i, t in shifts]))
-        rest = tuple(np.concatenate([tangents[j + (j >= i)] for i, _ in shifts])
-                     for j in range(n))
-        vals = W.evaluator(shifted, rest).reshape(n + 1, 2, F.size)
-        total = 0.0
-        for i in range(n + 1):
-            total = total + (-1.0) ** i * (vals[i, 0] - vals[i, 1]) / (2.0 * step)
-        return total
+        return alternating_differences(
+            lambda vals, rest: W.evaluator(replace(F, values=vals), tuple(rest)),
+            F.values, tangents, step)
 
-    return MapSpaceForm(n + 1, ev, tag=f"d({W.tag})")
+    return MapSpaceForm(W.degree + 1, ev, tag=f"d({W.tag})")
 
 
 def map_space_interior(W: MapSpaceForm, T) -> MapSpaceForm:
@@ -517,7 +502,7 @@ def restrict_boundary(f: MapPoint) -> MapPoint:
     bdom = f.dom.boundary()
     if bdom is None:
         raise ValueError("the domain has no boundary")
-    return MapPoint(bdom, f.values[bdom.parent_indices], f.periodic_target)
+    return MapPoint(bdom, f.values[bdom.parent_indices])
 
 
 def boundary_pullback(W_boundary: MapSpaceForm) -> MapSpaceForm:
@@ -528,7 +513,7 @@ def boundary_pullback(W_boundary: MapSpaceForm) -> MapSpaceForm:
         if bdom is None:
             raise ValueError("the domain has no boundary")
         idx = bdom.parent_indices
-        return W_boundary.evaluator(MapStack(bdom, F.values[:, idx], F.periodic_target),
+        return W_boundary.evaluator(MapStack(bdom, F.values[:, idx]),
                                     tuple(t[:, idx] for t in tangents))
 
     return MapSpaceForm(W_boundary.degree, ev, tag=f"r_bd*({W_boundary.tag})")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -37,14 +37,17 @@ from .charts import (DEFAULT_FD_STEP, ChartMap, VectorField, affine_field,
 from .domains import (ScalarField, SourceDomain, exact_divfree_field,
                       projection_P, right_inverse_b)
 from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
-                    exterior_derivative, pullback, sample_difference,
-                    scalar_coordinate, volume_form)
+                    exterior_derivative, integrate, pullback,
+                    sample_difference, scalar_coordinate, volume_form)
 from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
-                       check_grid, generator_M, generator_S, hat_pairing,
+                       bar_map_direct, generator_M, generator_S, hat_pairing,
                        hat_map, map_space_d, pullback_action, pushforward_action)
 
 # Gauss-Legendre points of the line integral in hamiltonian_of
 HAMILTONIAN_QUAD_POINTS = 24
+# HamiltonianSystem.validate: the catalog residual bound and the points drawn per pair
+CATALOG_TOL = 1e-8
+CATALOG_SAMPLES = 12
 # twist check: the i*H = dB and boundary-data gates, and the closedness tolerance
 TWIST_GATE_TOL = 1e-8
 TWIST_TOL = 1e-5
@@ -85,8 +88,7 @@ class HamiltonianSystem:
                 return p
         raise KeyError(f"no hamiltonian pair named {name!r}")
 
-    def validate(self, rng: np.random.Generator, tol: float = 1e-8,
-                 samples: int = 12) -> float:
+    def validate(self, rng: np.random.Generator) -> float:
         """Residual of i_{X_h} omega = dh over the catalog, plus a
         nondegeneracy check of the coefficient matrix."""
         if abs(np.linalg.det(self.omega_matrix)) < 1e-12:
@@ -94,12 +96,12 @@ class HamiltonianSystem:
         worst = 0.0
         for p in self.catalog:
             # one (x, v) pair per sample, drawn x first
-            x, v = np.moveaxis(rng.uniform(-1.0, 1.0, (samples, 2, self.dim)), 1, 0)
+            x, v = np.moveaxis(rng.uniform(-1.0, 1.0, (CATALOG_SAMPLES, 2, self.dim)), 1, 0)
             lhs = self.omega.evaluator(x, [p.field.rows(x), v])
             rhs = np.einsum("ni,ni->n", p.h.grad(x), v)
             worst = max(worst, float(np.max(np.abs(lhs - rhs))), abs(p.h(self.base_point)))
-        if worst > tol:
-            raise ValueError(f"catalog residual {worst:.3e} exceeds {tol:.1e}")
+        if worst > CATALOG_TOL:
+            raise ValueError(f"catalog residual {worst:.3e} exceeds {CATALOG_TOL:.1e}")
         return worst
 
 
@@ -120,7 +122,7 @@ def hamiltonian_field_r2(h: ScalarFunc, name: str = "") -> HamiltonianPair:
                                                 name=f"X_{name}", batched=True))
 
 
-def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSystem:
+def canonical_r2() -> HamiltonianSystem:
     """(R^2, dx∧dy) with base point 0 and a polynomial/trig catalog."""
     omega = volume_form(2)
     pairs = [
@@ -139,7 +141,6 @@ def canonical_r2(extra_pairs: Sequence[HamiltonianPair] = ()) -> HamiltonianSyst
             lambda x: np.stack([np.cos(x[..., 0]), 0.0 * x[..., 1]], axis=-1),
             lambda x: -np.sin(x[..., 0, None, None]) * [[1.0, 0.0], [0.0, 0.0]]), "sin_x"),
     ]
-    pairs.extend(extra_pairs)
     return HamiltonianSystem(omega, np.array([[0.0, 1.0], [-1.0, 0.0]]),
                              np.zeros(2), tuple(pairs))
 
@@ -218,25 +219,16 @@ def se2_action() -> LiftedGAction:
                          (J_rot, J_tx, J_ty), C)
 
 
-def _averaged(value: Callable[[Array], Array], dom: SourceDomain,
-              tag: str) -> MapSpaceForm:
-    """The 0-form f -> ∫_S value(f) μ with normalized μ; value takes the
-    target points of every node of every map of a stack in one call."""
-    w = dom.signed_weights / dom.volume
-
-    def ev(F: MapStack, ts) -> Array:
-        check_grid(F, dom)
-        return np.array([w @ v for v in F.from_rows(value(F.as_rows(F.values)))])
-
-    return MapSpaceForm(0, ev, tag=tag)
-
-
 def momentum_lifted(action: LiftedGAction, dom: SourceDomain) -> tuple:
     """One 0-form per basis element: the average of the base momentum along
     the map, with the normalized volume, so a constant map returns the base
     momentum exactly."""
-    return tuple(_averaged(J.value, dom, f"J_{name}")
-                 for name, J in zip(action.names, action.momenta))
+    dim = action.generators[0].dim
+
+    def averaged(name: str, J: ScalarFunc) -> MapSpaceForm:
+        return bar_map_direct(Form(0, dim, lambda x, vs: J.value(x), name=f"J_{name}"), dom)
+
+    return tuple(averaged(name, J) for name, J in zip(action.names, action.momenta))
 
 
 def hamiltonian_identity_residual(omega_bar: MapSpaceForm,
@@ -281,7 +273,8 @@ def momentum_diffham(sys: HamiltonianSystem, dom: SourceDomain,
     h(base point) = 0."""
     if abs(pair.h(sys.base_point)) > 1e-10:
         raise ValueError(f"hamiltonian {pair.name!r} not normalized at the base point")
-    return _averaged(pair.h.value, dom, f"J_{pair.name}")
+    h = Form(0, sys.dim, lambda x, vs: pair.h.value(x), name=f"J_{pair.name}")
+    return bar_map_direct(h, dom)
 
 
 def cocycle_diffham(sys: HamiltonianSystem, X: HamiltonianPair,
@@ -298,8 +291,7 @@ def cocycle_diffham_defining(sys: HamiltonianSystem, dom: SourceDomain,
     Hamiltonian recovered by line integration (independent of the catalog)."""
     b = opposite_bracket(X.field, Y.field)
     hb = hamiltonian_of(sys, b)
-    w = dom.signed_weights / dom.volume
-    term1 = float(w @ hb(f.values))
+    term1 = bar_map_direct(Form(0, sys.dim, lambda x, vs: hb(x)), dom)(f)
     ob = bar_map(sys.omega, dom)
     term2 = ob(f, generator_M(X.field, f), generator_M(Y.field, f))
     return term1 - term2
@@ -433,10 +425,11 @@ def lichnerowicz(dom_M: SourceDomain, eta: Form, X: VectorField,
     antisymmetric in the fields."""
     if eta.degree != 2 or nu.degree != dom_M.dim:
         raise DegreeError("need a 2-form and a volume form on the meshed surface")
-    x = dom_M.nodes
-    frame = [broadcast_rows(e, x) for e in np.eye(dom_M.chart_dim)[:dom_M.dim]]
-    integrand = eta.evaluator(x, [X.rows(x), Y.rows(x)]) * nu.evaluator(x, frame)
-    return float(dom_M.signed_weights @ integrand)
+
+    def ev(x, vs):
+        return eta.evaluator(x, [X.rows(x), Y.rows(x)]) * nu.evaluator(x, vs)
+
+    return integrate(Form(nu.degree, nu.ambient_dim, ev), dom_M)
 
 
 # ---------------------------------------------------------------------------
@@ -459,9 +452,6 @@ class AffineSubspace:
 
     def inclusion(self) -> ChartMap:
         return affine_map(self.basis, self.origin, name="incl")
-
-    def coordinates(self, x: Array) -> Array:
-        return self.basis.T @ (np.asarray(x, dtype=float) - self.origin)
 
     def project_vector(self, v: Array) -> Array:
         return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))

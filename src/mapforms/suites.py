@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
-from .charts import affine_map, constant_field, rotation3
+from .charts import DEFAULT_FD_STEP, affine_map, constant_field, rotation3
 from .domains import (MIN_INTERVAL_NODES, ScalarField, circle, interval,
                       make_domain, nodal_vector_field, torus2)
 from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
@@ -47,7 +47,7 @@ class SuiteConfig:
     nodes: int = 48            # circle nodes
     torus_side: int = 24
     interval_nodes: int = 65
-    fd_step: float = 1e-4
+    fd_step: float = DEFAULT_FD_STEP
     trials: int = 3
     order_steps: tuple = (4e-3, 2e-3, 1e-3, 5e-4)
 

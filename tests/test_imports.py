@@ -1,9 +1,15 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no public function is dead.
 
 An AST scan of every Python file under src/, tests/, demos/ and scripts/:
 each name bound by an import must appear as a name somewhere else in the
 file (an attribute base counts, as do quoted annotations).  A package
 `__init__.py` is exempt, since its imports are the package's public API.
+
+A second scan takes every public module-level function and method of
+src/mapforms and asks for a reference to its name, as a name or an
+attribute, somewhere in src/, tests/, demos/, scripts/ or perfbench/
+outside the body of a function of that name (an import is not a
+reference).
 """
 
 import ast
@@ -11,6 +17,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "demos", "scripts")
+REFERENCING = SCANNED + ("perfbench",)
 
 
 def _imported(tree):
@@ -64,3 +71,66 @@ def test_scan_finds_exactly_the_unused_names():
               "from a.b import c, d, e as g\n"
               "def f(x: \"d\") -> None:\n    return np.pi + g\n")
     assert unused_imports(source) == [("os", 2), ("os", 3), ("c", 5)]
+
+
+def public_functions(source: str):
+    """(name, line) of every module-level function and method of source
+    whose name does not start with an underscore."""
+    tree = ast.parse(source)
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    return [(node.name, node.lineno) for scope in scopes for node in scope.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+class _References(ast.NodeVisitor):
+    """Names and attributes of a tree, leaving out those inside the body of
+    a function of the same name (recursion is not a use)."""
+
+    def __init__(self):
+        self.enclosing, self.found = [], set()
+
+    def visit_FunctionDef(self, node):
+        self.enclosing.append(node.name)
+        self.generic_visit(node)
+        self.enclosing.pop()
+
+    def _see(self, name):
+        if name not in self.enclosing:
+            self.found.add(name)
+
+    def visit_Name(self, node):
+        self._see(node.id)
+
+    def visit_Attribute(self, node):
+        self._see(node.attr)
+        self.generic_visit(node)
+
+
+def references(source: str) -> set:
+    refs = _References()
+    refs.visit(ast.parse(source))
+    return refs.found
+
+
+def test_every_public_function_is_referenced():
+    used = set()
+    for d in REFERENCING:
+        for p in sorted((REPO / d).rglob("*.py")):
+            used |= references(p.read_text())
+    defined = [(p, name, line) for p in sorted((REPO / "src" / "mapforms").glob("*.py"))
+               for name, line in public_functions(p.read_text())]
+    assert len(defined) > 100
+    dead = [f"{p.relative_to(REPO)}:{line} {name}" for p, name, line in defined
+            if name not in used]
+    assert dead == []
+
+
+def test_reference_scan_skips_recursion_and_imports():
+    source = ("from m import lone\n"
+              "def walk(n):\n    return walk(n - 1) if n else used(n)\n"
+              "def used(n):\n    return n\n"
+              "class A:\n    def method(self):\n        return self.other()\n"
+              "    def other(self):\n        return 1\n    def _hidden(self):\n        pass\n")
+    assert public_functions(source) == [("walk", 2), ("used", 4), ("method", 7), ("other", 9)]
+    assert {"walk", "lone", "method"}.isdisjoint(references(source))
+    assert {"used", "other"} <= references(source)

@@ -10,8 +10,7 @@ from mapforms.domains import ScalarField, circle, interval, torus2
 from mapforms.forms import (DegreeError, coefficient_form, coordinate_form,
                             exterior_derivative, interior, pullback,
                             trig_scalar, volume_form)
-from mapforms.mapspace import (MapPoint, MapTangent, PeriodicTargetError,
-                               action_pullback_M, action_pullback_S, bar_map,
+from mapforms.mapspace import (MapPoint, MapTangent, action_pullback_M, action_pullback_S, bar_map,
                                bar_map_direct, boundary_pullback, generator_M,
                                generator_S, hat_map, hat_pairing,
                                hat_pairing_fiber, map_from_function,
@@ -204,15 +203,6 @@ def test_map_space_d_of_constant_function():
     assert dW(f, cat.random_tangent(f, np.random.default_rng(21))) == 0.0
 
 
-def test_map_space_d_rejects_periodic_targets():
-    dom = circle(32)
-    f = MapPoint(dom, np.zeros((32, 2)), periodic_target=True)
-    W = hat_pairing(volume_form(2), 1.0, dom)
-    dW = map_space_d(W, 1e-4)
-    with pytest.raises(PeriodicTargetError):
-        dW(f, MapTangent(f, np.ones((32, 2))), MapTangent(f, np.ones((32, 2))))
-
-
 def test_derivation_identity_on_closed_source():
     rng = np.random.default_rng(22)
     dom = circle(48)
@@ -332,6 +322,8 @@ def test_pairing_rejects_another_grid_with_the_same_node_count():
         hat_pairing_fiber(cat.random_form(3, 2, rng), 1.0, dom)(f)
     with pytest.raises(DimensionMismatch):
         hat_pairing(volume_form(3), ScalarField(other, np.ones(other.n_nodes)), dom)
+    with pytest.raises(DimensionMismatch):
+        bar_map_direct(cat.random_form(3, 1, rng), dom)(f, cat.random_tangent(f, rng))
 
 
 def test_restrict_boundary_values():

@@ -16,9 +16,10 @@ from mapforms import mechanics as me
 from mapforms import suites as su
 from mapforms.charts import ChartMap, affine_map, constant_field
 from mapforms.domains import _wavenumbers, circle, interval, torus2
-from mapforms.forms import coefficient_form, volume_form
+from mapforms.forms import (coefficient_form, exterior_derivative, strip_analytic,
+                            volume_form)
 from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
-                               PeriodicTargetError, action_pullback_M,
+                               action_pullback_M,
                                action_pullback_S, bar_map, bar_map_direct,
                                boundary_pullback, generator_M, generator_S,
                                hat_gram, hat_map, hat_pairing,
@@ -182,15 +183,16 @@ def test_map_space_d_makes_one_inner_call_per_evaluation(kind):
     assert sizes == [2 * (n + 2) * 2 * (n + 1)]
 
 
-def test_periodic_target_error_on_stacks():
-    dom = circle(16)
-    W = map_space_d(hat_pairing(volume_form(2), 1.0, dom))
-    F = MapStack(dom, np.zeros((B, 16, 2)), periodic_target=True)
-    ones = np.ones((B, 16, 2))
-    with pytest.raises(PeriodicTargetError):
-        W.evaluator(F, (ones, ones))
-    with pytest.raises(PeriodicTargetError):
-        map_space_d(W).evaluator(F, (ones, ones, ones))
+@pytest.mark.parametrize("kind", sorted(DOMAINS))
+def test_map_space_d_and_chart_d_share_one_difference_kernel(kind):
+    # differencing is linear, so d before and after the average differ only
+    # in the order of the sums
+    dom = DOMAINS[kind]()
+    om = cat.random_form(3, 2, np.random.default_rng([12, len(kind)]))
+    _, _, F, tangents = _stack(dom, 3, seed=13)
+    before = map_space_d(bar_map_direct(om, dom)).evaluator(F, tangents)
+    after = bar_map_direct(exterior_derivative(strip_analytic(om)), dom).evaluator(F, tangents)
+    assert np.max(np.abs(before - after)) < 1e-10
 
 
 def test_map_stack_validation():
