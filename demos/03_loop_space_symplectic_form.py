@@ -13,7 +13,7 @@ from mapforms import grassmannian as gr
 from mapforms.mapspace import pushforward_tangent
 
 dom = mf.circle(128)
-nu = cat.named_form("vol3")
+nu = mf.volume_form(3)
 
 loop = gr.embed(cat.unit_circle_map(dom, 3))
 print(f"unit circle embedded: min nodal distance {loop.min_distance:.3f}, "

@@ -65,7 +65,7 @@ print("cocycle, defining route:  ",
 print("(zero: the class of the pulled-back exact form vanishes)")
 
 # --- the volume-integral cocycle on divergence-free fields ------------------
-eta = cat.coordinate_form((0, 1), 2, 1.7)
+eta = mf.coordinate_form((0, 1), 2, 1.7)
 nu1 = mf.volume_form(2, 1.0 / domt.volume)
 exf, eyf = mf.constant_field([1.0, 0.0]), mf.constant_field([0.0, 1.0])
 print("\nvolume-integral cocycle on constant fields:",

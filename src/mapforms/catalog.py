@@ -1,9 +1,8 @@
-"""Named test objects and seeded random generators.
+"""Named vector fields and maps, and seeded random data.
 
-The string-addressable catalog backs the command line; the random
-generators produce trigonometric-polynomial data with bounded mode numbers
-so that spectral quadrature and differentiation are exact on reasonable
-grids and every suite is reproducible from a seed.
+The random generators produce trigonometric-polynomial data with bounded
+mode numbers so that spectral quadrature and differentiation are exact on
+reasonable grids and every suite is reproducible from a seed.
 """
 
 from __future__ import annotations
@@ -15,9 +14,8 @@ import numpy as np
 from . import mapspace as ms
 from .charts import (ChartMap, VectorField, affine_field, affine_map,
                      broadcast_rows, constant_field)
-from .domains import SourceDomain, warn_if_rough
-from .forms import (Form, ScalarFunc, coefficient_form, coordinate_form,
-                    scalar_coordinate, trig_scalar, volume_form)
+from .domains import ScalarField, SourceDomain, warn_if_rough
+from .forms import Form, ScalarFunc, coefficient_form, trig_scalar
 
 Array = np.ndarray
 
@@ -26,71 +24,20 @@ MAX_MODE = 2
 
 
 # ---------------------------------------------------------------------------
-# named forms
-
-def _sin_x_dy() -> Form:
-    return coefficient_form(2, 1, {(1,): trig_scalar(2, [[1.0, 0.0]], [1.0], [0.0])},
-                            name="sin(x) dy")
-
-
-def _x_dy() -> Form:
-    return coefficient_form(2, 1, {(1,): scalar_coordinate(0, 2)}, name="x dy")
-
-
-def _z_dx_dy() -> Form:
-    return coefficient_form(3, 2, {(0, 1): scalar_coordinate(2, 3)}, name="z dx^dy")
-
-
-_NAMED_FORMS = {
-    "dx": lambda: coordinate_form((0,), 2, name="dx"),
-    "dy": lambda: coordinate_form((1,), 2, name="dy"),
-    "dx3": lambda: coordinate_form((0,), 3, name="dx"),
-    "dy3": lambda: coordinate_form((1,), 3, name="dy"),
-    "dz3": lambda: coordinate_form((2,), 3, name="dz"),
-    "dx^dy": lambda: coordinate_form((0, 1), 2, name="dx^dy"),
-    "dx^dy3": lambda: coordinate_form((0, 1), 3, name="dx^dy"),
-    "dy^dz3": lambda: coordinate_form((1, 2), 3, name="dy^dz"),
-    "dx^dy^dz": lambda: volume_form(3),
-    "du1^du3": lambda: coordinate_form((0, 2), 4, name="du1^du3"),
-    "x_dy": _x_dy,
-    "sin_x_dy": _sin_x_dy,
-    "z_dx^dy": _z_dx_dy,
-    "area2": lambda: volume_form(2),
-    "vol3": lambda: volume_form(3),
-}
-
-
-def named_form(name: str) -> Form:
-    try:
-        return _NAMED_FORMS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown form id {name!r}; available: {sorted(_NAMED_FORMS)}") from None
-
-
-def form_ids() -> list:
-    return sorted(_NAMED_FORMS)
-
-
-# ---------------------------------------------------------------------------
 # named vector fields and maps
 
-def named_field(name: str, dim: int = 3) -> VectorField:
-    if name == "e_x":
-        return constant_field(np.eye(dim)[0], name="e_x")
-    if name == "e_y":
-        return constant_field(np.eye(dim)[1], name="e_y")
-    if name == "e_z":
-        return constant_field(np.eye(dim)[2], name="e_z")
+def named_field(name: str) -> VectorField:
+    """A named vector field on R^3: e_x, e_y, e_z, radial or rotation."""
+    if name in ("e_x", "e_y", "e_z"):
+        return constant_field(np.eye(3)["xyz".index(name[-1])], name=name)
     if name == "radial":
-        P = np.diag([1.0, 1.0] + [0.0] * (dim - 2))
-        return VectorField(lambda x: np.hstack([x[:, :2], np.zeros((len(x), dim - 2))]),
-                           dim, jacobian_func=lambda x: broadcast_rows(P, x),
+        P = np.diag([1.0, 1.0, 0.0])
+        return VectorField(lambda x: np.hstack([x[:, :2], np.zeros((len(x), 1))]),
+                           3, jacobian_func=lambda x: broadcast_rows(P, x),
                            name="radial", batched=True)
     if name == "rotation":
-        A = np.zeros((dim, dim))
-        A[0, 1], A[1, 0] = -1.0, 1.0
-        return affine_field(A, name="rotation")
+        return affine_field([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+                            name="rotation")
     raise KeyError(f"unknown field id {name!r}")
 
 
@@ -184,10 +131,9 @@ def random_affine_field(dim: int, rng: np.random.Generator,
 
 
 def random_stream(dom: SourceDomain, rng: np.random.Generator,
-                  max_mode: int = 3, amp: float = 1.0):
+                  max_mode: int = 3) -> ScalarField:
     """Zero-mean random stream function on the 2-torus."""
-    from .domains import ScalarField
-    g = random_scalar(2, rng, n_terms=3, max_mode=max_mode, amp=amp)
+    g = random_scalar(2, rng, n_terms=3, max_mode=max_mode)
     vals = g.value(dom.nodes)
     return ScalarField(dom, vals - vals.mean())
 
@@ -203,9 +149,11 @@ def rigid_shift_2d(shift_x: float, shift_y: float) -> ChartMap:
                       name=f"shift2({shift_x:g},{shift_y:g})")
 
 
-def circle_warp(eps: float = 0.3) -> ChartMap:
+def circle_warp() -> ChartMap:
     """Non-rigid orientation-preserving circle diffeomorphism
-    s -> s + eps sin s (needs |eps| < 1)."""
+    s -> s + 0.3 sin s."""
+    eps = 0.3
+
     def inv(y):
         x = np.asarray(y, dtype=float).copy()
         for _ in range(60):

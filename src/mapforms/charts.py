@@ -85,7 +85,7 @@ class _RowCalculus:
         differences of `rows` when no analytic Jacobian is attached."""
         if self.jacobian_func is not None:
             return _rows(self.jacobian_func, self.batched, x)
-        return _fd_jacobian_rows(self.rows, x, self.fd_step)
+        return _fd_jacobian_rows(self.rows, x, DEFAULT_FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class ChartMap(_RowCalculus):
     target_dim: int
     jacobian_func: Optional[Callable[[Array], Array]] = None
     inverse: Optional[Callable[[Array], Array]] = None
-    fd_step: float = DEFAULT_FD_STEP
     name: str = ""
     batched: bool = False
     value_and_jacobian_func: Optional[Callable[[Array], tuple]] = None
@@ -218,7 +217,6 @@ class VectorField(_RowCalculus):
     dim: int
     jacobian_func: Optional[Callable[[Array], Array]] = None
     flow_func: Optional[Callable[[float], ChartMap]] = None
-    fd_step: float = DEFAULT_FD_STEP
     name: str = ""
     batched: bool = False
 
@@ -237,8 +235,8 @@ class VectorField(_RowCalculus):
         jac = None
         if X.jacobian_func is not None and Y.jacobian_func is not None:
             # second derivatives by differencing the analytic Jacobians
-            def jac(x, h=self.fd_step):
-                return _fd_jacobian_rows(func, x, h)
+            def jac(x):
+                return _fd_jacobian_rows(func, x, DEFAULT_FD_STEP)
 
         return VectorField(func, self.dim, jacobian_func=jac,
                            name=f"[{X.name},{Y.name}]", batched=True)

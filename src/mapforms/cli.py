@@ -30,7 +30,7 @@ from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
 from .domains import circle, make_domain, torus2
-from .forms import coefficient_form, integrate
+from .forms import coefficient_form, integrate, scalar_coordinate
 from .report import VerificationReport, fit_order, make_environment
 from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
                      brane_checks, derivation_residual, mw_links, run_suite,
@@ -247,7 +247,7 @@ def demo_dualpair(config: SuiteConfig):
     dom = torus2(config.torus_side)
     rng = np.random.default_rng([config.seed, 96])
     sys = me.canonical_r2()
-    theta = coefficient_form(2, 1, {(1,): cat.scalar_coordinate(0, 2)},
+    theta = coefficient_form(2, 1, {(1,): scalar_coordinate(0, 2)},
                              name="x dy")
     om_ex = me.exact_two_form(theta)
     report = me.dual_pair_report(sys, om_ex, dom, rng, fd_step=config.fd_step)

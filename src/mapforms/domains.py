@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .charts import VectorField
 from .forms import DegreeError, Form, broadcast_rows
 
 Array = np.ndarray
@@ -201,9 +202,7 @@ class SourceDomain:
         if self.periods is None:
             return 0.0
         c = np.asarray(values, dtype=float).reshape(self.shape + (-1,))
-        for a in reversed(range(self.dim)):  # the axis order of np.fft.fftn
-            c = np.fft.fft(c, axis=a)
-        c = np.abs(c)
+        c = np.abs(np.fft.fftn(c, axes=tuple(range(self.dim))))
         scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
         # dividing by the positive scale keeps the order, so the running
         # maximum of each Nyquist plane's ratio is the ratio of the band
@@ -229,9 +228,10 @@ def circle(n: int) -> SourceDomain:
     return torus((n,))
 
 
-def torus2(nx: int, ny: Optional[int] = None) -> SourceDomain:
-    """Flat 2-torus [0,2pi)^2 on an nx-by-ny tensor grid."""
-    return torus((nx, nx if ny is None else ny))
+def torus2(n: int) -> SourceDomain:
+    """Flat 2-torus [0,2pi)^2 on an n-by-n tensor grid; a non-square grid
+    is torus((nx, ny))."""
+    return torus((n, n))
 
 
 # 4th-order end-corrected trapezoid (Gregory) weights
@@ -323,9 +323,7 @@ def _trig_interp(flat: Array, shape: tuple, pts: Array) -> Array:
     out (n_0, comps, n_1, ...), meet the axis-0 basis in one matrix product;
     the other axes are then summed out one by one from the last."""
     k, comps = len(shape), flat.shape[1]
-    c = flat.reshape(shape + (comps,))
-    for a in reversed(range(k)):  # the axis order of np.fft.fftn
-        c = np.fft.fft(c, axis=a)
+    c = np.fft.fftn(flat.reshape(shape + (comps,)), axes=tuple(range(k)))
     c = c.transpose((0, k, *range(1, k))) / flat.shape[0]
     out = _nyquist_basis(shape[0], pts[:, 0]) @ c.reshape(shape[0], -1)
     out = out.reshape((len(pts), comps) + shape[1:])
@@ -417,7 +415,6 @@ def nodal_vector_field(dom: SourceDomain, vectors: Array):
     def func(s):
         return vectors[dom.node_index(s)]
 
-    from .charts import VectorField
     return VectorField(func, dom.chart_dim, name="nodal", batched=True)
 
 

@@ -496,9 +496,10 @@ def fiber_integrate(w: Form, dom) -> Form:
 # ---------------------------------------------------------------------------
 # sampling utilities for comparing evaluator-based forms
 
-def _draw(rng: np.random.Generator, m: int, p: int, radius: float, center=0.0):
-    """One random point and p random vectors, drawn in that order."""
-    return (center + radius * rng.uniform(-1.0, 1.0, size=m),
+def _draw(rng: np.random.Generator, m: int, p: int):
+    """One random point of the unit box [-1, 1]^m and p random vectors,
+    drawn in that order."""
+    return (rng.uniform(-1.0, 1.0, size=m),
             [rng.uniform(-1.0, 1.0, size=m) for _ in range(p)])
 
 
@@ -509,27 +510,26 @@ def _stack(samples: list, p: int, m: int) -> tuple:
 
 
 def sample_difference(a: Form, b: Form, rng: np.random.Generator,
-                      n_samples: int = 20, radius: float = 1.0,
-                      center=None) -> float:
-    """Max |a - b| over random points and unit-scale tangent tuples."""
+                      n_samples: int = 20) -> float:
+    """Max |a - b| over random points of the unit box and unit-scale tangent
+    tuples."""
     if (a.degree, a.ambient_dim) != (b.degree, b.ambient_dim):
         raise DimensionMismatch("sample_difference needs matching degree and dim")
     m, p = a.ambient_dim, a.degree
-    c = np.zeros(m) if center is None else np.asarray(center, dtype=float)
-    x, vs = _stack([_draw(rng, m, p, radius, c) for _ in range(n_samples)], p, m)
+    x, vs = _stack([_draw(rng, m, p) for _ in range(n_samples)], p, m)
     diff = a.evaluator(x, list(vs)) - b.evaluator(x, list(vs))
     return float(np.max(np.abs(diff), initial=0.0))
 
 
 def antisymmetry_defect(a: Form, rng: np.random.Generator,
-                        n_samples: int = 10, radius: float = 1.0) -> float:
+                        n_samples: int = 10) -> float:
     """Max violation of a swap sign flip over random slot pairs."""
     if a.degree < 2:
         return 0.0
     m, p = a.ambient_dim, a.degree
     samples, pairs = [], []
     for _ in range(n_samples):
-        samples.append(_draw(rng, m, p, radius))
+        samples.append(_draw(rng, m, p))
         pairs.append(rng.choice(p, size=2, replace=False))
     x, vs = _stack(samples, p, m)
     (i, j), rows = np.reshape(pairs, (n_samples, 2)).T, np.arange(n_samples)
@@ -540,14 +540,14 @@ def antisymmetry_defect(a: Form, rng: np.random.Generator,
 
 
 def multilinearity_defect(a: Form, rng: np.random.Generator,
-                          n_samples: int = 10, radius: float = 1.0) -> float:
+                          n_samples: int = 10) -> float:
     """Max violation of linearity in a random slot."""
     if a.degree == 0:
         return 0.0
     m, p = a.ambient_dim, a.degree
     samples, slot, u, c = [], [], [], []
     for _ in range(n_samples):
-        samples.append(_draw(rng, m, p, radius))
+        samples.append(_draw(rng, m, p))
         slot.append(int(rng.integers(p)))
         u.append(rng.uniform(-1.0, 1.0, size=m))
         c.append(float(rng.uniform(-2.0, 2.0)))

@@ -341,6 +341,8 @@ def bar_map_direct(omega: Form, dom: SourceDomain) -> MapSpaceForm:
 
     def ev(F: MapStack, tangents) -> Array:
         check_grid(F, dom)
+        if F.target_dim != omega.ambient_dim:
+            raise DimensionMismatch("map target dim != form chart dim")
         vals = F.from_rows(omega.evaluator(F.as_rows(F.values),
                                            [F.as_rows(t) for t in tangents]))
         return np.array([sw @ v for v in vals])

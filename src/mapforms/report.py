@@ -103,18 +103,18 @@ def make_environment(config) -> dict:
     }
 
 
-def fit_order(steps, residuals, floor: float = RESIDUAL_FLOOR):
+def fit_order(steps, residuals):
     """Least-squares slope of log(residual) vs log(step).
 
     Returns (order, note): the order is None with note "floor" when every
-    residual sits at the roundoff floor (spectral tests), and None with
+    residual sits below RESIDUAL_FLOOR (spectral tests), and None with
     note "n/a" when fewer than two levels are available.
     """
     steps = np.asarray(steps, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if steps.size < 2:
         return None, "n/a"
-    if np.all(residuals < floor):
+    if np.all(residuals < RESIDUAL_FLOOR):
         return None, "floor"
     keep = residuals > 0
     if keep.sum() < 2:

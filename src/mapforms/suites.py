@@ -147,7 +147,8 @@ def _gap(lhs, rhs, f, *ts) -> float:
 # ---------------------------------------------------------------------------
 # random case helpers
 
-def _hat_case(dom, m, p, q, rng, amp=0.8):
+def _hat_case(dom, m, p, q, rng):
+    amp = 0.8
     om = cat.random_form(m, p, rng, amp=amp)
     al = cat.random_form(dom.chart_dim, q, rng, amp=amp, integer_modes=True)
     f = cat.random_map(dom, m, rng, amp=amp)
@@ -156,10 +157,10 @@ def _hat_case(dom, m, p, q, rng, amp=0.8):
     return om, al, f, ts
 
 
-def two_route_residual(dom, m, p, q, rng, amp=0.8) -> float:
+def two_route_residual(dom, m, p, q, rng) -> float:
     """Relative disagreement of the pointwise and fiber-integration routes
     on one random case."""
-    om, al, f, ts = _hat_case(dom, m, p, q, rng, amp)
+    om, al, f, ts = _hat_case(dom, m, p, q, rng)
     return abs(_gap(hat_pairing(om, al, dom), hat_pairing_fiber(om, al, dom), f, *ts))
 
 
@@ -289,7 +290,7 @@ def run_hat_calculus(config: SuiteConfig):
     for test_id, psi, label, tol in [
             ("action-reparam-rigid", cat.rigid_shift(0.37),
              "rigid shift, interpolation exact", 1e-9),
-            ("action-reparam-warp", cat.circle_warp(0.3),
+            ("action-reparam-warp", cat.circle_warp(),
              "orientation-preserving warp", IDENTITY_TOL)]:
         records.add(test_id, f"psihat*(w.a)^ = (w.psi*a)^  ({label})",
                     abs(_gap(action_pullback_S(WS, psi),
@@ -558,7 +559,7 @@ def run_fiber_rules(config: SuiteConfig):
                 sample_difference(lhs, rhs, rng, 10), IDENTITY_TOL, dom)
 
     # rule 2: invariance under orientation-preserving reparameterization
-    warp = cat.circle_warp(0.3)
+    warp = cat.circle_warp()
     w2 = _random_product(1, 2, 2, rng, per=[0])
     lhs = fiber_integrate(pullback(w2, product_map(warp, None, 1, 2)), dom)
     records.add("fiber-rule-reparam",
@@ -742,11 +743,11 @@ def run_momentum(config: SuiteConfig):
     # exact volume preserving diffeomorphisms of S = T^2
     domt = torus2(config.torus_side)
     om_ex = me.exact_two_form(coefficient_form(
-        4, 1, {(2,): cat.scalar_coordinate(0, 4)}, name="u1 du3"))
+        4, 1, {(2,): scalar_coordinate(0, 4)}, name="u1 du3"))
     # a potential with varying coefficients, so the identity is FD-limited
     om_curved = me.exact_two_form(coefficient_form(
         4, 1,
-        {(2,): cat.scalar_coordinate(0, 4),
+        {(2,): scalar_coordinate(0, 4),
          (1,): trig_scalar(4, [[1.0, 0.0, 0.0, 0.7]], [0.4], [0.2])},
         name="curved potential"))
 
@@ -846,7 +847,7 @@ def run_cocycles(config: SuiteConfig):
 
     # S-side cocycle on the torus
     domt = torus2(config.torus_side)
-    theta = coefficient_form(4, 1, {(2,): cat.scalar_coordinate(0, 4)})
+    theta = coefficient_form(4, 1, {(2,): scalar_coordinate(0, 4)})
     om_ex = me.exact_two_form(theta)
     a1 = cat.random_stream(domt, rng, max_mode=2)
     a2 = cat.random_stream(domt, rng, max_mode=2)
@@ -879,7 +880,7 @@ def run_cocycles(config: SuiteConfig):
                 abs(total), IDENTITY_TOL, domt)
 
     # volume-integral cocycle on the meshed surface
-    eta = cat.coordinate_form((0, 1), 2, 2.5)
+    eta = coordinate_form((0, 1), 2, 2.5)
     nu_n = volume_form(2, 1.0 / domt.volume)
     ex = constant_field([1.0, 0.0])
     ey = constant_field([0.0, 1.0])
@@ -911,7 +912,7 @@ def brane_catalog(config: SuiteConfig):
     B3 = coefficient_form(2, 2, {(0, 1): trig_scalar(
         2, [[0.7, 0.3], [0.2, -0.5]], [0.8, 0.5], [0.1, 1.2])}, name="closed B")
     B0 = coefficient_form(2, 2, {(0, 1): scalar_const(0.0, 2)}, name="0")
-    H4 = coefficient_form(4, 3, {(0, 1, 2): cat.scalar_coordinate(2, 4)},
+    H4 = coefficient_form(4, 3, {(0, 1, 2): scalar_coordinate(2, 4)},
                           name="z dx^dy^dz")
     D4 = me.affine_subspace(np.zeros(4), np.eye(4)[:, :3])
     xz = cat.ScalarFunc(lambda u: u[..., 0] * u[..., 2],

@@ -284,7 +284,7 @@ def _maps():
     rng = np.random.default_rng(21)
     A, b = rng.uniform(-1, 1, (3, 3)) + 2 * np.eye(3), rng.uniform(-1, 1, 3)
     sys = me.canonical_r2()
-    warp = cat.circle_warp(0.3)
+    warp = cat.circle_warp()
     per_point = ChartMap(lambda u: u + 0.2 * np.sin(u[::-1]), 3, 3, name="per-point")
     fd = DEFAULT_FD_STEP
     # (map, tolerance on its Jacobian rows): 1e-14 / h where they difference
@@ -312,7 +312,7 @@ def _fields():
     rng = np.random.default_rng(22)
     sys, se2 = me.canonical_r2(), me.se2_action()
     A, c = rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)
-    rot = cat.named_field("rotation", 3)
+    rot = cat.named_field("rotation")
     fd = DEFAULT_FD_STEP
     fields = {
         "constant": (constant_field([0.3, -0.2]), RTOL),
@@ -320,7 +320,7 @@ def _fields():
         "bracket": (affine_field(A, c).bracket(sys.pair("sin_x").field), RTOL / fd),
         "opposite_bracket": (me.opposite_bracket(sys.pair("xy").field,
                                                  sys.pair("sin_x").field), RTOL / fd),
-        "radial": (cat.named_field("radial", 3), RTOL),
+        "radial": (cat.named_field("radial"), RTOL),
         "vertical": (vertical_field(rot, 1), RTOL),
         "horizontal": (horizontal_field(rot, 2), RTOL),
     }

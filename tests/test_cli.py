@@ -2,6 +2,7 @@
 and byte-level determinism of reports."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from mapforms.cli import main
 from mapforms.report import TestRecord
 from mapforms.suites import SUITES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_verify_runs_and_writes_report(tmp_path, capsys):
@@ -36,6 +39,17 @@ def test_verify_reports_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_verify_all_suites_emits_the_benchmark_record_ids_in_order(tmp_path):
+    expected = (REPO / "perfbench" / "expected_ids.txt").read_text().split()
+    assert len(expected) == 73
+    out = tmp_path / "report.json"
+    argv = ["verify", *(a for s in SUITES for a in ("--suite", s)), "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert [r["test_id"] for r in records] == expected
+    assert all(r["passed"] for r in records)
 
 
 def test_verify_csv_format(tmp_path):

@@ -104,7 +104,7 @@ def test_rule_reparam_infinitesimal():
 def test_rule_reparameterization_invariance():
     rng = np.random.default_rng(2)
     dom = circle(64)
-    warp = cat.circle_warp(0.3)
+    warp = cat.circle_warp()
     w = random_product(1, 2, 2, rng, periodic_axes=(0,))
     lhs = fiber_integrate(pullback(w, product_map(warp, None, 1, 2)), dom)
     rhs = fiber_integrate(w, dom)

@@ -202,16 +202,6 @@ def test_integrate_degree_mismatch():
         integrate(coordinate_form((0,), 2), torus2(8))
 
 
-def test_named_form_catalog():
-    vol = cat.named_form("vol3")
-    assert vol(np.zeros(3), *E3) == pytest.approx(1.0)
-    assert cat.named_form("sin_x_dy")(np.array([np.pi / 2, 0.0]), EY) == \
-        pytest.approx(1.0)
-    assert "dx^dy" in cat.form_ids()
-    with pytest.raises(KeyError):
-        cat.named_form("not-a-form")
-
-
 def test_produced_forms_are_alternating_and_multilinear():
     rng = np.random.default_rng(11)
     a = cat.random_form(4, 2, rng)

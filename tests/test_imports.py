@@ -1,4 +1,5 @@
-"""No module imports a name it never uses, and no public function is dead.
+"""No module imports a name it never uses, no public function is dead, and
+the package imports only at module level.
 
 An AST scan of every Python file under src/, tests/, demos/ and scripts/:
 each name bound by an import must appear as a name somewhere else in the
@@ -10,6 +11,9 @@ src/mapforms and asks for a reference to its name, as a name or an
 attribute, somewhere in src/, tests/, demos/, scripts/ or perfbench/
 outside the body of a function of that name (an import is not a
 reference).
+
+A third scan finds the imports inside a function body of src/mapforms;
+there must be none, since no import cycle needs one.
 """
 
 import ast
@@ -134,3 +138,26 @@ def test_reference_scan_skips_recursion_and_imports():
     assert public_functions(source) == [("walk", 2), ("used", 4), ("method", 7), ("other", 9)]
     assert {"walk", "lone", "method"}.isdisjoint(references(source))
     assert {"used", "other"} <= references(source)
+
+
+def function_level_imports(source: str):
+    """Lines of the imports inside a function body of source."""
+    tree = ast.parse(source)
+    return sorted({node.lineno for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_package_imports_only_at_module_level():
+    found = [f"{p.relative_to(REPO)}:{line}"
+             for p in sorted((REPO / "src" / "mapforms").glob("*.py"))
+             for line in function_level_imports(p.read_text())]
+    assert found == []
+
+
+def test_function_level_scan_finds_nested_imports():
+    source = ("import os\n"
+              "def f():\n    import sys\n    def g():\n        from a import b\n"
+              "    return sys, g\n"
+              "class C:\n    from . import y\n    def m(self):\n        from . import x\n")
+    assert function_level_imports(source) == [3, 5, 10]

@@ -6,7 +6,7 @@ import pytest
 
 from mapforms import catalog as cat
 from mapforms.charts import DimensionMismatch, constant_field, rotation2
-from mapforms.domains import ScalarField, circle, interval, torus2
+from mapforms.domains import ScalarField, circle, interval, torus, torus2
 from mapforms.forms import (DegreeError, coefficient_form, coordinate_form,
                             exterior_derivative, interior, pullback,
                             trig_scalar, volume_form)
@@ -309,9 +309,9 @@ def test_map_space_lie_flow_rejects_bad_t_step(t_step):
 
 
 def test_pairing_rejects_another_grid_with_the_same_node_count():
-    # torus2(12, 48) and torus2(24) are both of kind torus2 with 576 nodes
+    # torus((12, 48)) and torus2(24) are both of kind torus2 with 576 nodes
     rng = np.random.default_rng(30)
-    dom, other = torus2(24), torus2(12, 48)
+    dom, other = torus2(24), torus((12, 48))
     assert (dom.kind, dom.n_nodes) == (other.kind, other.n_nodes)
     W = hat_pairing(cat.random_form(3, 1, rng),
                     cat.random_form(2, 1, rng, integer_modes=True), dom)
@@ -324,6 +324,16 @@ def test_pairing_rejects_another_grid_with_the_same_node_count():
         hat_pairing(volume_form(3), ScalarField(other, np.ones(other.n_nodes)), dom)
     with pytest.raises(DimensionMismatch):
         bar_map_direct(cat.random_form(3, 1, rng), dom)(f, cat.random_tangent(f, rng))
+
+
+@pytest.mark.parametrize("direct", [False, True], ids=["bar_map", "bar_map_direct"])
+def test_bar_pairings_reject_a_map_into_another_target(direct):
+    # a planar form on a loop in R^3: both routes refuse it, neither returns a number
+    dom = circle(16)
+    f = unit_circle(16, 3)
+    W = (bar_map_direct if direct else bar_map)(volume_form(2), dom)
+    with pytest.raises(DimensionMismatch, match="target dim"):
+        W(f, *[cat.random_tangent(f, np.random.default_rng(k)) for k in range(2)])
 
 
 def test_restrict_boundary_values():

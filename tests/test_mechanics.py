@@ -144,6 +144,22 @@ def test_momentum_diffex_trivial_cases(torus_domain, exact_form_r4):
     assert me.momentum_diffex(exact_form_r4, dom, alpha)(const) == 0.0
 
 
+def test_momentum_diffex_evaluates_the_pairing_route_only(torus_domain, exact_form_r4,
+                                                          monkeypatch):
+    dom = torus_domain
+    f = cat.torus_graph_map(dom)
+    alpha = ScalarField(dom, np.sin(dom.nodes[:, 0]) * np.sin(dom.nodes[:, 1]))
+    J = me.momentum_diffex(exact_form_r4, dom, alpha)
+    expected = J(f)
+
+    def direct_route(*args):
+        raise AssertionError("momentum_diffex evaluated the direct route")
+
+    monkeypatch.setattr(me, "pullback_coefficient", direct_route)
+    assert J(f) == expected
+    assert J.tag == "J_diffex"
+
+
 def test_exact_two_form_gate():
     with pytest.raises(Exception):
         me.exact_two_form(coordinate_form((0, 1), 4))  # not a 1-form

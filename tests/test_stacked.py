@@ -16,8 +16,8 @@ from mapforms import mechanics as me
 from mapforms import suites as su
 from mapforms.charts import ChartMap, affine_map, constant_field
 from mapforms.domains import _wavenumbers, circle, interval, torus2
-from mapforms.forms import (coefficient_form, exterior_derivative, strip_analytic,
-                            volume_form)
+from mapforms.forms import (coefficient_form, exterior_derivative, scalar_coordinate,
+                            strip_analytic, volume_form)
 from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                                action_pullback_M,
                                action_pullback_S, bar_map, bar_map_direct,
@@ -36,7 +36,7 @@ DOMAINS = {"circle": lambda: circle(16), "torus2": lambda: torus2(8),
 def _reparam(kind):
     """A diffeomorphism of the source chart with an inverse."""
     if kind == "circle":
-        return cat.circle_warp(0.3)
+        return cat.circle_warp()
     if kind == "torus2":
         return cat.rigid_shift_2d(0.3, -0.2)
     return ChartMap(lambda s: s ** 2, 1, 1, inverse=np.sqrt, name="square",
@@ -65,6 +65,7 @@ def _forms(kind, dom):
     X = cat.random_affine_field(3, rng, amp=0.6)
     Z = constant_field(np.full(dom.chart_dim, 0.4))
     sys = me.canonical_r2()
+    plane = affine_map(np.eye(3)[:2], name="R3->R2")  # the planar momenta read (x, y)
     Y0 = MapTangent(MapPoint(dom, np.zeros((dom.n_nodes, 3))),
                     np.tile([0.2, -0.1, 0.3], (dom.n_nodes, 1)))
     out = [
@@ -88,8 +89,10 @@ def _forms(kind, dom):
         ("push", action_pullback_M(bar_map(om2, dom), affine_map(
             [[1.0, 0.4, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]], [0.2, 0.0, -0.1]))),
         ("reparam", action_pullback_S(W, _reparam(kind))),
-        ("momentum_lifted", me.momentum_lifted(me.se2_action(), dom)[0]),
-        ("momentum_diffham", me.momentum_diffham(sys, dom, sys.pair("xy"))),
+        ("momentum_lifted", action_pullback_M(
+            me.momentum_lifted(me.se2_action(), dom)[0], plane)),
+        ("momentum_diffham", action_pullback_M(
+            me.momentum_diffham(sys, dom, sys.pair("xy")), plane)),
     ]
     if kind == "interval":
         bdom = dom.boundary()
@@ -99,7 +102,7 @@ def _forms(kind, dom):
         out.append(("twist", me.twist_two_form(volume_form(3), B2, D, dom)))
     if kind == "torus2":
         alpha = cat.random_stream(dom, rng, max_mode=2)
-        theta = coefficient_form(3, 1, {(2,): cat.scalar_coordinate(0, 3)})
+        theta = coefficient_form(3, 1, {(2,): scalar_coordinate(0, 3)})
         out.append(("momentum_diffex", me.momentum_diffex(
             me.exact_two_form(theta), dom, alpha)))
     return out

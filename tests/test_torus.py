@@ -39,7 +39,8 @@ def _wave(shape):
 
 def test_constructors_are_tori():
     assert circle(12).kind == "circle" and torus((12,)).kind == "circle"
-    assert torus2(6, 10).kind == "torus2" and torus((6, 10)).shape == (6, 10)
+    assert torus2(6).shape == (6, 6) and torus2(6).kind == "torus2"
+    assert torus((6, 10)).kind == "torus2" and torus((6, 10)).shape == (6, 10)
     t3 = torus((6, 8, 10))
     assert (t3.kind, t3.dim, t3.chart_dim, t3.n_nodes) == ("torus3", 3, 3, 480)
     assert t3.volume == pytest.approx((2 * np.pi) ** 3)
