@@ -27,8 +27,8 @@ MAX_MODE = 2
 # named vector fields and maps
 
 def named_field(name: str) -> VectorField:
-    """A named vector field on R^3: e_x, e_y, e_z, radial or rotation."""
-    if name in ("e_x", "e_y", "e_z"):
+    """A named vector field on R^3: e_x, e_z, radial or rotation."""
+    if name in ("e_x", "e_z"):
         return constant_field(np.eye(3)["xyz".index(name[-1])], name=name)
     if name == "radial":
         P = np.diag([1.0, 1.0, 0.0])

@@ -14,8 +14,13 @@ induced projection onto closed forms and, in dimension 2, the
 stream-function construction of exact divergence-free fields live here.
 Methods dispatch on the grid's structure; `kind` is only a label of it.
 
-Domains are immutable after construction; the cached tables (the interval
-differentiation matrix and the spectral wavenumbers) sit behind a
+Periodic axes of at most MATRIX_MAX_NODES nodes and the interval apply a
+cached (n, n) differentiation matrix, the periodic one being the FFT route
+on unit vectors (Trefethen, *Spectral Methods in MATLAB*, 2000, ch. 3);
+longer periodic axes take one FFT.
+
+Domains are immutable after construction; the cached tables (the
+differentiation matrices and the spectral wavenumbers) sit behind a
 thread-safe memoizer, so differentiation and resampling are safe for
 concurrent use.
 """
@@ -40,6 +45,8 @@ TWO_PI = 2.0 * np.pi
 EXACTNESS_TOL = 1e-8
 # relative Nyquist-band energy above which warn_if_rough warns
 ROUGHNESS_THRESHOLD = 1e-8
+# longest periodic axis differentiated by a matrix (48 maps on circle(96): 610 us, FFT 373 us)
+MATRIX_MAX_NODES = 64
 
 
 class SmoothnessWarning(UserWarning):
@@ -139,16 +146,20 @@ class SourceDomain:
         on periodic domains, 4th-order finite differences (one-sided at the
         ends) on the interval.  values may be (n_nodes,), (n_nodes, m) or a
         stack (B, n_nodes, m); each map of a stack is differentiated exactly
-        as it would be alone."""
+        as it would be alone: D @ values.reshape(lead, n, -1) takes one
+        (n, n) product per map and grid line, or one FFT on long axes."""
         values = np.asarray(values, dtype=float)
         if axis < 0 or axis >= max(self.dim, 1) or self.dim == 0:
             raise IndexError(f"axis {axis} out of range for dim-{self.dim} domain")
-        if self.periods is None:
-            return _fd4_matrix(self.shape[0], self.spacing[0]) @ values
-        node = max(values.ndim - 2, 0)
-        grid = values.reshape(values.shape[:node] + self.shape + values.shape[node + 1:])
-        out = _spectral_derivative(grid, axis=node + axis, length=self.periods[axis])
-        return out.reshape(values.shape)
+        n, node = self.shape[axis], max(values.ndim - 2, 0)
+        if self.periods is not None and n > MATRIX_MAX_NODES:
+            grid = values.reshape(values.shape[:node] + self.shape + values.shape[node + 1:])
+            out = _spectral_derivative(grid, axis=node + axis, length=self.periods[axis])
+            return out.reshape(values.shape)
+        D = (_fd4_matrix(n, self.spacing[0]) if self.periods is None
+             else _spectral_matrix(n, self.periods[axis]))
+        lead = math.prod(values.shape[:node]) * math.prod(self.shape[:axis])
+        return (D @ values.reshape(lead, n, -1)).reshape(values.shape)
 
     def map_jacobian(self, values: Array) -> Array:
         """Tangent map of node-sampled values (n_nodes, m) -> (n_nodes, m, k),
@@ -294,6 +305,14 @@ def _spectral_derivative(values: Array, axis: int, length: float) -> Array:
     return np.real(np.fft.ifft(vhat, axis=axis))
 
 
+@functools.lru_cache(maxsize=32)
+def _spectral_matrix(n: int, length: float) -> Array:
+    """The FFT route applied to the unit vectors (read-only, cached)."""
+    D = _spectral_derivative(np.eye(n), 0, length)
+    D.flags.writeable = False
+    return D
+
+
 @functools.lru_cache(maxsize=16)
 def _fd4_matrix(n: int, h: float) -> Array:
     """Dense 4th-order differentiation matrix with one-sided closures."""
@@ -305,7 +324,9 @@ def _fd4_matrix(n: int, h: float) -> Array:
     D[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
     D[n - 2, -5:] = -np.array([-3.0, -10.0, 18.0, -6.0, 1.0])[::-1] / 12.0
     D[n - 1, -5:] = -np.array([-25.0, 48.0, -36.0, 16.0, -3.0])[::-1] / 12.0
-    return D / h
+    D /= h
+    D.flags.writeable = False
+    return D
 
 
 def _nyquist_basis(n: int, pts: Array) -> Array:

@@ -214,25 +214,32 @@ def _hat_density(omega: Form, alpha_f: Form, dom: SourceDomain):
     """The integrand of the pointwise route at every node of every map of a
     stack, before the quadrature weights: density(F, [Y^1..Y^n as
     (B, n_nodes, m) arrays]) has shape (B, n_nodes), and its value at a node
-    sees only that map's tangent values at that node.  The tangent maps of
-    the whole stack come from one differentiation, and ω is evaluated once
-    per shuffle term on all B * n_nodes rows."""
+    sees only that map's tangent values at that node.  Tf of the whole stack
+    comes from one differentiation, and the shuffle terms sharing all but
+    their last Tf column fold into one ω call on all B * n_nodes rows, since
+    Σ_s sign_s α_s ω(.., ∂_{j_s} f) = ω(.., Σ_s sign_s α_s ∂_{j_s} f): one
+    call for k <= 2, two for (k, q) = (3, 1)."""
     k, q = dom.dim, alpha_f.degree
-    splits = shuffles(k - q, q)  # Tf columns fed to omega, frame fed to alpha
     frame = [broadcast_rows(e, dom.nodes) for e in np.eye(dom.chart_dim)]
-    alpha_vals = [sign * alpha_f.evaluator(dom.nodes, [frame[b] for b in right])
-                  for _, right, sign in splits]
+    groups = {}  # shared Tf columns -> [(last column, sign * α at the nodes)]
+    for left, right, sign in shuffles(k - q, q):  # Tf columns to ω, frame to α
+        al = sign * alpha_f.evaluator(dom.nodes, [frame[b] for b in right])
+        groups.setdefault(left[:-1], []).append((left[-1:], al))
 
     def density(F: MapStack, tang) -> Array:
         check_grid(F, dom)
         if F.target_dim != omega.ambient_dim:
             raise DimensionMismatch("map target dim != form chart dim")
-        Tf = F.jacobian()
         x, ys = F.as_rows(F.values), [F.as_rows(t) for t in tang]
-        acc = np.zeros(len(x))
-        for (left, _, _), al in zip(splits, alpha_vals):
-            cols = [F.as_rows(Tf[..., a]) for a in left]
-            acc = acc + omega.evaluator(x, ys + cols) * np.tile(al, F.size)
+        if q == k:
+            (_, al), = groups[()]
+            return F.from_rows(omega.evaluator(x, ys)) * al
+        Tf = F.jacobian()
+        acc = 0.0
+        for shared, terms in groups.items():
+            last = sum(Tf[..., j] * al[:, None] for (j,), al in terms)
+            cols = [F.as_rows(Tf[..., a]) for a in shared] + [F.as_rows(last)]
+            acc = acc + omega.evaluator(x, ys + cols)
         return F.from_rows(acc)
 
     return density

@@ -234,10 +234,10 @@ def run_hat_calculus(config: SuiteConfig):
     rngA = np.random.default_rng([config.seed, 4])
     om, al, f, ts = _hat_case(dom, 3, 2, 0, rngA)
     eta_map = cat.ChartMap(
-        lambda u: np.array([u[0], u[1], np.sin(u[0]) * u[1]]), 2, 3,
-        jacobian_func=lambda u: np.array(
-            [[1.0, 0.0], [0.0, 1.0], [np.cos(u[0]) * u[1], np.sin(u[0])]]),
-        name="graph")
+        lambda u: np.column_stack([u, np.sin(u[:, 0]) * u[:, 1]]), 2, 3,
+        jacobian_func=lambda u: np.concatenate([broadcast_rows(np.eye(2), u), np.column_stack(
+            [np.cos(u[:, 0]) * u[:, 1], np.sin(u[:, 0])])[:, None]], axis=1),
+        name="graph", batched=True)
     om3 = cat.random_form(3, 2, rngA)
     f2 = cat.random_map(dom, 2, rngA, amp=0.8)
     t2 = [cat.random_tangent(f2, rngA)]
@@ -550,9 +550,11 @@ def run_fiber_rules(config: SuiteConfig):
     # rule 1: pullback through the fiber integral
     w = _random_product(1, 2, 2, rng, per=[0])
     A = rng.uniform(-1.0, 1.0, (2, 2))
-    g = cat.ChartMap(lambda u: A @ u + 0.3 * np.array([np.sin(u[1]), u[0] ** 2]),
-                     2, 2, jacobian_func=lambda u: A + 0.3 * np.array(
-                         [[0.0, np.cos(u[1])], [2.0 * u[0], 0.0]]))
+    g = cat.ChartMap(  # the Jacobian's nonlinear part is anti-diagonal
+        lambda u: u @ A.T + 0.3 * np.column_stack([np.sin(u[:, 1]), u[:, 0] ** 2]), 2, 2,
+        jacobian_func=lambda u: A + 0.3 * np.column_stack(
+            [np.cos(u[:, 1]), 2.0 * u[:, 0]])[:, :, None] * [[0.0, 1.0], [1.0, 0.0]],
+        batched=True)
     lhs = pullback(fiber_integrate(w, dom), g)
     rhs = fiber_integrate(pullback(w, product_map(None, g, 1, 2)), dom)
     records.add("fiber-rule-pullback", "g* (S-integral of w) = S-integral of (1 x g)* w",
