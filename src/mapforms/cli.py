@@ -21,6 +21,7 @@ import csv
 import itertools
 import json
 import sys
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,9 +30,10 @@ import numpy as np
 from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
+from .charts import DEFAULT_FD_STEP
 from .domains import circle, make_domain, torus2
 from .forms import coefficient_form, integrate, scalar_coordinate
-from .report import VerificationReport, fit_order, make_environment
+from .report import TestRecord, VerificationReport, fit_order
 from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
                      brane_checks, derivation_residual, mw_links, run_suite,
                      two_route_residual, unit_loop)
@@ -55,8 +57,6 @@ def _load_config(path, args):
         unknown = sorted(set(raw) - set(SuiteConfig.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        if isinstance(raw.get("order_steps"), list):
-            raw["order_steps"] = tuple(raw["order_steps"])
         config = replace(config, **raw)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -85,9 +85,17 @@ def cmd_verify(args) -> int:
 
     records = []
     for name in suites:
-        records.extend(run_suite(name, config))
+        try:
+            records.extend(run_suite(name, config))
+        except Exception as exc:
+            # a suite that raises is one failed record; the others still run
+            traceback.print_exc()
+            records.append(TestRecord(
+                test_id=f"{name}-raised", statement=f"suite {name} runs to completion",
+                residual=1.0, tolerance=0.0, passed=False, seed=config.seed, mesh={},
+                detail=f"{type(exc).__name__}: {exc}"))
     report = VerificationReport(suite="+".join(suites), records=records,
-                                environment=make_environment(config))
+                                environment=config.environment())
     for r in records:
         print(r.line())
     n_fail = sum(not r.passed for r in records)
@@ -183,7 +191,7 @@ def cmd_converge(args) -> int:
     base_nodes = levels[0]
     rows = []
     for nodes in levels:
-        fd = config.fd_step * base_nodes / nodes * 40.0  # keep the FD term visible
+        fd = DEFAULT_FD_STEP * base_nodes / nodes * 40.0  # keep the FD term visible
         residual = runner(nodes, fd, config.seed)
         rows.append((nodes, fd, residual))
     steps = [1.0 / n for n, _, _ in rows]
@@ -250,7 +258,7 @@ def demo_dualpair(config: SuiteConfig):
     theta = coefficient_form(2, 1, {(1,): scalar_coordinate(0, 2)},
                              name="x dy")
     om_ex = me.exact_two_form(theta)
-    report = me.dual_pair_report(sys, om_ex, dom, rng, fd_step=config.fd_step)
+    report = me.dual_pair_report(sys, om_ex, dom, rng)
     rows = [("quantity", "value")]
     rows.append(("commutation_error", f"{report['commutation_error']:.3e}"))
     rows.append(("diffham_residual", f"{report['diffham_residual']:.3e}"))

@@ -89,9 +89,9 @@ class HamiltonianSystem:
                 return p
         raise KeyError(f"no hamiltonian pair named {name!r}")
 
-    def validate(self, rng: np.random.Generator) -> float:
-        """Residual of i_{X_h} omega = dh over the catalog, plus a
-        nondegeneracy check of the coefficient matrix."""
+    def validate(self, rng: np.random.Generator) -> None:
+        """Raise unless i_{X_h} omega = dh holds over the catalog and the
+        coefficient matrix is nondegenerate."""
         if abs(np.linalg.det(self.omega_matrix)) < 1e-12:
             raise ValueError("symplectic coefficient matrix is singular")
         worst = 0.0
@@ -103,7 +103,6 @@ class HamiltonianSystem:
             worst = max(worst, float(np.max(np.abs(lhs - rhs))), abs(p.h(self.base_point)))
         if worst > CATALOG_TOL:
             raise ValueError(f"catalog residual {worst:.3e} exceeds {CATALOG_TOL:.1e}")
-        return worst
 
 
 def hamiltonian_field_r2(h: ScalarFunc, name: str = "") -> HamiltonianPair:
@@ -303,10 +302,9 @@ def cocycle_diffham_defining(sys: HamiltonianSystem, dom: SourceDomain,
 
 @dataclass(frozen=True)
 class ExactTwoForm:
-    """An exact 2-form on R^m carried together with its primitive; building
-    it from the primitive is the exactness gate."""
+    """An exact 2-form on R^m; building it from a primitive is the
+    exactness gate."""
 
-    potential: Form
     form: Form
 
 
@@ -315,7 +313,7 @@ def exact_two_form(potential: Form) -> ExactTwoForm:
         raise DegreeError("the primitive of an exact 2-form must be a 1-form")
     if potential.analytic_d is None:
         raise ValueError("the primitive needs an analytic differential")
-    return ExactTwoForm(potential, potential.analytic_d)
+    return ExactTwoForm(potential.analytic_d)
 
 
 def stream_generator(dom: SourceDomain, alpha: ScalarField):
@@ -326,7 +324,7 @@ def stream_generator(dom: SourceDomain, alpha: ScalarField):
     def gen(f: MapPoint) -> MapTangent:
         return generator_S(Z, f)
 
-    return gen, Z
+    return gen
 
 
 def pullback_coefficient(f, omega: Form) -> Array:
@@ -403,8 +401,8 @@ def cocycle_diffex_defining(omega: ExactTwoForm, dom: SourceDomain,
     gb = stream_bracket(dom, a1, a2)
     term1 = momentum_diffex(omega, dom, gb)(f)
     ob = bar_map(omega.form, dom)
-    g1, _ = stream_generator(dom, a1)
-    g2, _ = stream_generator(dom, a2)
+    g1 = stream_generator(dom, a1)
+    g2 = stream_generator(dom, a2)
     term2 = ob(f, g1(f), g2(f))
     return term1 - term2
 
@@ -466,7 +464,6 @@ class BraneReport:
     applicable: bool
     reason: str
     gate_residual: float
-    boundary_defect: float
     closedness_residual: float
     passed: bool
 
@@ -523,7 +520,6 @@ def constrained_random_data(dom: SourceDomain, D: AffineSubspace,
 
 def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
                       rng: np.random.Generator, n_trials: int = 3,
-                      fd_step: float = DEFAULT_FD_STEP,
                       f=None, tangent_sets=None) -> BraneReport:
     """Closedness of the twist candidate on maps sending the boundary into D.
 
@@ -542,9 +538,9 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
     gate = sample_difference(iH, dB, rng, n_samples=20)
     if gate > TWIST_GATE_TOL:
         return BraneReport(False, f"i*H - dB residual {gate:.3e} exceeds "
-                           f"{TWIST_GATE_TOL:.1e}", gate, 0.0, 0.0, False)
+                           f"{TWIST_GATE_TOL:.1e}", gate, 0.0, False)
     W = twist_two_form(H, B, D, dom)
-    dW = map_space_d(W, fd_step)
+    dW = map_space_d(W)
     worst = 0.0
     defect = 0.0
     ends = bdom.parent_indices
@@ -562,9 +558,9 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
                     t.vectors[i] - D.project_vector(t.vectors[i]))))
         if defect > TWIST_GATE_TOL:
             return BraneReport(False, f"boundary data leaves the subspace by "
-                               f"{defect:.3e}", gate, defect, 0.0, False)
+                               f"{defect:.3e}", gate, 0.0, False)
         worst = max(worst, abs(dW(g, *ts[:3])))
-    return BraneReport(True, "", gate, defect, worst, worst < TWIST_TOL)
+    return BraneReport(True, "", gate, worst, worst < TWIST_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +568,10 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
 
 def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
                      dom: SourceDomain, rng: np.random.Generator,
-                     n_trials: int = 3, fd_step: float = DEFAULT_FD_STEP) -> dict:
-    """Momentum samples and residuals for the two commuting hamiltonian
-    actions on F(T^2, R^2), plus the nodewise commutation check."""
+                     n_trials: int = 3) -> dict:
+    """Residuals of the two commuting hamiltonian actions on F(T^2, R^2),
+    the nodewise commutation check, and the momenta and cocycle along a
+    homotopy of maps."""
     report: dict = {}
     ob, ob_ex = bar_map(sys.omega, dom), bar_map(omega_exact.form, dom)
 
@@ -597,11 +594,11 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
         pair = sys.catalog[int(rng.integers(len(sys.catalog)))]
         worst_ham = max(worst_ham, hamiltonian_identity_residual(
             ob, lambda m: generator_M(pair.field, m),
-            momentum_diffham(sys, dom, pair), g, Y, fd_step))
+            momentum_diffham(sys, dom, pair), g, Y))
         alpha = random_stream(dom, rng, max_mode=2)
         worst_ex = max(worst_ex, hamiltonian_identity_residual(
-            ob_ex, stream_generator(dom, alpha)[0],
-            momentum_diffex(omega_exact, dom, alpha), g, Y, fd_step))
+            ob_ex, stream_generator(dom, alpha),
+            momentum_diffex(omega_exact, dom, alpha), g, Y))
     report["diffham_residual"] = worst_ham
     report["diffex_residual"] = worst_ex
 
@@ -625,8 +622,4 @@ def dual_pair_report(sys: HamiltonianSystem, omega_exact: ExactTwoForm,
         })
     report["diffex_cocycle_spread"] = float(np.max(cvals) - np.min(cvals))
     report["homotopy_path"] = path
-    report["momentum_samples"] = {
-        "diffham": [J(base) for J in J_ham],
-        "diffex": J_ex(base),
-    }
     return report

@@ -91,18 +91,6 @@ class VerificationReport:
         return buf.getvalue()
 
 
-def make_environment(config) -> dict:
-    return {
-        "nodes": config.nodes,
-        "torus_side": config.torus_side,
-        "interval_nodes": config.interval_nodes,
-        "fd_step": config.fd_step,
-        "seed": config.seed,
-        "trials": config.trials,
-        "conventions": dict(CONVENTIONS),
-    }
-
-
 def fit_order(steps, residuals):
     """Least-squares slope of log(residual) vs log(step).
 

@@ -20,8 +20,8 @@ from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
 from .charts import DEFAULT_FD_STEP, affine_map, constant_field, rotation3
-from .domains import (MIN_INTERVAL_NODES, ScalarField, circle, interval,
-                      make_domain, nodal_vector_field, torus2)
+from .domains import (ScalarField, circle, interval, make_domain,
+                      nodal_vector_field, torus2)
 from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
                     form_scale, form_sum, interior, pullback,
                     sample_difference, scalar_const, scalar_coordinate,
@@ -35,10 +35,16 @@ from .mapspace import (MapPoint, MapStack, MapTangent, action_pullback_M,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, mapspace_scale, mapspace_sum,
                        pushforward_tangent)
-from .report import TestRecord, fit_order
+from .report import CONVENTIONS, TestRecord, fit_order
 
 IDENTITY_TOL = 1e-6
 ORDER_TARGET = 1.9
+# random cases per ladder record, and the FD steps its order is fitted on
+TRIALS = 3
+ORDER_STEPS = (4e-3, 2e-3, 1e-3, 5e-4)
+# the smallest grids on which all eight suites pass at seeds 0-23, each
+# measured with the other grid at its default (ladders in the README)
+GRID_MINIMUMS = {"torus_side": 24, "interval_nodes": 43}
 
 
 @dataclass(frozen=True)
@@ -47,41 +53,36 @@ class SuiteConfig:
     nodes: int = 48            # circle nodes
     torus_side: int = 24
     interval_nodes: int = 65
-    fd_step: float = DEFAULT_FD_STEP
-    trials: int = 3
-    order_steps: tuple = (4e-3, 2e-3, 1e-3, 5e-4)
 
     def __post_init__(self):
         """Reject bad input as a usage error before any identity runs."""
         def integral(value):
             return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
-        def positive(value):
-            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-                    and bool(np.isfinite(value)) and value > 0)
-
         if not integral(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("nodes", "torus_side", "interval_nodes", "trials"):
+        for name in ("nodes", "torus_side", "interval_nodes"):
             value = getattr(self, name)
             if not integral(value) or value <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        # a grid the random data cannot live on: the catalog's modes reach
-        # ±MAX_MODE, so each periodic axis needs more than 2 MAX_MODE nodes
-        for name in ("nodes", "torus_side"):
-            if getattr(self, name) <= 2 * cat.MAX_MODE:
+        # a circle the random data cannot live on: the catalog's modes reach
+        # ±MAX_MODE, so the axis needs more than 2 MAX_MODE nodes
+        if self.nodes <= 2 * cat.MAX_MODE:
+            raise ValueError(
+                f"nodes must exceed {2 * cat.MAX_MODE} to resolve random data with "
+                f"modes up to {cat.MAX_MODE}, got {self.nodes}")
+        for name, least in GRID_MINIMUMS.items():
+            if getattr(self, name) < least:
                 raise ValueError(
-                    f"{name} must exceed {2 * cat.MAX_MODE} to resolve random data with "
-                    f"modes up to {cat.MAX_MODE}, got {getattr(self, name)}")
-        if self.interval_nodes < MIN_INTERVAL_NODES:
-            raise ValueError(f"interval_nodes must be at least {MIN_INTERVAL_NODES}, "
-                             f"got {self.interval_nodes}")
-        if not positive(self.fd_step):
-            raise ValueError(f"fd_step must be a positive number, got {self.fd_step!r}")
-        if (not isinstance(self.order_steps, tuple) or not self.order_steps
-                or not all(positive(h) for h in self.order_steps)):
-            raise ValueError("order_steps must be a non-empty list of positive "
-                             f"numbers, got {self.order_steps!r}")
+                    f"{name} must be at least {least} for the identities to resolve "
+                    f"at their tolerances, got {getattr(self, name)}")
+
+    def environment(self) -> dict:
+        """The report's record of the grids and the seed, with the FD step,
+        the trial count and the conventions in force."""
+        return {"nodes": self.nodes, "torus_side": self.torus_side,
+                "interval_nodes": self.interval_nodes, "fd_step": DEFAULT_FD_STEP,
+                "seed": self.seed, "trials": TRIALS, "conventions": dict(CONVENTIONS)}
 
     def domains(self) -> dict:
         return {
@@ -105,7 +106,7 @@ class _Records(list):
         the (order, note) of a refinement ladder with target ORDER_TARGET."""
         mesh = {"domain": dom.kind, "nodes": dom.n_nodes}
         if fd:
-            mesh["fd_step"] = self.config.fd_step
+            mesh["fd_step"] = DEFAULT_FD_STEP
         order = order_target = None
         if fit is not None:
             (order, order_note), order_target = fit, ORDER_TARGET
@@ -117,16 +118,17 @@ class _Records(list):
                                order_note=order_note, detail=detail))
 
     def ladder(self, test_id, statement, dom, residual, trial_keys, ladder_key,
-               steps=None):
+               steps=ORDER_STEPS):
         """Record an FD-limited identity given residual(rng), which draws one
         case from rng and returns its signed residual as a function of the
-        step h: the worst |r(fd_step)| over the draws seeded by [seed, *key]
-        for each trial key, and the order fitted to |r(h) - r(2e-5)| on the
-        draw [seed, *ladder_key], made once for the whole ladder.  The tiny
+        step h: the worst |r(DEFAULT_FD_STEP)| over the draws seeded by
+        [seed, *key] for each trial key, and the order fitted to
+        |r(h) - r(2e-5)| over `steps` on the draw [seed, *ladder_key], made
+        once for the whole ladder.  The tiny
         reference step removes an error floor that does not depend on h
         (quadrature or differentiation mismatch of the sampled data)."""
-        seed, steps = self.config.seed, steps or self.config.order_steps
-        worst = max(abs(residual(np.random.default_rng([seed, *key]))(self.config.fd_step))
+        seed = self.config.seed
+        worst = max(abs(residual(np.random.default_rng([seed, *key]))(DEFAULT_FD_STEP))
                     for key in trial_keys)
         at = residual(np.random.default_rng([seed, *ladder_key]))
         floor = at(2e-5)
@@ -227,7 +229,7 @@ def run_hat_calculus(config: SuiteConfig):
         records.ladder(f"derivation-{kind}-p{p}q{q}",
                        "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^", dom,
                        lambda rngx: derivation_residual(dom, m, p, q, rngx),
-                       [(2, i) for i in range(config.trials)], (3,))
+                       [(2, i) for i in range(TRIALS)], (3,))
 
     # push-forward action identity, affine (exact) and nonlinear target map
     dom = doms["circle"]
@@ -324,7 +326,7 @@ def run_hat_calculus(config: SuiteConfig):
              lambda t: action_pullback_S(WF, cat.rigid_shift(0.4 * t)),
              "rigid reparameterization")]:
         records.add(test_id, f"Cartan formula = flow finite difference ({label})",
-                    abs(_gap(map_space_lie(WF, generator, config.fd_step),
+                    abs(_gap(map_space_lie(WF, generator),
                              map_space_lie_flow(pulled_back, 1e-4), fF, *tsF)),
                     1e-5, dom, order_note="fd")
 
@@ -343,7 +345,7 @@ def run_hat_calculus(config: SuiteConfig):
     rngD = np.random.default_rng([config.seed, 11])
     omD, alD, fD, _ = _hat_case(dom, 3, 2, 1, rngD)
     WD = hat_pairing(omD, alD, dom)
-    ddW = map_space_d(map_space_d(WD, config.fd_step), config.fd_step)
+    ddW = map_space_d(map_space_d(WD))
     tsD = [cat.random_tangent(fD, rngD) for _ in range(4)]
     records.add("map-space-dd", "d(dW) = 0 on F(S,M) (constant extensions)",
                 abs(ddW(fD, *tsD)), 1e-3, dom, fd=True, order_note="fd")
@@ -374,8 +376,8 @@ def run_bar_calculus(config: SuiteConfig):
 
     X = cat.random_affine_field(2, rng, amp=0.6)
     records.add("bar-lie", "L_{Xbar} wbar = (L_X w)bar",
-                abs(_gap(map_space_lie(W, lambda g: generator_M(X, g), config.fd_step),
-                         bar_map(lie_derivative(om, X, config.fd_step), dom), f, *ts)),
+                abs(_gap(map_space_lie(W, lambda g: generator_M(X, g)),
+                         bar_map(lie_derivative(om, X), dom), f, *ts)),
                 IDENTITY_TOL, dom, fd=True, order_note="fd")
 
     lhs = map_space_interior(W, lambda g: generator_M(X, g))
@@ -384,7 +386,7 @@ def run_bar_calculus(config: SuiteConfig):
     records.add("bar-insert", "i_{Xbar} wbar = (i_X w)bar",
                 abs(_gap(lhs, rhs, f, y)), 1e-10, dom)
 
-    dW = map_space_d(W, config.fd_step)
+    dW = map_space_d(W)
     rhs = bar_map(exterior_derivative(om), dom)
     ts3 = [cat.random_tangent(f, rng) for _ in range(3)]
     records.add("bar-d", "d wbar = (dw)bar", abs(_gap(dW, rhs, f, *ts3)),
@@ -393,7 +395,7 @@ def run_bar_calculus(config: SuiteConfig):
     # symplectic coefficient form: closedness and the weights-x-coefficients
     # Gram matrix of the nodal tangent basis (nonsingular)
     sys = me.canonical_r2()
-    dob = map_space_d(bar_map(sys.omega, dom), config.fd_step)
+    dob = map_space_d(bar_map(sys.omega, dom))
     records.add("bar-symplectic-closed", "d(omega bar) = 0 for symplectic omega",
                 abs(dob(f, *ts3)), IDENTITY_TOL, dom, fd=True, order_note="fd")
 
@@ -445,7 +447,7 @@ def mw_links(config: SuiteConfig, loop, rng, offset=0.3):
                 "adding a tangential field to a slot leaves the value unchanged",
                 abs(gr.tilda_eval(nu, circ, [ez, pert]) - val), 1e-8, loop.dom)
 
-    dW = map_space_d(hat_map(nu, loop.dom), config.fd_step)
+    dW = map_space_d(hat_map(nu, loop.dom))
     ts = [cat.random_tangent(circ.rep, rng) for _ in range(3)]
     records.add("mw-closedness", "d of the loop-space volume pairing vanishes",
                 abs(dW(circ.rep, *ts)), IDENTITY_TOL, loop.dom, fd=True,
@@ -636,12 +638,12 @@ def run_boundary(config: SuiteConfig):
         return identity_residual(om, a_scalar, f, ts)
 
     # the quadrature mismatch of the end-corrected weights is h-independent
-    ladder_steps = tuple(4.0 * h for h in config.order_steps)
+    ladder_steps = tuple(4.0 * h for h in ORDER_STEPS)
     for p in (1, 2):
         records.ladder(f"boundary-derivation-p{p}",
                        "d(w.a)^ = (dw.a)^ + (-1)^p (w.da)^ + (-1)^(p+q-k) r_bd*(w.a|bd)^",
                        iv, lambda rngx: boundary_residual(p, rngx),
-                       [(50, p, i) for i in range(config.trials)], (51, p), ladder_steps)
+                       [(50, p, i) for i in range(TRIALS)], (51, p), ladder_steps)
 
     # designed witness: w = dx, a(s) = 1 + s and the constant tangent e_x
     # satisfy the identity exactly with the endpoint term a(1) - a(0) = 1,
@@ -652,7 +654,7 @@ def run_boundary(config: SuiteConfig):
     f = cat.random_map(iv, 3, rng, amp=0.8)
     ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (iv.n_nodes, 1)))]
     witness = abs(identity_residual(dx, one_plus_s, f, ex,
-                                    drop_boundary=True)(config.fd_step))
+                                    drop_boundary=True)(DEFAULT_FD_STEP))
     endpoint = boundary_pullback(hat_pairing(
         dx, coefficient_form(1, 0, {(): one_plus_s}), bdom))(f, *ex)
     records.add("boundary-witness",
@@ -666,7 +668,7 @@ def run_boundary(config: SuiteConfig):
     om = cat.random_form(3, 2, rng, amp=0.8)
     al = cat.random_form(1, 1, rng, amp=0.8)
     W = hat_pairing(om, al, iv)
-    lhs = map_space_d(W, config.fd_step)
+    lhs = map_space_d(W)
     rhs = hat_pairing(exterior_derivative(om), al, iv)
     f = cat.random_map(iv, 3, rng, amp=0.8)
     ts = [cat.random_tangent(f, rng) for _ in range(3)]
@@ -690,9 +692,8 @@ def run_momentum(config: SuiteConfig):
     def add_ladder(test_id, statement, d, residual):
         """FD-limited record with the order fitted to the raw residuals of
         residual(h), whose case is drawn once for the whole ladder."""
-        steps = config.order_steps
-        records.add(test_id, statement, residual(config.fd_step), IDENTITY_TOL, d,
-                    fd=True, fit=fit_order(steps, [residual(h) for h in steps]))
+        records.add(test_id, statement, residual(DEFAULT_FD_STEP), IDENTITY_TOL, d,
+                    fd=True, fit=fit_order(ORDER_STEPS, [residual(h) for h in ORDER_STEPS]))
 
     def hamiltonian_residual(salt, generators):
         """Worst i_{gen} omega bar - d<J, xi> over (field, momentum) pairs as
@@ -768,7 +769,7 @@ def run_momentum(config: SuiteConfig):
     Y = cat.random_tangent(g, rngx)
     a = cat.random_stream(domt, rngx, max_mode=2)
     ob_curved, J_curved = bar_map(om_curved.form, domt), me.momentum_diffex(om_curved, domt, a)
-    gen_a, _ = me.stream_generator(domt, a)
+    gen_a = me.stream_generator(domt, a)
     add_ladder("momentum-diffex-identity",
                "d<J, X_alpha> = i_{gen(alpha)} omega bar on F(T^2, R^4)", domt,
                lambda h: me.hamiltonian_identity_residual(ob_curved, gen_a, J_curved, g, Y, h))
@@ -854,7 +855,7 @@ def run_cocycles(config: SuiteConfig):
     a1 = cat.random_stream(domt, rng, max_mode=2)
     a2 = cat.random_stream(domt, rng, max_mode=2)
     worst = 0.0
-    for _ in range(config.trials):
+    for _ in range(TRIALS):
         g = cat.random_map(domt, 4, rng, amp=0.7)
         s_form = me.cocycle_diffex(om_ex, domt, g, a1, a2)
         s_def = me.cocycle_diffex_defining(om_ex, domt, g, a1, a2)
@@ -937,8 +938,7 @@ def brane_checks(config: SuiteConfig, salt, iv, cases):
     records, reports = _Records(config), []
     for idx, (name, H, B, D, should_apply) in enumerate(cases):
         rng = np.random.default_rng([config.seed, salt, idx])
-        rep = me.brane_twist_check(H, B, D, iv, rng, n_trials=2,
-                                   fd_step=config.fd_step)
+        rep = me.brane_twist_check(H, B, D, iv, rng, n_trials=2)
         reports.append((name, rep))
         if should_apply:
             records.add(f"brane-{name}", "d( H^ - bd*(B^bd) ) = 0 on maps with boundary in D",
@@ -962,7 +962,7 @@ def run_branes(config: SuiteConfig):
     g, ts = me.constrained_random_data(iv, D, rng, 3)
     bad = [MapTangent(g, ts[0].vectors + np.array([0.0, 0.0, 0.5]))] + ts[1:]
     rep = me.brane_twist_check(H, B, D, iv, rng, f=g, tangent_sets=[bad],
-                               n_trials=1, fd_step=config.fd_step)
+                               n_trials=1)
     records.add("brane-tangency-gate", "boundary data off the subspace is reported inapplicable",
                 0.0 if (not rep.applicable and not rep.passed) else 1.0, 1e-12, iv,
                 detail=rep.reason)

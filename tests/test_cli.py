@@ -2,14 +2,17 @@
 and byte-level determinism of reports."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mapforms import mechanics as me
 from mapforms.cli import main
+from mapforms.forms import ScalarFunc
 from mapforms.report import TestRecord
-from mapforms.suites import SUITES
+from mapforms.suites import SUITES, SuiteConfig, run_branes
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -108,19 +111,41 @@ def test_converge_zero_level_is_usage_error(capsys):
     assert "--levels needs positive node counts, got '4,0'" in capsys.readouterr().err
 
 
+# the FD step, the trial count and the ladder steps are constants the
+# tolerances were set against, so a config file cannot name them
 def test_config_negative_fd_step_is_usage_error(tmp_path, capsys):
     code, out = _config_error(tmp_path, capsys, {"fd_step": -1})
     assert code == 2
-    assert "fd_step must be a positive number, got -1" in out.err
+    assert "unknown config keys: ['fd_step']" in out.err
     assert "boundary-top-degree" not in out.out
 
 
 @pytest.mark.parametrize("raw", [{"trials": 0}, {"order_steps": [1e-3, -1e-3]},
                                  {"order_steps": 5}, {"seed": -1}])
 def test_other_config_fields_are_validated(tmp_path, capsys, raw):
+    key = next(iter(raw))
     code, out = _config_error(tmp_path, capsys, raw)
     assert code == 2
-    assert f"{next(iter(raw))} must be" in out.err
+    if key in SuiteConfig.__dataclass_fields__:
+        assert f"{key} must be" in out.err
+    else:
+        assert f"unknown config keys: ['{key}']" in out.err
+
+
+@pytest.mark.parametrize("raw", [{"fd_step": 0.01}, {"trials": 1},
+                                 {"order_steps": [1e-2, 5e-3]}])
+def test_method_constants_are_unknown_config_keys(tmp_path, capsys, raw):
+    # at a settable step of 0.01 these four suites reported 8 failed identities
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    suites = [a for s in ("hat-calculus", "bar-calculus", "boundary", "momentum")
+              for a in ("--suite", s)]
+    assert main(["verify", "--config", str(cfg), *suites, "--seed", "3"]) == 2
+    out = capsys.readouterr()
+    assert f"unknown config keys: ['{next(iter(raw))}']" in out.err
+    assert "FAIL" not in out.out
+    assert set(SuiteConfig.__dataclass_fields__) == {"seed", "nodes", "torus_side",
+                                                     "interval_nodes"}
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
@@ -192,18 +217,55 @@ def test_demo_branes(tmp_path):
     assert summary["passed"] is True
 
 
-# grids the data cannot live on: the random data has modes up to ±2, and the
-# interval's one-sided closures need 8 nodes
+# grids too coarse for the tolerances: below side 24 and 43 interval nodes
+# some identity fails at some seed in 0-23 (README)
 @pytest.mark.parametrize("raw, message", [
-    ({"interval_nodes": 5}, "interval_nodes must be at least 8, got 5"),
-    ({"torus_side": 1}, "torus_side must exceed 4 to resolve random data with "
-                        "modes up to 2, got 1"),
+    ({"interval_nodes": 5}, "interval_nodes must be at least 43 for the identities "
+                            "to resolve at their tolerances, got 5"),
+    ({"torus_side": 1}, "torus_side must be at least 24 for the identities to "
+                        "resolve at their tolerances, got 1"),
+    ({"torus_side": 16, "interval_nodes": 33}, "torus_side must be at least 24"),
+    ({"interval_nodes": 42}, "interval_nodes must be at least 43"),
 ])
 def test_unresolving_grid_is_usage_error(tmp_path, capsys, raw, message):
     code, out = _config_error(tmp_path, capsys, raw)
     assert code == 2
     assert message in out.err
     assert "checks passed" not in out.out
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_minimum_grids_pass_every_suite(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"torus_side": 24, "interval_nodes": 43,
+                               "suites": sorted(SUITES)}))
+    assert main(["verify", "--config", str(cfg), "--seed", seed]) == 0
+    assert "73/73 checks passed" in capsys.readouterr().out
+
+
+def test_suite_that_raises_is_a_failed_record(tmp_path, capsys, monkeypatch):
+    # flipping the sign of the hamiltonian field makes the catalog check of
+    # the momentum suite raise; branes still runs and the report is written
+    real = me.hamiltonian_field_r2
+
+    def flipped(h, name=""):
+        neg = ScalarFunc(lambda x: -h.value(x), lambda x: -np.asarray(h.grad(x)),
+                         lambda x: -np.asarray(h.hess(x)))
+        return replace(real(neg, name), h=h)
+
+    monkeypatch.setattr(me, "hamiltonian_field_r2", flipped)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--suite", "momentum", "--suite", "branes",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "ValueError: catalog residual" in captured.err
+    records = json.loads(out.read_text(), parse_constant=pytest.fail)["records"]
+    raised, *branes = records
+    assert raised["test_id"] == "momentum-raised" and not raised["passed"]
+    assert raised["detail"].startswith("ValueError: catalog residual ")
+    assert raised["detail"].endswith(" exceeds 1.0e-08")
+    assert [r["test_id"] for r in branes] == [r.test_id for r in run_branes(SuiteConfig())]
+    assert all(r["passed"] for r in branes)
 
 
 def test_three_circle_nodes_is_usage_error(capsys):

@@ -174,7 +174,7 @@ def test_diffex_hamiltonian_identity(torus_domain, exact_form_r4):
         alpha = cat.random_stream(torus_domain, rng, max_mode=2)
         worst = max(worst, me.hamiltonian_identity_residual(
             bar_map(exact_form_r4.form, torus_domain),
-            me.stream_generator(torus_domain, alpha)[0],
+            me.stream_generator(torus_domain, alpha),
             me.momentum_diffex(exact_form_r4, torus_domain, alpha), f, Y))
     assert worst < 1e-6
 

@@ -280,23 +280,22 @@ def _count_random_maps(monkeypatch):
 
 def test_ladder_draws_its_ladder_case_once(monkeypatch):
     calls = _count_random_maps(monkeypatch)
-    config = su.SuiteConfig(seed=3, trials=2)
-    records = su._Records(config)
+    records = su._Records(su.SuiteConfig(seed=3))
     dom = circle(32)
     records.ladder("derivation-circle-p2q0", "d(w.a)^ = (dw.a)^", dom,
                    lambda rng: su.derivation_residual(dom, 3, 2, 0, rng),
-                   [(2, i) for i in range(config.trials)], (3,))
+                   [(2, i) for i in range(su.TRIALS)], (3,))
     # one draw per trial key, one for the floor and all four steps
-    assert len(calls) == config.trials + 1
+    assert len(calls) == su.TRIALS + 1
     assert records[0].order is not None
 
 
 def test_boundary_and_momentum_ladders_draw_once(monkeypatch):
     calls = _count_random_maps(monkeypatch)
-    config = su.SuiteConfig(seed=3, trials=2)
+    config = su.SuiteConfig(seed=3)
     su.run_boundary(config)
-    # two ladders of (trials + 1) cases, the witness and the top-degree case
-    assert len(calls) == 2 * (config.trials + 1) + 2
+    # two ladders of (TRIALS + 1) cases, the witness and the top-degree case
+    assert len(calls) == 2 * (su.TRIALS + 1) + 2
     calls.clear()
     su.run_momentum(config)
     # three lifted and three diffham generators, one diffex case
