@@ -14,6 +14,7 @@ import numpy as np
 import mapforms as mf
 from mapforms import catalog as cat
 from mapforms import mechanics as me
+from mapforms.charts import DEFAULT_FD_STEP
 
 sys = me.canonical_r2()
 dom = mf.circle(48)
@@ -41,7 +42,7 @@ print("defining difference at a random map:",
 Y = cat.random_tangent(f, rng)
 res = me.hamiltonian_identity_residual(
     ob, lambda g: mf.generator_M(sx.field, g), me.momentum_diffham(sys, dom, sx), f, Y)
-print("momentum-map defining identity residual:", res)
+print("momentum-map defining identity residual:", res(DEFAULT_FD_STEP))
 
 # --- exact volume preserving reparameterizations of the torus ---------------
 domt = mf.torus2(24)

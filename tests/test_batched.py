@@ -476,8 +476,17 @@ def test_lie_derivative_flow_takes_one_rk4_step_per_sign():
     a = cat.random_form(3, 1, rng)
     x, (v, *_) = points(3, seed=39)
     lie_derivative_flow(a, Xc)(x[0], v[0])
-    # 4 RK4 stages x 2 signs, each one field call and one Jacobian call
-    assert calls == {"func": 8, "jacobian": 8}
+    # both signs in one pass of 4 RK4 stages: the first stage at the one
+    # point is shared, the other three see the point once per sign
+    assert calls == {"func": 7, "jacobian": 7}
+    # a batched field gets one call per stage for all rows and both signs
+    calls.update(func=0, jacobian=0)
+    rows = lambda key, func: counted(key, lambda p: np.array([func(q) for q in p]))  # noqa: E731
+    Xb = VectorField(rows("func", X.func), 3, jacobian_func=rows("jacobian", X.jacobian_func),
+                     name="counted-batched", batched=True)
+    got = lie_derivative_flow(a, Xb).evaluator(x, [v])
+    assert calls == {"func": 4, "jacobian": 4}
+    assert np.array_equal(got, lie_derivative_flow(a, X).evaluator(x, [v]))
 
 
 def test_lie_derivative_flow_matches_a_64_step_route():

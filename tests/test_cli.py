@@ -217,8 +217,8 @@ def test_demo_branes(tmp_path):
     assert summary["passed"] is True
 
 
-# grids too coarse for the tolerances: below side 24 and 43 interval nodes
-# some identity fails at some seed in 0-23 (README)
+# grids too coarse for the tolerances: below 26 circle nodes, side 24 and 43
+# interval nodes some identity fails at some seed in 0-23 (README)
 @pytest.mark.parametrize("raw, message", [
     ({"interval_nodes": 5}, "interval_nodes must be at least 43 for the identities "
                             "to resolve at their tolerances, got 5"),
@@ -226,6 +226,8 @@ def test_demo_branes(tmp_path):
                         "resolve at their tolerances, got 1"),
     ({"torus_side": 16, "interval_nodes": 33}, "torus_side must be at least 24"),
     ({"interval_nodes": 42}, "interval_nodes must be at least 43"),
+    ({"nodes": 25}, "nodes must be at least 26 for the identities to resolve at "
+                    "their tolerances, got 25"),
 ])
 def test_unresolving_grid_is_usage_error(tmp_path, capsys, raw, message):
     code, out = _config_error(tmp_path, capsys, raw)
@@ -240,6 +242,13 @@ def test_minimum_grids_pass_every_suite(tmp_path, capsys, seed):
     cfg.write_text(json.dumps({"torus_side": 24, "interval_nodes": 43,
                                "suites": sorted(SUITES)}))
     assert main(["verify", "--config", str(cfg), "--seed", seed]) == 0
+    assert "73/73 checks passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["0", "7"])
+def test_minimum_circle_nodes_pass_every_suite(capsys, seed):
+    args = ["verify", "--seed", seed, "--nodes", "26"]
+    assert main(args + [f"--suite={s}" for s in sorted(SUITES)]) == 0
     assert "73/73 checks passed" in capsys.readouterr().out
 
 
@@ -271,7 +280,8 @@ def test_suite_that_raises_is_a_failed_record(tmp_path, capsys, monkeypatch):
 def test_three_circle_nodes_is_usage_error(capsys):
     assert main(["verify", "--suite", "bar-calculus", "--nodes", "3"]) == 2
     out = capsys.readouterr()
-    assert "nodes must exceed 4 to resolve random data with modes up to 2, got 3" in out.err
+    assert ("nodes must be at least 26 for the identities to resolve at their "
+            "tolerances, got 3") in out.err
     assert "checks passed" not in out.out
 
 

@@ -6,11 +6,12 @@ import pytest
 
 from mapforms import catalog as cat
 from mapforms import mechanics as me
-from mapforms.charts import DimensionMismatch, constant_field
+from mapforms.charts import DEFAULT_FD_STEP, DimensionMismatch, constant_field
 from mapforms.domains import ScalarField, circle, interval, torus2
 from mapforms.forms import (broadcast_rows, coefficient_form, coordinate_form, scalar_const,
                             scalar_coordinate, trig_scalar, volume_form)
-from mapforms.mapspace import MapPoint, MapStack, MapTangent, bar_map, generator_M
+from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
+                               generator_M)
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +70,7 @@ def test_diffham_hamiltonian_identity(sys_r2, loop_domain):
         Y = cat.random_tangent(f, rng)
         worst = max(worst, me.hamiltonian_identity_residual(
             ob, lambda g, p=pair: generator_M(p.field, g),
-            me.momentum_diffham(sys_r2, loop_domain, pair), f, Y))
+            me.momentum_diffham(sys_r2, loop_domain, pair), f, Y)(DEFAULT_FD_STEP))
     assert worst < 1e-6
 
 
@@ -165,6 +166,20 @@ def test_exact_two_form_gate():
         me.exact_two_form(coordinate_form((0, 1), 4))  # not a 1-form
 
 
+def test_hamiltonian_identity_residual_evaluates_omega_bar_once(sys_r2, loop_domain):
+    rng = np.random.default_rng(3)
+    ob, calls = bar_map(sys_r2.omega, loop_domain), []
+    counted = MapSpaceForm(2, lambda F, ts: calls.append(F.size) or ob.evaluator(F, ts))
+    pair = sys_r2.pair("x")
+    f = cat.random_map(loop_domain, 2, rng, amp=0.8)
+    residual = me.hamiltonian_identity_residual(
+        counted, lambda g: generator_M(pair.field, g),
+        me.momentum_diffham(sys_r2, loop_domain, pair), f, cat.random_tangent(f, rng))
+    ladder = [residual(h) for h in (DEFAULT_FD_STEP, 4e-3, 2e-3, 1e-3, 5e-4)]
+    assert calls == [1]
+    assert max(ladder) < 1e-4 and ladder[0] < 1e-6
+
+
 def test_diffex_hamiltonian_identity(torus_domain, exact_form_r4):
     rng = np.random.default_rng(5)
     worst = 0.0
@@ -175,7 +190,7 @@ def test_diffex_hamiltonian_identity(torus_domain, exact_form_r4):
         worst = max(worst, me.hamiltonian_identity_residual(
             bar_map(exact_form_r4.form, torus_domain),
             me.stream_generator(torus_domain, alpha),
-            me.momentum_diffex(exact_form_r4, torus_domain, alpha), f, Y))
+            me.momentum_diffex(exact_form_r4, torus_domain, alpha), f, Y)(DEFAULT_FD_STEP))
     assert worst < 1e-6
 
 
