@@ -681,7 +681,6 @@ def run_momentum(config: SuiteConfig):
     sys = me.canonical_r2()
     sys.validate(rng)
     dom = circle(config.nodes)
-    ob = bar_map(sys.omega, dom)
 
     def add_ladder(test_id, statement, d, residual):
         """FD-limited record with the order fitted to the raw residuals of
@@ -689,53 +688,45 @@ def run_momentum(config: SuiteConfig):
         records.add(test_id, statement, residual(DEFAULT_FD_STEP), IDENTITY_TOL, d,
                     fd=True, fit=fit_order(ORDER_STEPS, [residual(h) for h in ORDER_STEPS]))
 
-    def hamiltonian_residual(salt, generators):
-        """Worst i_{gen} omega bar - d<J, xi> over (field, momentum) pairs as
-        a function of the FD step, each pair at a random map and tangent
-        drawn from [seed, salt]."""
+    def hamiltonian_residual(salt, action, elements):
+        """Worst i_{xi_F} omega bar - d<J, xi> over the elements as a
+        function of the FD step, each at a random map and tangent drawn
+        from [seed, salt]."""
         rngx = np.random.default_rng([config.seed, salt])
         cases = []
-        for field, J in generators:
+        for xi in elements:
             g = cat.random_map(dom, 2, rngx, amp=0.8)
-            cases.append(me.hamiltonian_identity_residual(
-                ob, lambda mp: generator_M(field, mp), J, g, cat.random_tangent(g, rngx)))
-
-        def residual(h):
-            worst = 0.0
-            for case in cases:
-                worst = max(worst, case(h))
-            return worst
-
-        return residual
+            cases.append(me.momentum_identity_residual(action, xi, g, cat.random_tangent(g, rngx)))
+        return lambda h: max(case(h) for case in cases)
 
     # lifted finite-dimensional action
-    act = me.se2_action()
-    lifted = me.momentum_lifted(act, dom)
+    group = me.se2_action()
+    lifted, basis = me.lifted_action(group, sys, dom), np.eye(len(group.names))
     add_ladder("momentum-lifted-identity",
                "i_{gen} omega bar = d<Jbar, xi> for the lifted finite-dim action", dom,
-               hamiltonian_residual(61, zip(act.generators, lifted)))
+               hamiltonian_residual(61, lifted, basis))
 
     circle_map = cat.unit_circle_map(dom, 2)
-    J = np.array([Ja(circle_map) for Ja in lifted])
+    J = np.array([lifted.momentum(e)(circle_map) for e in basis])
     records.add("momentum-lifted-values",
                 "averaged momenta of the unit circle: (-1/2, 0, 0) for (rot, tx, ty)",
                 float(np.max(np.abs(J - np.array([-0.5, 0.0, 0.0])))), 1e-10, dom)
 
     const_map = MapPoint(dom, np.tile([0.3, -0.7], (dom.n_nodes, 1)))
-    Jc = np.array([Ja(const_map) for Ja in lifted])
-    expect = np.array([m(np.array([0.3, -0.7])) for m in act.momenta])
+    Jc = np.array([lifted.momentum(e)(const_map) for e in basis])
+    expect = np.array([m(np.array([0.3, -0.7])) for m in group.momenta])
     records.add("momentum-lifted-constant-map",
                 "a constant map returns the base momentum exactly (normalized mu)",
                 float(np.max(np.abs(Jc - expect))), 1e-12, dom)
 
     # hamiltonian diffeomorphisms of M
-    diffham = [(p.field, me.momentum_diffham(sys, dom, p)) for p in sys.catalog[:3]]
+    ham = me.diffham_action(sys, dom)
     add_ladder("momentum-diffham-identity",
                "i_{Xbar_h} omega bar = d(h bar) with h normalized at the base point", dom,
-               hamiltonian_residual(62, diffham))
+               hamiltonian_residual(62, ham, sys.catalog[:3]))
 
     records.add("momentum-diffham-circle-value", "<J(unit circle), X_x> = mean of cos = 0",
-                abs(me.momentum_diffham(sys, dom, sys.pair("x"))(circle_map)), 1e-12, dom)
+                abs(ham.momentum(sys.pair("x"))(circle_map)), 1e-12, dom)
 
     # exact volume preserving diffeomorphisms of S = T^2
     domt = torus2(config.torus_side)
@@ -762,11 +753,9 @@ def run_momentum(config: SuiteConfig):
     g = cat.random_map(domt, 4, rngx, amp=0.7)
     Y = cat.random_tangent(g, rngx)
     a = cat.random_stream(domt, rngx, max_mode=2)
-    ob_curved, J_curved = bar_map(om_curved.form, domt), me.momentum_diffex(om_curved, domt, a)
-    gen_a = me.stream_generator(domt, a)
     add_ladder("momentum-diffex-identity",
                "d<J, X_alpha> = i_{gen(alpha)} omega bar on F(T^2, R^4)", domt,
-               me.hamiltonian_identity_residual(ob_curved, gen_a, J_curved, g, Y))
+               me.momentum_identity_residual(me.diffex_action(om_curved, domt), a, g, Y))
 
     zero = ScalarField(domt, np.zeros(domt.n_nodes))
     const4 = MapPoint(domt, np.tile([0.2, 0.4, -0.1, 0.3], (domt.n_nodes, 1)))
@@ -781,16 +770,20 @@ def run_momentum(config: SuiteConfig):
 # cocycles
 
 def run_cocycles(config: SuiteConfig):
+    """The defining cocycle of each action against its closed form, with
+    every f-independent part (the bracket, its momentum, the generators,
+    P(i_X i_Y mu)) built once per record."""
     records = _Records(config)
     rng = np.random.default_rng([config.seed, 70])
     sys = me.canonical_r2()
     dom = circle(config.nodes)
+    ham = me.diffham_action(sys, dom)
 
-    sx, sy, sxy = sys.pair("x"), sys.pair("y"), sys.pair("xy")
-    ssin, sr2 = sys.pair("sin_x"), sys.pair("r2/2")
+    pairs = [sys.pair(name) for name in ("x", "y", "xy", "sin_x", "r2/2")]
+    sx, sy, sxy, ssin, sr2 = pairs
 
-    vals = [me.cocycle_diffham_defining(sys, dom, cat.random_map(
-        dom, 2, rng, amp=0.7), sx, sy) for _ in range(6)]
+    dual = me.cocycle_defining(ham, sx, sy)
+    vals = [dual(cat.random_map(dom, 2, rng, amp=0.7)) for _ in range(6)]
     records.add("cocycle-diffham-dual-route",
                 "<J(f),[X,Y]op> - omega bar(Xbar,Ybar)(f) = -omega(X,Y)(x0)",
                 max(abs(v - me.cocycle_diffham(sys, sx, sy)) for v in vals),
@@ -799,82 +792,57 @@ def run_cocycles(config: SuiteConfig):
                 "the defining difference does not depend on the map",
                 max(vals) - min(vals), 1e-8, dom)
 
-    pairs = [sx, sy, sxy, ssin, sr2]
     anti = max(abs(me.cocycle_diffham(sys, a, b) + me.cocycle_diffham(sys, b, a))
                for a in pairs for b in pairs)
     records.add("cocycle-diffham-antisymmetry", "sigma(X,Y) = -sigma(Y,X) and sigma(X,X) = 0",
                 anti, 1e-12, dom)
 
-    # cyclic 2-cocycle identity with analytic brackets
-    def sigma_op(Xp, Yp):
-        b = me.opposite_bracket(Xp.field, Yp.field)
-        hb = me.hamiltonian_of(sys, b)
-        return me.HamiltonianPair("b", cat.ScalarFunc(hb, None), b)
-
-    worst = 0.0
-    for (a, b, c) in [(sx, sy, sxy), (sxy, ssin, sr2), (sx, sxy, sr2)]:
-        total = 0.0
-        for (u, v, w) in [(a, b, c), (b, c, a), (c, a, b)]:
-            br = sigma_op(u, v)
-            total += me.cocycle_diffham(sys, br, w)
-        worst = max(worst, abs(total))
+    worst = max(abs(me.cocycle_jacobi_sum(ham, lambda X, Y: me.cocycle_diffham(sys, X, Y), *uvw))
+                for uvw in [(sx, sy, sxy), (sxy, ssin, sr2), (sx, sxy, sr2)])
     records.add("cocycle-diffham-jacobi", "sum over cyclic permutations of sigma([X,Y],Z) = 0",
                 worst, IDENTITY_TOL, dom)
 
     # lifted action cocycle: value and f-independence
-    act = me.se2_action()
-    base = me.cocycle_lifted_base(act, sys, 1, 2)
-    spread = [me.cocycle_lifted(act, sys, dom, cat.random_map(
-        dom, 2, rng, amp=0.7), 1, 2) for _ in range(4)]
+    group = me.se2_action()
+    lifted, (e_rot, e_tx, e_ty) = me.lifted_action(group, sys, dom), np.eye(len(group.names))
+    base = me.cocycle_lifted_base(group, sys, e_tx, e_ty)
+    dual = me.cocycle_defining(lifted, e_tx, e_ty)
+    spread = [dual(cat.random_map(dom, 2, rng, amp=0.7)) for _ in range(4)]
     records.add("cocycle-lifted-translations",
                 "<Jbar,[tx,ty]> - omega bar(tx,ty) = -omega(tx,ty) = -1, f-independent",
                 max(abs(v - base) for v in spread) + abs(base + 1.0), 1e-10, dom)
 
-    jac = 0.0
-    for (i, j, k) in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        total = 0.0
-        for (a, b, c) in [(i, j, k), (j, k, i), (k, i, j)]:
-            coeffs = act.structure[a, b]
-            total += sum(coeffs[l] * me.cocycle_lifted_base(act, sys, l, c)
-                         for l in range(act.dim_g))
-        jac = max(jac, abs(total))
+    jac = me.cocycle_jacobi_sum(lifted, lambda u, v: me.cocycle_lifted_base(group, sys, u, v),
+                                e_rot, e_tx, e_ty)
     records.add("cocycle-lifted-jacobi",
                 "cyclic sum of sigma([e_i,e_j],e_k) = 0 via structure constants",
-                jac, 1e-12, dom)
+                abs(jac), 1e-12, dom)
 
     # S-side cocycle on the torus
     domt = torus2(config.torus_side)
-    theta = coefficient_form(4, 1, {(2,): scalar_coordinate(0, 4)})
-    om_ex = me.exact_two_form(theta)
+    om_ex = me.exact_two_form(coefficient_form(4, 1, {(2,): scalar_coordinate(0, 4)}))
+    diffex = me.diffex_action(om_ex, domt)
     a1 = cat.random_stream(domt, rng, max_mode=2)
     a2 = cat.random_stream(domt, rng, max_mode=2)
-    worst = 0.0
-    for _ in range(TRIALS):
-        g = cat.random_map(domt, 4, rng, amp=0.7)
-        s_form = me.cocycle_diffex(om_ex, domt, g, a1, a2)
-        s_def = me.cocycle_diffex_defining(om_ex, domt, g, a1, a2)
-        worst = max(worst, abs(s_form - s_def))
+    sigma, dual = me.cocycle_diffex(om_ex, domt, a1, a2), me.cocycle_defining(diffex, a1, a2)
+    maps = [cat.random_map(domt, 4, rng, amp=0.7) for _ in range(TRIALS)]
     records.add("cocycle-diffex-dual-route",
                 "<J(f),[X,Y]> - omega bar = integral of f*omega against P(i i mu)",
-                worst, IDENTITY_TOL, domt)
+                max(abs(sigma(g) - dual(g)) for g in maps), IDENTITY_TOL, domt)
 
     base_map = cat.random_map(domt, 4, rng, amp=0.7)
     bump = cat.random_map(domt, 4, rng, amp=0.5)
-    vals = [me.cocycle_diffex(om_ex, domt, MapPoint(
-        domt, base_map.values + t * bump.values), a1, a2)
-        for t in np.linspace(0.0, 1.0, 5)]
+    vals = [sigma(MapPoint(domt, base_map.values + t * bump.values))
+            for t in np.linspace(0.0, 1.0, 5)]
     records.add("cocycle-diffex-homotopy",
                 "the value is constant along an explicit homotopy of maps",
                 max(vals) - min(vals), IDENTITY_TOL, domt)
 
     a3 = cat.random_stream(domt, rng, max_mode=2)
-    total = 0.0
-    for (u, v, w) in [(a1, a2, a3), (a2, a3, a1), (a3, a1, a2)]:
-        br = me.stream_bracket(domt, u, v)
-        br = ScalarField(domt, br.values - br.values.mean())
-        total += me.cocycle_diffex(om_ex, domt, base_map, br, w)
+    jac = me.cocycle_jacobi_sum(diffex, lambda a, b: me.cocycle_diffex(om_ex, domt, a, b)(base_map),
+                                a1, a2, a3)
     records.add("cocycle-diffex-jacobi", "cyclic sum of sigma([X,Y],Z) = 0 on stream functions",
-                abs(total), IDENTITY_TOL, domt)
+                abs(jac), IDENTITY_TOL, domt)
 
     # volume-integral cocycle on the meshed surface
     eta = coordinate_form((0, 1), 2, 2.5)

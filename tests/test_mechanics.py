@@ -1,17 +1,21 @@
 """Momentum maps, non-equivariance cocycles, the volume-integral cocycle,
 open-string boundary data, and the commuting-action pair."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mapforms import catalog as cat
+from mapforms import domains, mapspace, suites
 from mapforms import mechanics as me
 from mapforms.charts import DEFAULT_FD_STEP, DimensionMismatch, constant_field
 from mapforms.domains import ScalarField, circle, interval, torus2
-from mapforms.forms import (broadcast_rows, coefficient_form, coordinate_form, scalar_const,
-                            scalar_coordinate, trig_scalar, volume_form)
+from mapforms.forms import (Form, broadcast_rows, coefficient_form, coordinate_form,
+                            scalar_const, scalar_coordinate, trig_scalar, volume_form)
 from mapforms.mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
-                               generator_M)
+                               bar_map_direct, generator_M)
 
 
 @pytest.fixture(scope="module")
@@ -63,14 +67,12 @@ def test_momentum_diffham_values(sys_r2, loop_domain):
 
 def test_diffham_hamiltonian_identity(sys_r2, loop_domain):
     rng = np.random.default_rng(2)
-    ob = bar_map(sys_r2.omega, loop_domain)
+    ham = me.diffham_action(sys_r2, loop_domain)
     worst = 0.0
     for pair in sys_r2.catalog:
         f = cat.random_map(loop_domain, 2, rng, amp=0.8)
         Y = cat.random_tangent(f, rng)
-        worst = max(worst, me.hamiltonian_identity_residual(
-            ob, lambda g, p=pair: generator_M(p.field, g),
-            me.momentum_diffham(sys_r2, loop_domain, pair), f, Y)(DEFAULT_FD_STEP))
+        worst = max(worst, me.momentum_identity_residual(ham, pair, f, Y)(DEFAULT_FD_STEP))
     assert worst < 1e-6
 
 
@@ -79,46 +81,47 @@ def test_cocycle_diffham_value_and_dual_route(sys_r2, loop_domain):
     assert me.cocycle_diffham(sys_r2, sx, sy) == pytest.approx(-1.0)
     assert me.cocycle_diffham(sys_r2, sx, sx) == 0.0
     rng = np.random.default_rng(3)
-    vals = [me.cocycle_diffham_defining(sys_r2, loop_domain,
-                                        cat.random_map(loop_domain, 2, rng, amp=0.7),
-                                        sx, sy)
-            for _ in range(10)]
+    dual = me.cocycle_defining(me.diffham_action(sys_r2, loop_domain), sx, sy)
+    vals = [dual(cat.random_map(loop_domain, 2, rng, amp=0.7)) for _ in range(10)]
     assert max(abs(v + 1.0) for v in vals) < 1e-6
     assert max(vals) - min(vals) < 1e-8
 
 
-def test_cocycle_diffham_jacobi(sys_r2):
+def test_cocycle_diffham_jacobi(sys_r2, loop_domain):
     pairs = [sys_r2.pair(n) for n in ("x", "y", "xy", "sin_x", "r2/2")]
+    ham = me.diffham_action(sys_r2, loop_domain)
 
-    def bracket_pair(a, b):
-        field = me.opposite_bracket(a.field, b.field)
-        return me.HamiltonianPair("br", cat.ScalarFunc(
-            me.hamiltonian_of(sys_r2, field)), field)
+    def sigma(X, Y):
+        return me.cocycle_diffham(sys_r2, X, Y)
 
-    for (a, b, c) in [(pairs[0], pairs[1], pairs[2]),
-                      (pairs[2], pairs[3], pairs[4])]:
-        total = sum(me.cocycle_diffham(sys_r2, bracket_pair(u, v), w)
-                    for (u, v, w) in [(a, b, c), (b, c, a), (c, a, b)])
-        assert abs(total) < 1e-6
+    for triple in [pairs[:3], pairs[2:]]:
+        assert abs(me.cocycle_jacobi_sum(ham, sigma, *triple)) < 1e-6
 
 
 def test_lifted_action(sys_r2, loop_domain):
-    act = me.se2_action()
+    group = me.se2_action()
+    lifted, basis = me.lifted_action(group, sys_r2, loop_domain), np.eye(3)
     f = cat.unit_circle_map(loop_domain, 2)
-    J = [Ja(f) for Ja in me.momentum_lifted(act, loop_domain)]
+    J = [lifted.momentum(e)(f) for e in basis]
     assert np.allclose(J, [-0.5, 0.0, 0.0], atol=1e-12)
     rng = np.random.default_rng(4)
     g = cat.random_map(loop_domain, 2, rng, amp=0.7)
-    # the translation pair carries the constant cocycle -1
-    assert me.cocycle_lifted(act, sys_r2, loop_domain, g, 1, 2) == \
-        pytest.approx(-1.0, abs=1e-10)
-    assert me.cocycle_lifted_base(act, sys_r2, 1, 2,
-                                  at=np.array([0.7, -0.2])) == pytest.approx(-1.0)
-    # non-equivariance matches the base cocycle for every pair
-    for i in range(3):
-        for j in range(3):
-            assert me.cocycle_lifted(act, sys_r2, loop_domain, g, i, j) == \
-                pytest.approx(me.cocycle_lifted_base(act, sys_r2, i, j), abs=1e-10)
+    # the translation pair carries the constant cocycle -1, also at a
+    # constant map away from the base point
+    const = MapPoint(loop_domain, np.tile([0.7, -0.2], (loop_domain.n_nodes, 1)))
+    for h in (g, const):
+        assert me.cocycle_defining(lifted, basis[1], basis[2])(h) == \
+            pytest.approx(-1.0, abs=1e-10)
+    # non-equivariance matches the base cocycle for every pair, and the
+    # momentum and cocycle are linear in the coefficients
+    for u in basis:
+        for v in basis:
+            assert me.cocycle_defining(lifted, u, v)(g) == \
+                pytest.approx(me.cocycle_lifted_base(group, sys_r2, u, v), abs=1e-10)
+    c, d = rng.uniform(-1.0, 1.0, (2, 3))
+    assert lifted.momentum(c)(g) == pytest.approx(c @ [lifted.momentum(e)(g) for e in basis])
+    assert me.cocycle_defining(lifted, c, d)(g) == pytest.approx(
+        me.cocycle_lifted_base(group, sys_r2, c, d), abs=1e-10)
 
 
 def test_momentum_diffex_oracle_value(torus_domain, exact_form_r4):
@@ -166,15 +169,14 @@ def test_exact_two_form_gate():
         me.exact_two_form(coordinate_form((0, 1), 4))  # not a 1-form
 
 
-def test_hamiltonian_identity_residual_evaluates_omega_bar_once(sys_r2, loop_domain):
+def test_momentum_identity_residual_evaluates_omega_bar_once(sys_r2, loop_domain):
     rng = np.random.default_rng(3)
-    ob, calls = bar_map(sys_r2.omega, loop_domain), []
-    counted = MapSpaceForm(2, lambda F, ts: calls.append(F.size) or ob.evaluator(F, ts))
-    pair = sys_r2.pair("x")
+    ham, calls = me.diffham_action(sys_r2, loop_domain), []
+    counted = replace(ham, omega_bar=MapSpaceForm(
+        2, lambda F, ts: calls.append(F.size) or ham.omega_bar.evaluator(F, ts)))
     f = cat.random_map(loop_domain, 2, rng, amp=0.8)
-    residual = me.hamiltonian_identity_residual(
-        counted, lambda g: generator_M(pair.field, g),
-        me.momentum_diffham(sys_r2, loop_domain, pair), f, cat.random_tangent(f, rng))
+    residual = me.momentum_identity_residual(counted, sys_r2.pair("x"), f,
+                                             cat.random_tangent(f, rng))
     ladder = [residual(h) for h in (DEFAULT_FD_STEP, 4e-3, 2e-3, 1e-3, 5e-4)]
     assert calls == [1]
     assert max(ladder) < 1e-4 and ladder[0] < 1e-6
@@ -187,10 +189,8 @@ def test_diffex_hamiltonian_identity(torus_domain, exact_form_r4):
         f = cat.random_map(torus_domain, 4, rng, amp=0.7)
         Y = cat.random_tangent(f, rng)
         alpha = cat.random_stream(torus_domain, rng, max_mode=2)
-        worst = max(worst, me.hamiltonian_identity_residual(
-            bar_map(exact_form_r4.form, torus_domain),
-            me.stream_generator(torus_domain, alpha),
-            me.momentum_diffex(exact_form_r4, torus_domain, alpha), f, Y)(DEFAULT_FD_STEP))
+        worst = max(worst, me.momentum_identity_residual(
+            me.diffex_action(exact_form_r4, torus_domain), alpha, f, Y)(DEFAULT_FD_STEP))
     assert worst < 1e-6
 
 
@@ -200,16 +200,14 @@ def test_cocycle_diffex_routes_and_homotopy(torus_domain, exact_form_r4):
     a1 = cat.random_stream(dom, rng, max_mode=2)
     a2 = cat.random_stream(dom, rng, max_mode=2)
     f = cat.random_map(dom, 4, rng, amp=0.7)
-    s_formula = me.cocycle_diffex(exact_form_r4, dom, f, a1, a2)
-    s_defining = me.cocycle_diffex_defining(exact_form_r4, dom, f, a1, a2)
-    assert abs(s_formula - s_defining) < 1e-6
+    sigma = me.cocycle_diffex(exact_form_r4, dom, a1, a2)
+    s_defining = me.cocycle_defining(me.diffex_action(exact_form_r4, dom), a1, a2)(f)
+    assert abs(sigma(f) - s_defining) < 1e-6
     # for an exact target form the class of f*omega vanishes, so both do
-    assert abs(s_formula) < 1e-10
+    assert abs(sigma(f)) < 1e-10
 
     bump = cat.random_map(dom, 4, rng, amp=0.5)
-    vals = [me.cocycle_diffex(exact_form_r4, dom,
-                              MapPoint(dom, f.values + t * bump.values), a1, a2)
-            for t in np.linspace(0, 1, 5)]
+    vals = [sigma(MapPoint(dom, f.values + t * bump.values)) for t in np.linspace(0, 1, 5)]
     assert max(vals) - min(vals) < 1e-6
 
 
@@ -219,7 +217,7 @@ def test_cocycle_diffex_trivial_generator(torus_domain, exact_form_r4):
     f = cat.random_map(dom, 4, rng, amp=0.7)
     const = ScalarField(dom, np.full(dom.n_nodes, 0.8))
     a2 = cat.random_stream(dom, rng, max_mode=2)
-    assert abs(me.cocycle_diffex(exact_form_r4, dom, f, const, a2)) < 1e-14
+    assert abs(me.cocycle_diffex(exact_form_r4, dom, const, a2)(f)) < 1e-14
 
 
 def test_lichnerowicz_values(torus_domain):
@@ -308,3 +306,123 @@ def test_dual_pair_report(sys_r2):
     assert report["diffham_residual"] < 1e-6
     assert report["diffex_residual"] < 1e-6
     assert report["diffex_cocycle_spread"] < 1e-6
+
+
+def test_defining_cocycle_is_each_action_s_former_route_bit_for_bit(
+        sys_r2, loop_domain, torus_domain, exact_form_r4):
+    """cocycle_defining against the three per-action routes it replaced,
+    written out as they were: <J(f), [xi, eta]> - omega_bar(xi_F, eta_F)(f)
+    with the lifted bracket momentum from the structure constants, the
+    Diff_ham bracket Hamiltonian by line integration and the Diff_ex
+    bracket stream function."""
+    rng = np.random.default_rng(13)
+    dom, domt = loop_domain, torus_domain
+    ob = bar_map(sys_r2.omega, dom)
+    f = cat.random_map(dom, 2, rng, amp=0.7)
+
+    def average(h):
+        return bar_map_direct(Form(0, 2, lambda x, vs: h(x)), dom)
+
+    group = me.se2_action()
+    lifted, basis = me.lifted_action(group, sys_r2, dom), np.eye(3)
+    Jbar = np.array([average(J.value)(f) for J in group.momenta])
+    for i in range(3):
+        for j in range(3):
+            former = float(group.structure[i, j] @ Jbar) - ob(
+                f, generator_M(group.generators[i], f), generator_M(group.generators[j], f))
+            assert me.cocycle_defining(lifted, basis[i], basis[j])(f) == former
+
+    ham = me.diffham_action(sys_r2, dom)
+    for a, b in [("x", "y"), ("sin_x", "y"), ("r2/2", "xy")]:
+        X, Y = sys_r2.pair(a), sys_r2.pair(b)
+        hb = me.hamiltonian_of(sys_r2, me.opposite_bracket(X.field, Y.field))
+        former = average(hb)(f) - ob(f, generator_M(X.field, f), generator_M(Y.field, f))
+        assert me.cocycle_defining(ham, X, Y)(f) == former
+
+    diffex = me.diffex_action(exact_form_r4, domt)
+    a1 = cat.random_stream(domt, rng, max_mode=2)
+    a2 = cat.random_stream(domt, rng, max_mode=2)
+    g = cat.random_map(domt, 4, rng, amp=0.7)
+    former = (me.momentum_diffex(exact_form_r4, domt, me.stream_bracket(domt, a1, a2))(g)
+              - bar_map(exact_form_r4.form, domt)(g, me.stream_generator(domt, a1)(g),
+                                                  me.stream_generator(domt, a2)(g)))
+    assert me.cocycle_defining(diffex, a1, a2)(g) == former
+
+
+def test_stream_bracket_is_the_zero_mean_poisson_bracket(torus_domain):
+    dom = torus_domain
+    x, y = dom.nodes[:, 0], dom.nodes[:, 1]
+    a1, a2 = ScalarField(dom, np.sin(x) * np.cos(y)), ScalarField(dom, np.cos(x))
+    # {a1, a2} = -sin(x)^2 sin(y); a Poisson bracket integrates to zero on
+    # the torus, so the gauge removes only roundoff from the mean
+    b = me.stream_bracket(dom, a1, a2)
+    assert np.allclose(b.values, -dom.volume * np.sin(x) ** 2 * np.sin(y), atol=1e-10)
+    assert abs(b.values.mean()) < 1e-14
+
+
+# pairs whose fields do not commute, unlike (x, y): their defining cocycle
+# depends on the sign of the bracket
+NONCOMMUTING_PAIRS = [("sin_x", "y"), ("r2/2", "xy"), ("r2/2", "sin_x")]
+
+
+def _dual_route_gaps(sys, dom):
+    """|defining cocycle - closed form| of each noncommuting pair at one
+    random map per pair."""
+    rng = np.random.default_rng(5)
+    ham = me.diffham_action(sys, dom)
+    gaps = []
+    for a, b in NONCOMMUTING_PAIRS:
+        X, Y = sys.pair(a), sys.pair(b)
+        f = cat.random_map(dom, 2, rng, amp=0.7)
+        gaps.append(abs(me.cocycle_defining(ham, X, Y)(f) - me.cocycle_diffham(sys, X, Y)))
+    return gaps
+
+
+def test_defining_cocycle_matches_the_closed_form_on_noncommuting_pairs(sys_r2, loop_domain):
+    assert max(_dual_route_gaps(sys_r2, loop_domain)) < 1e-12
+
+
+def test_unflipped_bracket_breaks_the_diffham_dual_route(sys_r2, loop_domain, monkeypatch):
+    """The mutant flips the sign of <J(f), [X, Y]>, so each gap is twice the
+    mean of the bracket Hamiltonian along the map."""
+    monkeypatch.setattr(me, "opposite_bracket", lambda X, Y: X.bracket(Y))
+    gaps = _dual_route_gaps(sys_r2, loop_domain)
+    assert min(gaps) > 1e-3 and max(gaps) > 0.1
+
+
+def test_cocycle_jacobi_sum_takes_the_cyclic_permutations():
+    action = me.HamiltonianAction(None, None, None, lambda a, b: (a, b))
+    seen = []
+    total = me.cocycle_jacobi_sum(action, lambda ab, c: seen.append((ab, c)) or 1.0, "u", "v", "w")
+    assert total == 3.0
+    assert seen == [(("u", "v"), "w"), (("v", "w"), "u"), (("w", "u"), "v")]
+
+
+def _count_calls(monkeypatch, names):
+    """Count the calls of each named mapforms function, rebound in every
+    module that refers to it."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        wrapped = counting(name, getattr(me, name))
+        for mod in (domains, mapspace, me, suites):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapped)
+    return counts
+
+
+def test_cocycles_suite_builds_each_f_independent_part_once(monkeypatch):
+    """One omega bar per action, one bracket, momentum and pair of
+    generators per dual route, one P(i_X i_Y mu) per stream pair."""
+    counts = _count_calls(monkeypatch, ("right_inverse_b", "exact_divfree_field",
+                                        "bar_map", "hamiltonian_of"))
+    records = suites.run_cocycles(suites.SuiteConfig(seed=3))
+    assert all(r.passed for r in records)
+    assert counts == {"right_inverse_b": 5, "exact_divfree_field": 12, "bar_map": 3,
+                      "hamiltonian_of": 10}

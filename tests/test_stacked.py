@@ -90,7 +90,7 @@ def _forms(kind, dom):
             [[1.0, 0.4, 0.0], [0.0, 1.0, 0.2], [0.1, 0.0, 0.9]], [0.2, 0.0, -0.1]))),
         ("reparam", action_pullback_S(W, _reparam(kind))),
         ("momentum_lifted", action_pullback_M(
-            me.momentum_lifted(me.se2_action(), dom)[0], plane)),
+            me.momentum_lifted(me.se2_action(), dom, np.array([0.3, -1.2, 0.7])), plane)),
         ("momentum_diffham", action_pullback_M(
             me.momentum_diffham(sys, dom, sys.pair("xy")), plane)),
     ]
