@@ -45,7 +45,6 @@ print("  reason:", bad.reason)
 # tangents that leave the subspace at the endpoints are refused too
 f, ts = me.constrained_random_data(iv, D, rng, 3)
 leaky = [mf.MapTangent(f, ts[0].vectors + np.array([0, 0, 0, 0.4]))] + ts[1:]
-gated = me.brane_twist_check(H, B, D, iv, rng, f=f, tangent_sets=[leaky],
-                             n_trials=1)
+_, reason = me.boundary_data_gate(D, f, leaky)
 print("\nboundary-tangency violation:")
-print("  applicable:", gated.applicable, " reason:", gated.reason)
+print("  applicable:", not reason, " reason:", reason)

@@ -19,13 +19,12 @@ from the command line.
 """
 
 from .charts import (ChartMap, DimensionMismatch, VectorField, affine_field,
-                     affine_map, as_field, compose, constant_field,
-                     field_from_callable, identity_map, rotation2, rotation3)
+                     affine_map, as_field, constant_field,
+                     field_from_callable, identity_map, rotation3)
 from .domains import (NotExactError, ScalarField, SmoothnessWarning,
-                      SourceDomain, circle, exact_divfree_field,
-                      field_from_function, interval, make_domain,
-                      nodal_vector_field, projection_P, right_inverse_b,
-                      torus, torus2)
+                      SourceDomain, circle, exact_divfree_field, interval,
+                      make_domain, nodal_vector_field, projection_P,
+                      right_inverse_b, torus, torus2)
 from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     coefficient_form, constant_form, coordinate_form,
                     exterior_derivative, fiber_integrate, form_scale,
@@ -42,7 +41,7 @@ from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                        generator_S, hat_map, hat_pairing, hat_pairing_fiber,
                        map_from_function, map_space_d, map_space_interior,
                        map_space_lie, map_space_lie_flow, pullback_action,
-                       pushforward_action, restrict_boundary)
+                       pushforward_action)
 from .mechanics import (AffineSubspace, BraneReport, ExactTwoForm,
                         HamiltonianAction, HamiltonianPair, HamiltonianSystem,
                         LiftedGAction, affine_subspace, brane_twist_check,

@@ -27,7 +27,7 @@ MAX_MODE = 2
 # named vector fields and maps
 
 def named_field(name: str) -> VectorField:
-    """A named vector field on R^3: e_x, e_z, radial or rotation."""
+    """A named vector field on R^3: e_x, e_z or radial."""
     if name in ("e_x", "e_z"):
         return constant_field(np.eye(3)["xyz".index(name[-1])], name=name)
     if name == "radial":
@@ -35,9 +35,6 @@ def named_field(name: str) -> VectorField:
         return VectorField(lambda x: np.hstack([x[:, :2], np.zeros((len(x), 1))]),
                            3, jacobian_func=lambda x: broadcast_rows(P, x),
                            name="radial", batched=True)
-    if name == "rotation":
-        return affine_field([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
-                            name="rotation")
     raise KeyError(f"unknown field id {name!r}")
 
 

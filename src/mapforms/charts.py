@@ -4,10 +4,10 @@ Everything is an explicit callable plus optional analytic derivative data;
 finite differences fill in whatever is missing.  Every map and field
 evaluates points stacked as rows through `rows`, `jacobian_rows` and
 `inverse_rows`.  Its callables take rows when it is built with batched=True,
-as by every constructor here except `field_from_callable` and `as_field` on
-a callable, and single points otherwise; calling it on a single point wraps
-whichever it stores.  Instances are immutable and their callables must be
-pure, so evaluation is safe to run concurrently.
+as by every constructor here except `field_from_callable`, and single
+points otherwise; calling it on a single point wraps whichever it stores.
+Instances are immutable and their callables must be pure, so evaluation is
+safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -165,11 +165,6 @@ def affine_map(A, b=None, name: str = "affine") -> ChartMap:
     )
 
 
-def rotation2(angle: float) -> ChartMap:
-    c, s = np.cos(angle), np.sin(angle)
-    return affine_map(np.array([[c, -s], [s, c]]), name=f"rot2({angle:g})")
-
-
 def rotation3(axis, angle: float) -> ChartMap:
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
@@ -180,30 +175,6 @@ def rotation3(axis, angle: float) -> ChartMap:
     ])
     R = np.eye(3) + np.sin(angle) * K + (1 - np.cos(angle)) * (K @ K)
     return affine_map(R, name=f"rot3({angle:g})")
-
-
-def compose(outer: ChartMap, inner: ChartMap, name: str = "") -> ChartMap:
-    if inner.target_dim != outer.source_dim:
-        raise DimensionMismatch(
-            f"cannot compose: inner target dim {inner.target_dim} != outer source dim {outer.source_dim}"
-        )
-    inverse = None
-    if outer.inverse is not None and inner.inverse is not None:
-        inverse = lambda y: inner.inverse_rows(outer.inverse_rows(y))  # noqa: E731
-
-    def jac(x):
-        y, J = inner.value_and_jacobian_rows(x)
-        return np.einsum("nij,njk->nik", outer.jacobian_rows(y), J)
-
-    return ChartMap(
-        forward=lambda x: outer.rows(inner.rows(x)),
-        source_dim=inner.source_dim,
-        target_dim=outer.target_dim,
-        jacobian_func=jac,
-        inverse=inverse,
-        name=name or f"{outer.name}∘{inner.name}",
-        batched=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -223,7 +194,8 @@ class VectorField(_RowCalculus):
     _func = property(lambda self: self.func)
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Jacobi-Lie bracket [X,Y](x) = DY(x) X(x) - DX(x) Y(x)."""
+        """Jacobi-Lie bracket [X,Y](x) = DY(x) X(x) - DX(x) Y(x); its own
+        Jacobian is the central difference of these rows."""
         if other.dim != self.dim:
             raise DimensionMismatch("bracket of fields on different charts")
         X, Y = self, other
@@ -232,14 +204,7 @@ class VectorField(_RowCalculus):
             return (np.einsum("nij,nj->ni", Y.jacobian_rows(x), X.rows(x))
                     - np.einsum("nij,nj->ni", X.jacobian_rows(x), Y.rows(x)))
 
-        jac = None
-        if X.jacobian_func is not None and Y.jacobian_func is not None:
-            # second derivatives by differencing the analytic Jacobians
-            def jac(x):
-                return _fd_jacobian_rows(func, x, DEFAULT_FD_STEP)
-
-        return VectorField(func, self.dim, jacobian_func=jac,
-                           name=f"[{X.name},{Y.name}]", batched=True)
+        return VectorField(func, self.dim, name=f"[{X.name},{Y.name}]", batched=True)
 
     def flow(self, t: float, steps: int = 64) -> ChartMap:
         """Time-t flow map; exact when flow_func is provided, RK4 otherwise,
@@ -383,11 +348,9 @@ def field_from_callable(func, dim: int, jacobian=None, name: str = "") -> Vector
 
 
 def as_field(X, dim: int) -> VectorField:
-    """Coerce a VectorField, callable, or constant vector to a VectorField."""
+    """Coerce a VectorField or a constant vector to a VectorField."""
     if isinstance(X, VectorField):
         if X.dim != dim:
             raise DimensionMismatch(f"field dim {X.dim} != chart dim {dim}")
         return X
-    if callable(X):
-        return VectorField(func=X, dim=dim)
     return constant_field(np.asarray(X, dtype=float))

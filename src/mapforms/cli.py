@@ -34,9 +34,9 @@ from .charts import DEFAULT_FD_STEP
 from .domains import circle, make_domain, torus2
 from .forms import coefficient_form, integrate, scalar_coordinate
 from .report import TestRecord, VerificationReport, fit_order
-from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
-                     brane_checks, derivation_residual, mw_links, run_suite,
-                     two_route_residual, unit_loop)
+from .suites import (DERIVATION_CASES, GRID_MINIMUMS, SUITES, SuiteConfig,
+                     brane_catalog, brane_checks, derivation_residual,
+                     mw_links, run_suite, two_route_residual, unit_loop)
 
 USAGE_ERROR = 2
 
@@ -121,15 +121,23 @@ def _torus_side(nodes: int) -> int:
     return make_domain("torus2", nodes).shape[0]
 
 
-def _check_torus_levels(levels):
-    sides = [_torus_side(n) for n in levels]
-    if min(sides) < MIN_TORUS_SIDE or len(set(sides)) < len(sides):
-        smallest = next(n for n in itertools.count(1)
-                        if _torus_side(n) >= MIN_TORUS_SIDE)
+# kind -> (the grid a level runs on, what is counted, the count at a level,
+# the least count): below it a residual measures under-resolution of the
+# random data; circles take the minimum of verify's grids
+LEVEL_GRIDS = {
+    "circle": ("circle(level)", "node counts", int, GRID_MINIMUMS["nodes"]),
+    "torus2": ("torus2(round(sqrt(level)))", "sides", _torus_side, MIN_TORUS_SIDE),
+}
+
+
+def _check_levels(identity, kind, levels):
+    grid, counted, size, least = LEVEL_GRIDS[kind]
+    sizes = [size(n) for n in levels]
+    if min(sizes) < least or len(set(sizes)) < len(sizes):
+        smallest = next(n for n in itertools.count(1) if size(n) >= least)
         raise ValueError(
-            f"--levels for derivation-torus run on torus2(round(sqrt(level))) and "
-            f"need distinct sides of at least {MIN_TORUS_SIDE}; got sides {sides}, "
-            f"the smallest valid level is {smallest}")
+            f"--levels for {identity} run on {grid} and need distinct {counted} of at "
+            f"least {least}; got {counted} {sizes}, the smallest valid level is {smallest}")
 
 
 def _converge_derivation(kind):
@@ -158,16 +166,16 @@ def _converge_quadrature(nodes: int, fd_step: float, seed: int) -> float:
     return abs(integrate(dg, dom))
 
 
-# id -> (label, runner(nodes, fd_step, seed) -> residual, check of the levels)
+# id -> (label, runner(nodes, fd_step, seed) -> residual, kind of its grids)
 CONVERGE_IDS = {
     "derivation-circle": ("FD-limited derivation identity on the circle",
-                          _converge_derivation("circle"), None),
+                          _converge_derivation("circle"), "circle"),
     "derivation-torus": ("FD-limited derivation identity on the torus",
-                         _converge_derivation("torus2"), _check_torus_levels),
+                         _converge_derivation("torus2"), "torus2"),
     "two-route-circle": ("spectral two-route agreement (machine floor)",
-                         _converge_two_route, None),
+                         _converge_two_route, "circle"),
     "quadrature-circle": ("spectral quadrature of an exact derivative",
-                          _converge_quadrature, None),
+                          _converge_quadrature, "circle"),
 }
 
 
@@ -178,12 +186,11 @@ def cmd_converge(args) -> int:
             print(f"error: unknown identity {args.identity!r}; available: "
                   f"{sorted(CONVERGE_IDS)}", file=sys.stderr)
             return USAGE_ERROR
-        label, runner, check_levels = CONVERGE_IDS[args.identity]
+        label, runner, kind = CONVERGE_IDS[args.identity]
         levels = [int(t) for t in args.levels.split(",") if t]
         if not levels or min(levels) <= 0:
             raise ValueError(f"--levels needs positive node counts, got {args.levels!r}")
-        if check_levels:
-            check_levels(levels)
+        _check_levels(args.identity, kind, levels)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

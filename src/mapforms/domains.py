@@ -141,7 +141,7 @@ class SourceDomain:
 
     # -- differentiation ----------------------------------------------------
 
-    def differentiate(self, values: Array, axis: int = 0) -> Array:
+    def differentiate(self, values: Array, axis: int) -> Array:
         """Derivative of node-sampled data along a parameter axis: spectral
         on periodic domains, 4th-order finite differences (one-sided at the
         ends) on the interval.  values may be (n_nodes,), (n_nodes, m) or a
@@ -173,19 +173,13 @@ class SourceDomain:
 
     def resample(self, values: Array, points: Array) -> Array:
         """Evaluate the interpolant of node-sampled data at parameter points:
-        trigonometric interpolation on periodic domains (exact for data below
-        the Nyquist band), not-a-knot cubic splines on the interval."""
+        trigonometric interpolation, exact for data below the Nyquist band.
+        Only periodic domains resample."""
+        if self.periods is None:
+            raise ValueError(f"no interpolation on domain kind {self.kind!r}")
         values = np.asarray(values, dtype=float)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        flat = values.reshape(self.n_nodes, -1)
-        if self.periods is not None:
-            out = _trig_interp(flat, self.shape, pts)
-        elif self.dim == 0:
-            raise ValueError(f"no interpolation on domain kind {self.kind!r}")
-        else:
-            if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
-                raise ValueError("interval resampling outside [0,1]")
-            out = _spline_interp(self.nodes[:, 0], flat, np.clip(pts[:, 0], 0.0, 1.0))
+        out = _trig_interp(values.reshape(self.n_nodes, -1), self.shape, pts)
         return out.reshape((pts.shape[0],) + values.shape[1:])
 
     # -- boundary -----------------------------------------------------------
@@ -354,29 +348,6 @@ def _trig_interp(flat: Array, shape: tuple, pts: Array) -> Array:
     return np.real(out)
 
 
-def _spline_interp(x: Array, y: Array, pts: Array) -> Array:
-    """Not-a-knot cubic spline through (x, y[:, j]) for every column j,
-    evaluated at pts.  The node second derivatives M of all columns come
-    from one linear solve: continuity of the first derivative at interior
-    nodes, of the third at x[1] and x[-2]."""
-    n = x.size
-    h = np.diff(x)
-    slope = np.diff(y, axis=0) / h[:, None]
-    A = np.zeros((n, n))
-    rhs = np.zeros_like(y)
-    i = np.arange(1, n - 1)
-    A[i, i - 1], A[i, i], A[i, i + 1] = h[:-1], 2.0 * (h[:-1] + h[1:]), h[1:]
-    rhs[1:-1] = 6.0 * np.diff(slope, axis=0)
-    A[0, :3] = h[1], -(h[0] + h[1]), h[0]
-    A[-1, -3:] = h[-1], -(h[-2] + h[-1]), h[-2]
-    M = np.linalg.solve(A, rhs)
-    k = np.clip(np.searchsorted(x, pts, side="right") - 1, 0, n - 2)
-    hk = h[k][:, None]
-    a, b = (x[k + 1] - pts)[:, None], (pts - x[k])[:, None]
-    return ((M[k] * a ** 3 + M[k + 1] * b ** 3) / (6.0 * hk)
-            + (y[k] / hk - M[k] * hk / 6.0) * a + (y[k + 1] / hk - M[k + 1] * hk / 6.0) * b)
-
-
 # ---------------------------------------------------------------------------
 # node-sampled scalar fields
 
@@ -391,9 +362,6 @@ class ScalarField:
         if self.values.shape != (self.dom.n_nodes,):
             raise ValueError("ScalarField values must be one value per node")
 
-    def mean(self) -> float:
-        return float(np.mean(self.values))
-
     def d_components(self) -> Array:
         """Nodal components of the differential, shape (n_nodes, k)."""
         return self.dom.map_jacobian(self.values)
@@ -407,24 +375,10 @@ class ScalarField:
 
         return Form(0, dom.chart_dim, ev, name="nodal")
 
-    def __add__(self, other):
-        if isinstance(other, ScalarField):
-            return ScalarField(self.dom, self.values + other.values)
-        return ScalarField(self.dom, self.values + float(other))
-
     def __sub__(self, other):
         if isinstance(other, ScalarField):
             return ScalarField(self.dom, self.values - other.values)
         return ScalarField(self.dom, self.values - float(other))
-
-    def __mul__(self, c):
-        return ScalarField(self.dom, self.values * float(c))
-
-    __rmul__ = __mul__
-
-
-def field_from_function(dom: SourceDomain, func) -> ScalarField:
-    return ScalarField(dom, np.array([float(func(s)) for s in dom.nodes]))
 
 
 def nodal_vector_field(dom: SourceDomain, vectors: Array):

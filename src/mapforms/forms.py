@@ -528,13 +528,6 @@ def vertical_field(X: VectorField, s_dim: int) -> VectorField:
     return VectorField(func, s_dim + X.dim, name=f"0x{X.name}", batched=True)
 
 
-def horizontal_field(Z: VectorField, v_dim: int) -> VectorField:
-    """The field Z x 0_V on a product chart."""
-    def func(z):
-        return np.hstack([Z.rows(z[:, :Z.dim]), np.zeros((len(z), v_dim))])
-    return VectorField(func, Z.dim + v_dim, name=f"{Z.name}x0", batched=True)
-
-
 def fiber_integrate(w: Form, dom) -> Form:
     """Integrate an n-form on the product chart S x V, whose leading
     dom.chart_dim coordinates are those of S, over the k-dimensional S

@@ -155,7 +155,7 @@ def map_from_function(dom: SourceDomain, func, target_dim: int) -> MapPoint:
     return MapPoint(dom, vals)
 
 
-def zero_mapspace_form(degree: int, tag: str = "0") -> MapSpaceForm:
+def zero_mapspace_form(degree: int, tag: str) -> MapSpaceForm:
     return MapSpaceForm(degree, lambda F, ts: np.zeros(F.size), tag=tag)
 
 
@@ -374,7 +374,7 @@ def pushforward_tangent(phi: ChartMap, Y: MapTangent) -> MapTangent:
 
 def pullback_action(psi: ChartMap, f: MapPoint) -> MapPoint:
     """(ψ·f) = f∘ψ^{-1}, resampled at ψ^{-1}(nodes) by trigonometric
-    interpolation on periodic domains (cubic splines on the interval)."""
+    interpolation; only periodic domains resample."""
     if psi.inverse is None:
         raise ValueError("the reparameterization needs an inverse")
     vals = f.dom.resample(f.values, psi.inverse_rows(f.dom.nodes))
@@ -423,20 +423,14 @@ def map_space_d(W: MapSpaceForm, step: float = DEFAULT_FD_STEP) -> MapSpaceForm:
 
 
 def map_space_interior(W: MapSpaceForm, T) -> MapSpaceForm:
-    """Insertion of a tangent field into the leading slot: a MapTangent,
-    whose vectors fill the slot at every map, or a callable taking a
-    MapStack to a MapTangent along it (e.g. a group generator).  On a
-    0-form this returns the zero form by convention."""
+    """Insertion of a tangent field into the leading slot: T is a callable
+    taking a MapStack to a MapTangent along it (e.g. a group generator).
+    On a 0-form this returns the zero form by convention."""
     if W.degree == 0:
-        return zero_mapspace_form(0, tag=f"i_T({W.tag})")
-
-    def field(F: MapStack) -> Array:
-        if isinstance(T, MapTangent):
-            return np.broadcast_to(T.vectors, F.values.shape)
-        return T(F).vectors
+        return zero_mapspace_form(0, f"i_T({W.tag})")
 
     def ev(F: MapStack, tangents) -> Array:
-        return W.evaluator(F, (field(F),) + tuple(tangents))
+        return W.evaluator(F, (T(F).vectors,) + tuple(tangents))
 
     return MapSpaceForm(W.degree - 1, ev, tag=f"i_T({W.tag})")
 
@@ -505,14 +499,6 @@ def action_pullback_S(W: MapSpaceForm, psi: ChartMap) -> MapSpaceForm:
 
 # ---------------------------------------------------------------------------
 # boundary restriction
-
-def restrict_boundary(f: MapPoint) -> MapPoint:
-    """Restriction of a map on the interval to the signed endpoint pair."""
-    bdom = f.dom.boundary()
-    if bdom is None:
-        raise ValueError("the domain has no boundary")
-    return MapPoint(bdom, f.values[bdom.parent_indices])
-
 
 def boundary_pullback(W_boundary: MapSpaceForm) -> MapSpaceForm:
     """Pullback along the restriction map F(S,M) -> F(∂S,M)."""

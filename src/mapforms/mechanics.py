@@ -285,10 +285,16 @@ def se2_action() -> LiftedGAction:
 def momentum_lifted(group: LiftedGAction, dom: SourceDomain, c: Array) -> MapSpaceForm:
     """The 0-form <Jbar, c>: the base momenta averaged along the map with
     the normalized volume, so a constant map returns the base momentum
-    exactly, and combined with the coefficients c."""
-    averaged = [_averaged(J, group.generators[0].dim, dom) for J in group.momenta]
-    return MapSpaceForm(0, lambda F, ts: c @ np.array([J.evaluator(F, ts) for J in averaged]),
-                        tag="J_lifted")
+    exactly, and combined with the coefficients c.  Only the momenta of
+    nonzero coefficients are evaluated, so a basis vector costs one
+    average."""
+    terms = [(ck, _averaged(J, group.generators[0].dim, dom))
+             for ck, J in zip(c, group.momenta) if ck != 0.0]
+
+    def ev(F: MapStack, ts) -> Array:
+        return sum((ck * J.evaluator(F, ts) for ck, J in terms), np.zeros(F.size))
+
+    return MapSpaceForm(0, ev, tag="J_lifted")
 
 
 def lifted_action(group: LiftedGAction, sys: HamiltonianSystem,
@@ -549,17 +555,30 @@ def constrained_random_data(dom: SourceDomain, D: AffineSubspace,
     return f, tangents
 
 
+def boundary_data_gate(D: AffineSubspace, f: MapPoint, tangents) -> tuple:
+    """(defect, reason) of open-string boundary data: the largest distance
+    of an endpoint of f from D or of a tangent there from its projection
+    onto D, and why the data are refused, "" when the defect is within
+    TWIST_GATE_TOL."""
+    defect = 0.0
+    for i in f.dom.boundary().parent_indices:
+        defect = max(defect, D.distance(f.values[i]))
+        for t in tangents:
+            defect = max(defect, float(np.linalg.norm(
+                t.vectors[i] - D.project_vector(t.vectors[i]))))
+    if defect > TWIST_GATE_TOL:
+        return defect, f"boundary data leaves the subspace by {defect:.3e}"
+    return defect, ""
+
+
 def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
-                      rng: np.random.Generator, n_trials: int = 3,
-                      f=None, tangent_sets=None) -> BraneReport:
+                      rng: np.random.Generator, n_trials: int = 3) -> BraneReport:
     """Closedness of the twist candidate on maps sending the boundary into D.
 
     Gates first: the potential must match the restricted closed form
-    (i*H = dB on D), and the supplied or generated data must respect the
-    boundary constraints.  A violated gate makes the check inapplicable, not
-    passed."""
-    bdom = dom.boundary()
-    if bdom is None:
+    (i*H = dB on D), and the generated data must pass boundary_data_gate.
+    A violated gate makes the check inapplicable, not passed."""
+    if dom.boundary() is None:
         raise ValueError(f"the open-string check needs a source with boundary, not {dom.kind}")
     # gate 1: i*H = dB on the subspace
     iH = pullback(H, D.inclusion())
@@ -570,27 +589,14 @@ def brane_twist_check(H: Form, B: Form, D: AffineSubspace, dom: SourceDomain,
     if gate > TWIST_GATE_TOL:
         return BraneReport(False, f"i*H - dB residual {gate:.3e} exceeds "
                            f"{TWIST_GATE_TOL:.1e}", gate, 0.0, False)
-    W = twist_two_form(H, B, D, dom)
-    dW = map_space_d(W)
+    dW = map_space_d(twist_two_form(H, B, D, dom))
     worst = 0.0
-    defect = 0.0
-    ends = bdom.parent_indices
-    if f is not None:
-        n_trials = min(n_trials, len(tangent_sets))
-    for trial in range(n_trials):
-        if f is None:
-            g, ts = constrained_random_data(dom, D, rng, 3)
-        else:
-            g, ts = f, tangent_sets[trial]
-        for i in ends:
-            defect = max(defect, D.distance(g.values[i]))
-            for t in ts:
-                defect = max(defect, float(np.linalg.norm(
-                    t.vectors[i] - D.project_vector(t.vectors[i]))))
-        if defect > TWIST_GATE_TOL:
-            return BraneReport(False, f"boundary data leaves the subspace by "
-                               f"{defect:.3e}", gate, 0.0, False)
-        worst = max(worst, abs(dW(g, *ts[:3])))
+    for _ in range(n_trials):
+        g, ts = constrained_random_data(dom, D, rng, 3)
+        _, reason = boundary_data_gate(D, g, ts)
+        if reason:
+            return BraneReport(False, reason, gate, 0.0, False)
+        worst = max(worst, abs(dW(g, *ts)))
     return BraneReport(True, "", gate, worst, worst < TWIST_TOL)
 
 

@@ -107,7 +107,7 @@ def test_criterion_08_right_inverse_round_trip():
         alpha = right_inverse_b(dom, beta)
         worst_rt = max(worst_rt, float(np.max(np.abs(
             alpha.d_components() - beta))))
-        P1 = projection_P(dom, a0 + 1.7)
+        P1 = projection_P(dom, a0.values + 1.7)
         P2 = projection_P(dom, P1)
         worst_P = max(worst_P, float(np.max(np.abs(P2.values - P1.values))))
     ok = worst_rt < 1e-10 and worst_P < 1e-12

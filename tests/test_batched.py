@@ -20,14 +20,14 @@ from mapforms import catalog as cat
 from mapforms import grassmannian as gr
 from mapforms import mechanics as me
 from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobian_rows,
-                             _rk4_flow, affine_field, affine_map, compose,
+                             _rk4_flow, affine_field, affine_map,
                              constant_field, field_from_callable, identity_map,
-                             rotation2, rotation3)
+                             rotation3)
 from mapforms.domains import (circle, exact_divfree_field, interval,
                               nodal_vector_field, torus, torus2)
 from mapforms.forms import (Form, coefficient_form, constant_form, coordinate_form,
                             exterior_derivative, fiber_integrate, form_scale,
-                            form_sum, horizontal_field, integrate, interior,
+                            form_sum, integrate, interior,
                             lie_derivative, lie_derivative_flow,
                             product_map, pullback, scalar_const,
                             scalar_coordinate, scalar_sum,
@@ -291,14 +291,12 @@ def _maps():
     return {
         "identity": (identity_map(3), RTOL),
         "affine": (affine_map(A, b), RTOL),
-        "rotation2": (rotation2(0.4), RTOL),
         "rotation3": (rotation3([0.2, 0.5, 1.0], 0.9), RTOL),
-        "compose": (compose(rotation3([1.0, 0.0, 0.3], 0.5), affine_map(A, b)), RTOL),
-        "compose-per-point": (compose(affine_map(A, b), per_point), RTOL / fd),
         "flow-rk4-batched": (sys.pair("sin_x").field.flow(0.3, 16), RTOL),
         "flow-rk4-per-point": (_trig_field(3, rng).flow(0.3, 8), RTOL),
         "flow-exact": (affine_field(A, b).flow(0.2), RTOL),
-        "product": (product_map(warp, rotation2(0.3), 1, 2), RTOL),
+        "product": (product_map(warp, affine_map([[np.cos(0.3), -np.sin(0.3)],
+                                                  [np.sin(0.3), np.cos(0.3)]]), 1, 2), RTOL),
         "inclusion": (me.affine_subspace([0.1, 0.2, 0.3], [[1.0, 0.0], [1.0, 1.0],
                                                              [0.0, 2.0]]).inclusion(), RTOL),
         "rigid_shift": (cat.rigid_shift(0.37), RTOL),
@@ -312,7 +310,7 @@ def _fields():
     rng = np.random.default_rng(22)
     sys, se2 = me.canonical_r2(), me.se2_action()
     A, c = rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2)
-    rot = cat.named_field("rotation")
+    rot = affine_field([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     fd = DEFAULT_FD_STEP
     fields = {
         "constant": (constant_field([0.3, -0.2]), RTOL),
@@ -322,7 +320,6 @@ def _fields():
                                                  sys.pair("sin_x").field), RTOL / fd),
         "radial": (cat.named_field("radial"), RTOL),
         "vertical": (vertical_field(rot, 1), RTOL),
-        "horizontal": (horizontal_field(rot, 2), RTOL),
     }
     fields.update({f"hamiltonian-{p.name}": (p.field, RTOL) for p in sys.catalog})
     fields.update({f"se2-{n}": (g, RTOL) for n, g in zip(se2.names, se2.generators)})

@@ -316,6 +316,26 @@ def test_converge_torus_rejects_unresolved_or_repeated_sides(capsys, levels):
     assert "the smallest valid level is 241" in err
 
 
+@pytest.mark.parametrize("identity, levels", [("derivation-circle", "8,16"),
+                                              ("quadrature-circle", "1,2"),
+                                              ("derivation-circle", "25,64"),
+                                              ("quadrature-circle", "64,64")])
+def test_converge_circle_rejects_unresolved_or_repeated_levels(capsys, identity, levels):
+    # below verify's 26 circle nodes the residual is under-resolution of the
+    # random data, and its fitted order means nothing
+    assert main(["converge", "--identity", identity, "--levels", levels, "--seed", "7"]) == 2
+    out = capsys.readouterr()
+    assert (f"--levels for {identity} run on circle(level) and need distinct node counts "
+            "of at least 26") in out.err
+    assert "the smallest valid level is 26" in out.err
+    assert "fitted order" not in out.out
+
+
+def test_converge_circle_accepts_the_minimum(capsys):
+    assert main(["converge", "--identity", "derivation-circle", "--levels", "26,52"]) == 0
+    assert "fitted order vs 1/nodes:" in capsys.readouterr().out
+
+
 def test_converge_builds_its_domains_with_make_domain(monkeypatch, capsys):
     import mapforms.cli as cli
     from mapforms.domains import make_domain

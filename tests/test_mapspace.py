@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from mapforms import catalog as cat
-from mapforms.charts import DimensionMismatch, constant_field, rotation2
+from mapforms.charts import DimensionMismatch, affine_map, constant_field
 from mapforms.domains import ScalarField, circle, interval, torus, torus2
 from mapforms.forms import (DegreeError, coefficient_form, coordinate_form,
                             exterior_derivative, interior, pullback,
+                            scalar_const, scalar_coordinate, scalar_sum,
                             trig_scalar, volume_form)
 from mapforms.mapspace import (MapPoint, MapTangent, action_pullback_M, action_pullback_S, bar_map,
                                bar_map_direct, boundary_pullback, generator_M,
@@ -17,7 +18,8 @@ from mapforms.mapspace import (MapPoint, MapTangent, action_pullback_M, action_p
                                map_space_d, map_space_interior, map_space_lie,
                                map_space_lie_flow, mapspace_scale,
                                mapspace_sum, pullback_action,
-                               pushforward_action, restrict_boundary)
+                               pushforward_action)
+from mapforms.suites import derivation_identity, derivation_terms
 
 
 def unit_circle(n=64, m=2):
@@ -155,7 +157,7 @@ def test_pushforward_action_examples():
     f = unit_circle()
     assert np.allclose(pushforward_action(cat.ChartMap(lambda x: x, 2, 2), f).values,
                        f.values)
-    rot = rotation2(0.9)
+    rot = affine_map([[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]])
     moved = pushforward_action(rot, f)
     expect = f.values @ rot.jacobian(np.zeros(2)).T
     assert np.max(np.abs(moved.values - expect)) < 1e-14
@@ -216,6 +218,41 @@ def test_derivation_identity_on_closed_source():
     f = cat.random_map(dom, 3, rng, amp=0.8)
     ts = [cat.random_tangent(f, rng) for _ in range(2)]
     assert abs(lhs(f, *ts) - rhs(f, *ts)) < 1e-6
+
+
+@pytest.mark.parametrize("make_dom, m, p, q, count", [
+    (lambda: circle(48), 3, 1, 1, 1), (lambda: torus2(24), 3, 1, 2, 1),
+    (lambda: interval(65), 3, 2, 1, 1),
+    (lambda: circle(48), 3, 2, 0, 2), (lambda: torus2(24), 4, 2, 1, 2),
+    (lambda: interval(65), 3, 2, 0, 3)],
+    ids=["circle-top", "torus2-top", "interval-top", "circle", "torus2", "interval"])
+def test_derivation_terms_are_one_formula(make_dom, m, p, q, count):
+    # (dw.a)^ always; (-1)^p (w.da)^ below top degree; the signed boundary
+    # term below top degree when S has a boundary.  With all of them the
+    # identity holds on random data.
+    dom = make_dom()
+    rng = np.random.default_rng([24, p, q])
+    om = cat.random_form(m, p, rng, amp=0.8)
+    al = cat.random_form(dom.chart_dim, q, rng, amp=0.8, integer_modes=dom.periods is not None)
+    terms = derivation_terms(om, al, dom)
+    assert len(terms) == count
+    f = cat.random_map(dom, m, rng, amp=0.8)
+    ts = [cat.random_tangent(f, rng, amp=0.8) for _ in range(p + q - dom.dim + 1)]
+    assert abs(derivation_identity(om, al, dom, f, ts, terms)(1e-4)) < 1e-6
+
+
+def test_derivation_without_the_boundary_term_fails_on_the_witness():
+    # w = dx, a(s) = 1 + s, Y = e_x: the endpoint term a(1) - a(0) = 1 is
+    # the whole of d(w.a)^, so dropping it leaves a relative residual of 1
+    dom = interval(65)
+    dx = coordinate_form((0,), 3)
+    al = coefficient_form(1, 0, {(): scalar_sum([scalar_const(1.0, 1), scalar_coordinate(0, 1)])})
+    f = cat.random_map(dom, 3, np.random.default_rng(25), amp=0.8)
+    ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (dom.n_nodes, 1)))]
+    *bulk, endpoint = derivation_terms(dx, al, dom)
+    assert endpoint(f, *ex) == pytest.approx(1.0, abs=1e-12)
+    assert abs(derivation_identity(dx, al, dom, f, ex, bulk + [endpoint])(1e-4)) < 1e-9
+    assert abs(derivation_identity(dx, al, dom, f, ex, bulk)(1e-4)) > 1e-2
 
 
 def test_map_space_dd_vanishes():
@@ -337,22 +374,28 @@ def test_bar_pairings_reject_a_map_into_another_target(direct):
 
 
 def test_restrict_boundary_values():
+    # boundary_pullback restricts a map to its signed endpoint pair: the
+    # coordinate function x reads x(f(1)) - x(f(0)); a closed S has no pair
     dom = interval(33)
-    f = map_from_function(dom, lambda s: np.array([s[0], 0.0]), 2)
-    fb = restrict_boundary(f)
-    assert fb.values.tolist() == [[0.0, 0.0], [1.0, 0.0]]
-    with pytest.raises(ValueError):
-        restrict_boundary(unit_circle())
+    f = map_from_function(dom, lambda s: np.array([3.0 * s[0] - 0.5, 0.0]), 2)
+    W = boundary_pullback(hat_pairing(coefficient_form(2, 0, {(): scalar_coordinate(0, 2)}),
+                                      1.0, dom.boundary()))
+    assert W(f) == 3.0
+    with pytest.raises(ValueError, match="the domain has no boundary"):
+        W(unit_circle())
 
 
 def test_restrict_boundary_commutes_with_pushforward():
+    # restricting to the endpoints commutes with the push-forward action
     dom = interval(33)
     rng = np.random.default_rng(28)
     f = cat.random_map(dom, 2, rng)
-    phi = rotation2(1.1)
-    a = restrict_boundary(pushforward_action(phi, f))
-    b = pushforward_action(phi, restrict_boundary(f))
-    assert np.max(np.abs(a.values - b.values)) < 1e-14
+    y = cat.random_tangent(f, rng)
+    phi = affine_map([[np.cos(1.1), -np.sin(1.1)], [np.sin(1.1), np.cos(1.1)]], [0.3, -0.2])
+    Wb = hat_pairing(coordinate_form((0,), 2), 1.0, dom.boundary())
+    a = boundary_pullback(action_pullback_M(Wb, phi))(f, y)
+    b = action_pullback_M(boundary_pullback(Wb), phi)(f, y)
+    assert abs(a - b) < 1e-14
 
 
 def test_boundary_pullback_evaluates_at_endpoints():

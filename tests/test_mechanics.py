@@ -124,6 +124,33 @@ def test_lifted_action(sys_r2, loop_domain):
         me.cocycle_lifted_base(group, sys_r2, c, d), abs=1e-10)
 
 
+def test_momentum_lifted_averages_only_the_nonzero_coefficients(sys_r2, loop_domain,
+                                                                 monkeypatch):
+    # one bar_map_direct evaluation per nonzero coefficient of the element:
+    # a basis vector costs one average, the bracket [tx, ty] = 0 none
+    evaluations = []
+
+    def counted(omega, dom):
+        W = mapspace.bar_map_direct(omega, dom)
+        return replace(W, evaluator=lambda F, ts: evaluations.append(F.size)
+                       or W.evaluator(F, ts))
+
+    monkeypatch.setattr(me, "bar_map_direct", counted)
+    group = me.se2_action()
+    f = cat.random_map(loop_domain, 2, np.random.default_rng(12), amp=0.8)
+    for c, count in [([1.0, 0.0, 0.0], 1), ([0.0, 0.0, -1.0], 1), ([0.0, 0.5, 2.0], 2),
+                     ([0.3, -1.2, 0.7], 3), (group.bracket(np.eye(3)[1], np.eye(3)[2]), 0)]:
+        evaluations.clear()
+        value = me.momentum_lifted(group, loop_domain, np.array(c))(f)
+        assert evaluations == [1] * count
+        if count == 0:
+            assert value == 0.0
+    e_rot = np.eye(3)[0]
+    assert me.momentum_lifted(group, loop_domain, e_rot)(f) == \
+        mapspace.bar_map_direct(Form(0, 2, lambda x, vs: group.momenta[0].value(x)),
+                                loop_domain)(f)
+
+
 def test_momentum_diffex_oracle_value(torus_domain, exact_form_r4):
     dom = torus_domain
     f = cat.torus_graph_map(dom)
@@ -290,10 +317,11 @@ def test_brane_gate_rejects_offplane_tangents():
     D3 = me.affine_subspace([0, 0, 0], np.array([[1., 0.], [0., 1.], [0., 0.]]))
     B3 = coefficient_form(2, 2, {(0, 1): scalar_const(0.3, 2)})
     f, ts = me.constrained_random_data(iv, D3, rng, 3)
+    assert me.boundary_data_gate(D3, f, ts) == (pytest.approx(0.0, abs=1e-12), "")
     bad = [MapTangent(f, ts[0].vectors + np.array([0.0, 0.0, 0.5]))] + ts[1:]
-    rep = me.brane_twist_check(H3, B3, D3, iv, rng, f=f, tangent_sets=[bad],
-                               n_trials=1)
-    assert not rep.applicable and not rep.passed
+    defect, reason = me.boundary_data_gate(D3, f, bad)
+    assert defect == pytest.approx(0.5)
+    assert reason == "boundary data leaves the subspace by 5.000e-01"
 
 
 def test_dual_pair_report(sys_r2):

@@ -1,7 +1,6 @@
 """The NumPy kernels that stand in for library routines: the matrix
-exponential behind exact affine flows, the not-a-knot cubic spline behind
-interval resampling, and an import of the package that pulls in nothing
-beyond NumPy."""
+exponential behind exact affine flows, and an import of the package that
+pulls in nothing beyond NumPy."""
 
 import os
 import subprocess
@@ -11,7 +10,6 @@ import numpy as np
 
 import mapforms
 from mapforms.charts import _THETA13, _expm, affine_field
-from mapforms.domains import _spline_interp, interval
 
 
 def test_expm_rotation_generator():
@@ -65,40 +63,6 @@ def test_affine_flow_solves_the_field_equation():
     t, h = 0.7, 1e-4
     dxdt = (X.flow(t + h).rows(x) - X.flow(t - h).rows(x)) / (2.0 * h)
     assert np.max(np.abs(dxdt - X.rows(X.flow(t).rows(x)))) < 1e-8
-
-
-def test_interval_spline_reproduces_cubics():
-    # not-a-knot reproduces every cubic; a natural spline (M = 0 at the ends)
-    # would miss p'' = 6x - 2 there
-    dom = interval(9)
-    x = dom.nodes[:, 0]
-    p = lambda s: s ** 3 - s ** 2 + 0.5 * s - 2.0  # noqa: E731
-    q = lambda s: -2.0 * s ** 3 + 4.0 * s  # noqa: E731
-    pts = np.linspace(0.0, 1.0, 101)[:, None]
-    out = dom.resample(np.column_stack([p(x), q(x)]), pts)
-    want = np.column_stack([p(pts[:, 0]), q(pts[:, 0])])
-    assert np.max(np.abs(out - want)) < 1e-13
-    # the spline itself also takes uneven nodes
-    x = np.sort(np.random.default_rng(4).uniform(0.0, 1.0, 9))
-    out = _spline_interp(x, np.column_stack([p(x), q(x)]), pts[:, 0])
-    assert np.max(np.abs(out - want)) < 1e-11
-
-
-def test_interval_spline_interpolates_node_data():
-    dom = interval(17)
-    values = np.random.default_rng(2).standard_normal((17, 2, 3))
-    assert np.max(np.abs(dom.resample(values, dom.nodes) - values)) < 1e-14
-
-
-def test_interval_spline_converges_at_fourth_order():
-    pts = np.random.default_rng(3).uniform(0.0, 1.0, (400, 1))
-    errors = []
-    for n in (17, 33, 65, 129):
-        dom = interval(n)
-        out = dom.resample(np.sin(3.0 * dom.nodes), pts)
-        errors.append(np.max(np.abs(out - np.sin(3.0 * pts))))
-    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
-    assert np.all(orders > 3.7), orders
 
 
 def test_import_pulls_in_no_scipy():
