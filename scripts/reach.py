@@ -35,11 +35,6 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "mapforms"
-SUITES = ("hat-calculus", "bar-calculus", "tilda-calculus", "fiber-rules",
-          "boundary", "momentum", "cocycles", "branes")
-CONVERGE = (("derivation-circle", "32,64,128,256"), ("derivation-circle", "64"),
-            ("derivation-torus", "256,1024,4096"), ("two-route-circle", None),
-            ("quadrature-circle", None))
 WORKLOADS = ("point_calculus", "spectral", "two_route")
 
 
@@ -67,8 +62,12 @@ def defined_functions() -> dict:
 
 
 def _runs(tmp: Path):
-    """The callables whose work counts as a non-test use of the package."""
+    """The callables whose work counts as a non-test use of the package.
+    The package and witness.py, which imports it, are imported here, under
+    the trace, so that functions run at import time count as entered."""
     from mapforms import cli
+    from mapforms.suites import SUITES
+    from witness import CONVERGE
 
     suites = [a for s in SUITES for a in ("--suite", s)]
     for seed, extra in ((0, []), (3, ["--format", "csv"]), (0, ["--nodes", "32"])):

@@ -31,8 +31,10 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SUITES = ("hat-calculus", "bar-calculus", "tilda-calculus", "fiber-rules",
-          "boundary", "momentum", "cocycles", "branes")
+sys.path.insert(0, str(REPO / "src"))
+
+from mapforms.suites import SUITES  # noqa: E402
+
 CONVERGE = (
     ("derivation-circle", "32,64,128,256"),
     ("derivation-circle", "64"),

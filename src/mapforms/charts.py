@@ -179,15 +179,14 @@ def rotation3(axis, angle: float) -> ChartMap:
 
 @dataclass(frozen=True)
 class VectorField(_RowCalculus):
-    """A vector field on a flat chart, with optional analytic Jacobian
-    (for brackets) and optional exact flow.  With batched=True, func and
-    jacobian_func take points stacked as rows (N, m) and return (N, m) and
-    (N, m, m)."""
+    """A vector field on a flat chart, with optional analytic Jacobian (for
+    brackets and the tangent-linear Jacobian of its RK4 flow).  With
+    batched=True, func and jacobian_func take points stacked as rows (N, m)
+    and return (N, m) and (N, m, m)."""
 
     func: Callable[[Array], Array]
     dim: int
     jacobian_func: Optional[Callable[[Array], Array]] = None
-    flow_func: Optional[Callable[[float], ChartMap]] = None
     name: str = ""
     batched: bool = False
 
@@ -207,13 +206,11 @@ class VectorField(_RowCalculus):
         return VectorField(func, self.dim, name=f"[{X.name},{Y.name}]", batched=True)
 
     def flow(self, t: float, steps: int = 64) -> ChartMap:
-        """Time-t flow map; exact when flow_func is provided, RK4 otherwise,
-        with the RK4 map's own tangent-linear Jacobian (see `_rk4_flow`).
-        steps, the RK4 step count, must be an integer >= 1 either way."""
+        """Time-t flow map by `steps` RK4 steps, an integer >= 1, with the
+        RK4 map's own tangent-linear Jacobian (see `_rk4_flow`); constant
+        and affine fields flow the same way."""
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(f"flow steps must be an integer >= 1, got {steps!r}")
-        if self.flow_func is not None:
-            return self.flow_func(t)
         return _rk4_flow(self, t, steps)
 
 
@@ -270,77 +267,32 @@ def _rk4_steps(X: VectorField, h, steps: int, k1, *state) -> list:
 
 
 def constant_field(vec, name: str = "") -> VectorField:
+    """X(x) = vec; its RK4 flow is the shift by t vec up to roundoff."""
     vec = np.asarray(vec, dtype=float)
     m = vec.size
     zero = np.zeros((m, m))
-
-    def flow(t):
-        return affine_map(np.eye(m), t * vec, name=f"shift({t:g})")
-
     return VectorField(
         func=lambda x: broadcast_rows(vec, x),
         dim=m,
         jacobian_func=lambda x: broadcast_rows(zero, x),
-        flow_func=flow,
         name=name or "const",
         batched=True,
     )
 
 
 def affine_field(A, c=None, name: str = "") -> VectorField:
-    """X(x) = A x + c, with the exact flow computed from the matrix
-    exponential (`_expm`) of the augmented generator."""
+    """X(x) = A x + c with its exact Jacobian A; each step h of its RK4 flow
+    is the degree-4 Taylor polynomial of the exact step, off by O(h^5)."""
     A = np.asarray(A, dtype=float)
     m = A.shape[0]
     c = np.zeros(m) if c is None else np.asarray(c, dtype=float)
-
-    def flow(t):
-        aug = np.zeros((m + 1, m + 1))
-        aug[:m, :m] = A
-        aug[:m, m] = c
-        E = _expm(t * aug)
-        return affine_map(E[:m, :m], E[:m, m], name=f"affine-flow({t:g})")
-
     return VectorField(
         func=lambda x: x @ A.T + c,
         dim=m,
         jacobian_func=lambda x: broadcast_rows(A, x),
-        flow_func=flow,
         name=name or "affine",
         batched=True,
     )
-
-
-# numerator coefficients of the [13/13] Pade approximant to exp, and the
-# 1-norm up to which it is accurate to double precision (Higham 2005)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-           16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
-
-
-def _expm(A) -> Array:
-    """Matrix exponential by scaling and squaring with the [13/13] Pade
-    approximant: N. J. Higham, "The scaling and squaring method for the
-    matrix exponential revisited", SIAM J. Matrix Anal. Appl. 26 (2005)."""
-    A = np.asarray(A, dtype=float)
-    norm = np.linalg.norm(A, 1)
-    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    A = A / 2.0 ** s
-    b = _PADE13
-    eye = np.eye(A.shape[0])
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
-    E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
-    return E
 
 
 def field_from_callable(func, dim: int, jacobian=None, name: str = "") -> VectorField:

@@ -41,12 +41,13 @@ from .suites import (DERIVATION_CASES, GRID_MINIMUMS, SUITES, SuiteConfig,
 USAGE_ERROR = 2
 
 
-def _load_config(path, args):
+def _load_config(args):
     """The SuiteConfig and the suite ids of an optional JSON config file (an
-    object of SuiteConfig fields plus "suites"), overridden by the flags."""
+    object of SuiteConfig fields plus "suites"), overridden by the flags;
+    an unknown suite id is an error for every command, a demo included."""
     config, suites = SuiteConfig(), []
-    if path:
-        with open(path) as fh:
+    if args.config:
+        with open(args.config) as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object, got "
@@ -62,22 +63,20 @@ def _load_config(path, args):
         config = replace(config, seed=args.seed)
     if getattr(args, "nodes", None) is not None:
         config = replace(config, nodes=args.nodes)
+    suites = getattr(args, "suite", []) or suites
+    unknown = [s for s in suites if s not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite ids {unknown}; available: {sorted(SUITES)}")
     return config, suites
 
 
 def cmd_verify(args) -> int:
     try:
-        config, config_suites = _load_config(args.config, args)
-        suites = list(args.suite) or config_suites
+        config, suites = _load_config(args)
         if not suites:
             print("error: no suites requested (use --suite, e.g. "
                   f"--suite hat-calculus; available: {sorted(SUITES)})",
                   file=sys.stderr)
-            return USAGE_ERROR
-        unknown = [s for s in suites if s not in SUITES]
-        if unknown:
-            print(f"error: unknown suite ids {unknown}; available: "
-                  f"{sorted(SUITES)}", file=sys.stderr)
             return USAGE_ERROR
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -181,7 +180,7 @@ CONVERGE_IDS = {
 
 def cmd_converge(args) -> int:
     try:
-        config, _ = _load_config(args.config, args)
+        config = SuiteConfig(seed=args.seed)
         if args.identity not in CONVERGE_IDS:
             print(f"error: unknown identity {args.identity!r}; available: "
                   f"{sorted(CONVERGE_IDS)}", file=sys.stderr)
@@ -319,7 +318,7 @@ def cmd_demo(args) -> int:
               f"{sorted(DEMOS)}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        config, _ = _load_config(args.config, args)
+        config, _ = _load_config(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -360,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--identity", required=True,
                         help=f"identity id ({sorted(CONVERGE_IDS)})")
     p_conv.add_argument("--levels", default="32,64,128,256")
-    p_conv.add_argument("--config", help="JSON config file")
-    p_conv.add_argument("--seed", type=int, default=None)
+    p_conv.add_argument("--seed", type=int, default=SuiteConfig.seed)
     p_conv.add_argument("--out", help="table file path")
     p_conv.add_argument("--format", choices=["json", "csv"], default="csv")
 

@@ -77,8 +77,8 @@ def embed(rep: MapPoint) -> EmbeddedSubmanifold:
 
 def section_tangent(N: EmbeddedSubmanifold, section) -> MapTangent:
     """A section of TM along the submanifold as a tangent at the
-    representative: a vector field on M, a callable on points of M, or a
-    ready-made nodal array."""
+    representative: a MapTangent (rebased there), a ready-made nodal array,
+    or what `generator_M` takes, a VectorField on M or a constant vector."""
     if isinstance(section, MapTangent):
         return section.rebased(N.rep)
     if isinstance(section, np.ndarray):

@@ -446,20 +446,22 @@ def map_space_lie(W: MapSpaceForm, T, step: float = DEFAULT_FD_STEP) -> MapSpace
     return replace(mapspace_sum(a, b), tag=f"L_T({W.tag})")
 
 
-def map_space_lie_flow(pulled_back, t_step: float = 1e-4) -> MapSpaceForm:
-    """Flow route for the Lie derivative: the central difference in t of
-    pulled_back(t), the form pulled back by the time-t flow of an action,
-    e.g. lambda t: action_pullback_M(W, X.flow(t)) for the push-forward
-    generator of X, or lambda t: action_pullback_S(W, psi_t) for a
-    reparameterization flow psi_t.  Pass a field without an exact flow as
-    X.flow(t, 1): one RK4 step per sign leaves an O(t^4) error in the
-    difference, below its roundoff.  No step uses the Cartan formula (the
-    map-space counterpart of forms.lie_derivative_flow)."""
-    check_t_step(t_step, "t_step")
-    fwd, bwd = pulled_back(t_step), pulled_back(-t_step)
+MAP_SPACE_FLOW_STEP = 1e-4  # the time step t of map_space_lie_flow
+
+
+def map_space_lie_flow(pulled_back) -> MapSpaceForm:
+    """Flow route for the Lie derivative: the central difference at t =
+    MAP_SPACE_FLOW_STEP of pulled_back(t), the form pulled back by the
+    time-t flow of an action, e.g. lambda t: action_pullback_M(W,
+    X.flow(t, 1)) for the push-forward generator of X, one RK4 step per
+    sign (an O(t^4) error, below the O(t^2) of the quotient), or lambda t:
+    action_pullback_S(W, psi_t) for a reparameterization flow psi_t.  No
+    step uses the Cartan formula (the counterpart of lie_derivative_flow)."""
+    t = MAP_SPACE_FLOW_STEP
+    fwd, bwd = pulled_back(t), pulled_back(-t)
 
     def ev(F: MapStack, tangents) -> Array:
-        return (fwd.evaluator(F, tangents) - bwd.evaluator(F, tangents)) / (2.0 * t_step)
+        return (fwd.evaluator(F, tangents) - bwd.evaluator(F, tangents)) / (2.0 * t)
 
     return MapSpaceForm(fwd.degree, ev, tag=f"Lflow({fwd.tag})")
 

@@ -289,6 +289,40 @@ def test_demo_unknown_name():
     assert main(["demo", "no-such-demo"]) == 2
 
 
+# config input a command would ignore is a usage error, not a silent pass
+def test_unknown_config_suite_is_usage_error_for_every_command(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["no-such-suite"]}))
+    for argv in (["verify"], ["demo", "branes", "--out", str(tmp_path / "out")]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        out = capsys.readouterr()
+        assert "unknown suite ids ['no-such-suite']" in out.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_demo_accepts_a_config_with_known_suites(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7, "suites": ["branes"]}))
+    assert main(["demo", "branes", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_converge_takes_no_config(tmp_path, capsys):
+    # converge reads only a seed, which --seed sets
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nodes": 64, "torus_side": 40, "suites": ["no-such-suite"]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--identity", "quadrature-circle", "--levels", "32,64",
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
+def test_converge_negative_seed_is_usage_error(capsys):
+    assert main(["converge", "--identity", "quadrature-circle", "--levels", "32,64",
+                 "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 # a config file is a JSON object of SuiteConfig fields plus "suites", a list
 # of suite ids; anything else is a usage error that names the field
 @pytest.mark.parametrize("raw, message", [

@@ -15,8 +15,8 @@ import pytest
 
 from mapforms import catalog as cat
 from mapforms.charts import VectorField, field_from_callable
-from mapforms.forms import (ScalarFunc, _minor_det, coefficient_form, lie_derivative_flow,
-                            pullback, scalar_const, scalar_coordinate)
+from mapforms.forms import (LIE_FLOW_STEP, ScalarFunc, _minor_det, coefficient_form,
+                            lie_derivative_flow, pullback, scalar_const, scalar_coordinate)
 
 
 def _reference_value(items, x, vs):
@@ -132,10 +132,10 @@ def test_stacked_flow_route_matches_two_pullbacks(degree, batched):
     rng = np.random.default_rng([degree, batched])
     a = cat.random_form(3, degree, rng)
     X = _trig_field(3, rng, batched)
-    t = 1e-5
+    t = LIE_FLOW_STEP
     x = rng.uniform(-1.0, 1.0, (7, 3))
     vs = [rng.uniform(-1.0, 1.0, (7, 3)) for _ in range(degree)]
     want = (pullback(a, X.flow(t, 1)).evaluator(x, vs)
             - pullback(a, X.flow(-t, 1)).evaluator(x, vs)) / (2.0 * t)
-    got = lie_derivative_flow(a, X, t).evaluator(x, vs)
+    got = lie_derivative_flow(a, X).evaluator(x, vs)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))

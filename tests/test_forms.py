@@ -185,7 +185,7 @@ def test_lie_derivative_flow_oracle():
     a = cat.random_form(3, 2, rng)
     X = cat.random_affine_field(3, rng, amp=0.6)
     cartan = lie_derivative(a, X, step=1e-4)
-    flow = lie_derivative_flow(a, X, t_step=1e-4)
+    flow = lie_derivative_flow(a, X)
     assert sample_difference(cartan, flow, rng, 10) < 1e-5
 
 
