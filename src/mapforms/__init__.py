@@ -42,16 +42,5 @@ from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                        map_from_function, map_space_d, map_space_interior,
                        map_space_lie, map_space_lie_flow, pullback_action,
                        pushforward_action)
-from .mechanics import (AffineSubspace, BraneReport, ExactTwoForm,
-                        HamiltonianAction, HamiltonianPair, HamiltonianSystem,
-                        LiftedGAction, affine_subspace, brane_twist_check,
-                        canonical_r2, cocycle_defining, cocycle_diffex,
-                        cocycle_diffham, cocycle_jacobi_sum, diffex_action,
-                        diffham_action, dual_pair_report, exact_two_form,
-                        hamiltonian_of, lichnerowicz, lifted_action,
-                        momentum_diffex, momentum_diffham,
-                        momentum_identity_residual, momentum_lifted,
-                        se2_action)
-from .suites import SUITES, SuiteConfig, run_suite
 
 __version__ = "0.1.0"

@@ -3,9 +3,9 @@
 Everything is an explicit callable plus optional analytic derivative data;
 finite differences fill in whatever is missing.  Every map and field
 evaluates points stacked as rows through `rows`, `jacobian_rows` and
-`inverse_rows`.  Its callables take rows when it is built with batched=True,
-as by every constructor here except `field_from_callable`, and single
-points otherwise; calling it on a single point wraps whichever it stores.
+`inverse_rows`, one route each.  Its callables take rows when it is built
+with batched=True, as by every constructor here except `field_from_callable`,
+and single points otherwise; calling it on one point wraps whichever it stores.
 Instances are immutable and their callables must be pure, so evaluation is
 safe to run concurrently.
 """
@@ -93,9 +93,7 @@ class ChartMap(_RowCalculus):
     """A smooth map between flat charts: forward map, optional inverse,
     optional analytic Jacobian (central differences otherwise).  With
     batched=True, forward, jacobian_func and inverse take points stacked
-    as rows (N, m) and return (N, n), (N, n, m) and (N, m).  A map whose
-    value is a by-product of its Jacobian can also attach
-    value_and_jacobian_func, rows (N, m) to the pair of both."""
+    as rows (N, m) and return (N, n), (N, n, m) and (N, m)."""
 
     forward: Callable[[Array], Array]
     source_dim: int
@@ -104,16 +102,8 @@ class ChartMap(_RowCalculus):
     inverse: Optional[Callable[[Array], Array]] = None
     name: str = ""
     batched: bool = False
-    value_and_jacobian_func: Optional[Callable[[Array], tuple]] = None
 
     _func = property(lambda self: self.forward)
-
-    def value_and_jacobian_rows(self, x) -> tuple:
-        """(rows(x), jacobian_rows(x)), in one pass when the map computes
-        its value on the way to its Jacobian."""
-        if self.value_and_jacobian_func is not None:
-            return self.value_and_jacobian_func(x)
-        return self.rows(x), self.jacobian_rows(x)
 
     def _inverse(self) -> Callable[[Array], Array]:
         if self.inverse is None:
@@ -218,18 +208,18 @@ def _rk4_flow(X: VectorField, t: float, steps: int) -> ChartMap:
     """The RK4 map of X over time t.  Its Jacobian is the tangent-linear
     derivative of the same discrete map, RK4 on J' = DX(x) J from J = I with
     DX from `X.jacobian_rows`; neither goes through the Cartan formula.
-    `value_and_jacobian_rows` takes both from one stepping loop."""
+    The Jacobian integrates the state alongside J, so a caller that needs
+    both, as `forms.pullback` does, steps the state twice."""
     h = t / steps
 
-    def value_and_jacobian(x):
+    def jacobian(x):
         x = np.array(x, dtype=float)
         eye = np.broadcast_to(np.eye(X.dim), x.shape + (X.dim,))
-        return tuple(_rk4_steps(X, h, steps, None, x, eye))
+        return _rk4_steps(X, h, steps, None, x, eye)[1]
 
     return ChartMap(lambda x: _rk4_steps(X, h, steps, None, np.array(x, dtype=float))[0],
-                    X.dim, X.dim, jacobian_func=lambda x: value_and_jacobian(x)[1],
-                    name=f"flow({X.name},{t:g})", batched=True,
-                    value_and_jacobian_func=value_and_jacobian)
+                    X.dim, X.dim, jacobian_func=jacobian,
+                    name=f"flow({X.name},{t:g})", batched=True)
 
 
 def _rk4_sign_pair(X: VectorField, t: float, x: Array) -> tuple:

@@ -427,8 +427,8 @@ def pullback(a: Form, phi: ChartMap) -> Form:
             f"pullback: map into dim {phi.target_dim}, form on dim {a.ambient_dim}")
 
     def ev(x, vs):
-        y, J = phi.value_and_jacobian_rows(x)
-        return a.evaluator(y, [np.einsum("nij,nj->ni", J, v) for v in vs])
+        J = phi.jacobian_rows(x)
+        return a.evaluator(phi.rows(x), [np.einsum("nij,nj->ni", J, v) for v in vs])
 
     return Form(a.degree, phi.source_dim, ev, name=f"{phi.name}*({a.name})")
 
@@ -571,7 +571,7 @@ def _stack(samples: list, p: int, m: int) -> tuple:
 
 
 def sample_difference(a: Form, b: Form, rng: np.random.Generator,
-                      n_samples: int = 20) -> float:
+                      n_samples: int) -> float:
     """Max |a - b| over random points of the unit box and unit-scale tangent
     tuples."""
     if (a.degree, a.ambient_dim) != (b.degree, b.ambient_dim):
@@ -582,8 +582,7 @@ def sample_difference(a: Form, b: Form, rng: np.random.Generator,
     return float(np.max(np.abs(diff), initial=0.0))
 
 
-def antisymmetry_defect(a: Form, rng: np.random.Generator,
-                        n_samples: int = 10) -> float:
+def antisymmetry_defect(a: Form, rng: np.random.Generator, n_samples: int) -> float:
     """Max violation of a swap sign flip over random slot pairs."""
     if a.degree < 2:
         return 0.0
@@ -600,8 +599,7 @@ def antisymmetry_defect(a: Form, rng: np.random.Generator,
     return float(np.max(np.abs(defect), initial=0.0))
 
 
-def multilinearity_defect(a: Form, rng: np.random.Generator,
-                          n_samples: int = 10) -> float:
+def multilinearity_defect(a: Form, rng: np.random.Generator, n_samples: int) -> float:
     """Max violation of linearity in a random slot."""
     if a.degree == 0:
         return 0.0

@@ -472,7 +472,8 @@ def action_pullback_M(W: MapSpaceForm, phi: ChartMap) -> MapSpaceForm:
     Jacobian are evaluated once on the rows of the whole stack."""
 
     def ev(F: MapStack, tangents) -> Array:
-        y, J = phi.value_and_jacobian_rows(F.as_rows(F.values))
+        x = F.as_rows(F.values)
+        y, J = phi.rows(x), phi.jacobian_rows(x)
         moved = tuple(F.from_rows(np.einsum("nij,nj->ni", J, F.as_rows(t)))
                       for t in tangents)
         return W.evaluator(replace(F, values=F.from_rows(y)), moved)

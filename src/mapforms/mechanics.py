@@ -24,7 +24,8 @@ bracket of the generators (the usual left-action convention).
 
 The chapter also holds the volume-integral cocycle on divergence-free
 fields, the twist-closedness check for open-string boundary data, and the
-commuting-action demonstration.
+commuting-action demonstration.  Each map-space quantity here is a
+pairing of mapspace (bar_map_direct, hat_pairing) or a pull-back of one.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .domains import (ScalarField, SourceDomain, exact_divfree_field,
 from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
                     exterior_derivative, integrate, pullback,
                     sample_difference, scalar_coordinate, volume_form)
-from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent, bar_map,
-                       bar_map_direct, generator_M, generator_S, hat_pairing,
+from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
+                       action_pullback_M, bar_map, bar_map_direct,
+                       boundary_pullback, generator_M, generator_S, hat_pairing,
                        hat_map, map_space_d, pullback_action, pushforward_action)
 
 # Gauss-Legendre points of the line integral in hamiltonian_of
@@ -375,7 +377,8 @@ def stream_generator(dom: SourceDomain, alpha: ScalarField):
 
 def pullback_coefficient(f, omega: Form) -> Array:
     """Nodal coefficient of f*omega on the 2-torus (against dx∧dy): shape
-    (n_nodes,) for a map point, (B, n_nodes) for a MapStack."""
+    (n_nodes,) for a map point, (B, n_nodes) for a MapStack: the direct
+    route of diffex_routes."""
     Tf, m = f.jacobian(), f.target_dim
     vals = omega.evaluator(f.values.reshape(-1, m),
                            [Tf[..., 0].reshape(-1, m), Tf[..., 1].reshape(-1, m)])
@@ -429,19 +432,15 @@ def diffex_action(omega: ExactTwoForm, dom: SourceDomain) -> HamiltonianAction:
 def cocycle_diffex(omega: ExactTwoForm, dom: SourceDomain, a1: ScalarField,
                    a2: ScalarField) -> MapSpaceForm:
     """sigma(X_{a1}, X_{a2}) = ∫_S f*omega ∧ P(i_{X_1} i_{X_2} mu) as a
-    0-form on F(S,M).  The projection P picks out the constant part of the
-    doubly contracted volume and is taken once; the value depends only on
-    the homotopy class of f."""
+    0-form on F(S,M): the pairing of momentum_diffex with the doubly
+    contracted volume projected by P in place of b(d alpha).  P picks out
+    the constant part and is taken once; the value depends only on the
+    homotopy class of f."""
     # i_{X_1} i_{X_2} mu = mu(X_2, X_1) for the normalized volume
-    V, sw = dom.volume, dom.signed_weights
+    V = dom.volume
     Z1, Z2 = V * exact_divfree_field(dom, a1), V * exact_divfree_field(dom, a2)
-    Pg = projection_P(dom, (Z2[:, 0] * Z1[:, 1] - Z2[:, 1] * Z1[:, 0]) / V).values
-
-    def ev(F: MapStack, tangents) -> Array:
-        return np.array([float(np.sum(sw * c * Pg))
-                         for c in pullback_coefficient(F, omega.form)])
-
-    return MapSpaceForm(0, ev, tag="sigma_diffex")
+    Pg = projection_P(dom, (Z2[:, 0] * Z1[:, 1] - Z2[:, 1] * Z1[:, 0]) / V)
+    return replace(hat_pairing(omega.form, Pg, dom), tag="sigma_diffex")
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +507,17 @@ class BraneReport:
 def twist_two_form(H: Form, B: Form, D: AffineSubspace,
                    dom: SourceDomain) -> MapSpaceForm:
     """The closed 2-form candidate: the transgressed closed (p+2)-form minus
-    the boundary-restricted transgression of the potential on D."""
+    the transgression of the potential over the signed endpoint pair,
+    pulled back along the restriction to the boundary and along the
+    coordinates of D, y -> (y - origin) @ basis."""
+    coords = ChartMap(lambda y: (y - D.origin) @ D.basis, D.ambient_dim, D.dim,
+                      jacobian_func=lambda y: broadcast_rows(D.basis.T, y),
+                      name="coords", batched=True)
     hat_H = hat_map(H, dom)
-    bdom = dom.boundary()
-    sw, ends = bdom.signed_weights, bdom.parent_indices
-
-    def bd_ev(F: MapStack, tangents) -> Array:
-        # transgression of B over the signed endpoint pair, in D-coordinates
-        u = ((F.values[:, ends] - D.origin) @ D.basis).reshape(-1, D.dim)
-        vs = [(t[:, ends] @ D.basis).reshape(-1, D.dim) for t in tangents]
-        vals = B.evaluator(u, vs).reshape(F.size, len(ends))
-        return np.array([sw @ v for v in vals])
-
-    boundary_term = MapSpaceForm(B.degree, bd_ev, tag="bd-pot")
+    hat_B = boundary_pullback(action_pullback_M(hat_map(B, dom.boundary()), coords))
 
     def ev(F, ts):
-        return hat_H.evaluator(F, ts) - boundary_term.evaluator(F, ts)
+        return hat_H.evaluator(F, ts) - hat_B.evaluator(F, ts)
 
     return MapSpaceForm(hat_H.degree, ev, tag="twist")
 

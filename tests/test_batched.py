@@ -12,6 +12,7 @@ by h, so it is compared to 1e-14 / h.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from mapforms import catalog as cat
 from mapforms import grassmannian as gr
 from mapforms import mechanics as me
 from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobian_rows,
-                             _rk4_flow, affine_field, affine_map,
+                             _rk4_flow, _rk4_steps, affine_field, affine_map,
                              constant_field, field_from_callable, identity_map,
                              rotation3)
 from mapforms.domains import (circle, exact_divfree_field, interval,
@@ -294,7 +295,7 @@ def _maps():
         "rotation3": (rotation3([0.2, 0.5, 1.0], 0.9), RTOL),
         "flow-rk4-batched": (sys.pair("sin_x").field.flow(0.3, 16), RTOL),
         "flow-rk4-per-point": (_trig_field(3, rng).flow(0.3, 8), RTOL),
-        "flow-exact": (affine_field(A, b).flow(0.2), RTOL),
+        "flow-affine": (affine_field(A, b).flow(0.2), RTOL),
         "product": (product_map(warp, affine_map([[np.cos(0.3), -np.sin(0.3)],
                                                   [np.sin(0.3), np.cos(0.3)]]), 1, 2), RTOL),
         "inclusion": (me.affine_subspace([0.1, 0.2, 0.3], [[1.0, 0.0], [1.0, 1.0],
@@ -349,17 +350,6 @@ def test_map_rows_match_single_points(name):
         y = phi.rows(x)
         assert_rows_match(phi.inverse_rows(y), [phi.inverse_point(yi) for yi in y])
         assert np.max(np.abs(phi.inverse_rows(y) - x)) < 1e-12
-
-
-@pytest.mark.parametrize("name", sorted(_maps()))
-def test_value_and_jacobian_rows_equal_separate_calls(name):
-    # bit for bit: an RK4 flow takes both from one stepping loop, whose x path
-    # is the arithmetic of `rows`
-    phi, _ = _maps()[name]
-    x, _ = points(phi.source_dim, seed=24)
-    value, jac = phi.value_and_jacobian_rows(x)
-    assert np.array_equal(value, phi.rows(x))
-    assert np.array_equal(jac, phi.jacobian_rows(x))
 
 
 @pytest.mark.parametrize("name", sorted(_fields()))
@@ -441,6 +431,34 @@ def test_rk4_flow_jacobian_of_linear_field_is_the_rk4_matrix_power():
     assert np.max(np.abs(got - want)) < 1e-13
 
 
+def test_pullback_by_rk4_flow_calls_forward_and_jacobian_once():
+    # the one-pass value and Jacobian that flow maps carried as a second
+    # route, kept here as the reference: one stepping loop of (x, J)
+    rng = np.random.default_rng(37)
+    X, t, steps = _trig_field(3, rng), 0.4, 6
+    x, (v, w, *_) = points(3, seed=38)
+    eye = np.broadcast_to(np.eye(3), x.shape + (3,))
+    value, jac = _rk4_steps(X, t / steps, steps, None, x, eye)
+
+    flow, calls = X.flow(t, steps), {"forward": [], "jacobian": []}
+
+    def recorded(key, func):
+        def wrapped(p):
+            calls[key].append(func(p))
+            return calls[key][-1]
+        return wrapped
+
+    counted = replace(flow, forward=recorded("forward", flow.forward),
+                      jacobian_func=recorded("jacobian", flow.jacobian_func))
+    a = cat.random_form(3, 2, rng)
+    got = pullback(a, counted).evaluator(x, [v, w])
+    assert [len(c) for c in calls.values()] == [1, 1]
+    assert np.array_equal(calls["forward"][0], value)
+    assert np.array_equal(calls["jacobian"][0], jac)
+    moved = [np.einsum("nij,nj->ni", jac, u) for u in (v, w)]
+    assert np.array_equal(got, a.evaluator(value, moved))
+
+
 def test_lie_derivative_flow_matches_closed_form():
     rng = np.random.default_rng(36)
     coeffs = [cat.random_scalar(3, rng, integer_modes=False) for _ in range(3)]
@@ -499,9 +517,9 @@ def test_lie_derivative_flow_matches_a_64_step_route():
 
 
 @pytest.mark.parametrize("steps", [0, -3, 2.5, True, "4"])
-@pytest.mark.parametrize("exact", [False, True], ids=["rk4", "exact"])
-def test_flow_rejects_bad_steps(steps, exact):
-    X = affine_field(np.eye(2)) if exact else _trig_field(2, np.random.default_rng(42))
+@pytest.mark.parametrize("affine", [False, True], ids=["rk4", "affine"])
+def test_flow_rejects_bad_steps(steps, affine):
+    X = affine_field(np.eye(2)) if affine else _trig_field(2, np.random.default_rng(42))
     with pytest.raises(ValueError, match="steps"):
         X.flow(0.5, steps)
 

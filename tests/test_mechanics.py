@@ -247,6 +247,22 @@ def test_cocycle_diffex_trivial_generator(torus_domain, exact_form_r4):
     assert abs(me.cocycle_diffex(exact_form_r4, dom, const, a2)(f)) < 1e-14
 
 
+def test_cocycle_diffex_is_the_nodal_sum_of_the_pullback_coefficient(torus_domain,
+                                                                     exact_form_r4):
+    # the hand-written nodal sum that cocycle_diffex replaced by the pairing
+    dom = torus_domain
+    rng = np.random.default_rng(12)
+    a1, a2 = (cat.random_stream(dom, rng, max_mode=2) for _ in range(2))
+    Z1, Z2 = (dom.volume * domains.exact_divfree_field(dom, a) for a in (a1, a2))
+    Pg = domains.projection_P(
+        dom, (Z2[:, 0] * Z1[:, 1] - Z2[:, 1] * Z1[:, 0]) / dom.volume).values
+    sigma = me.cocycle_diffex(exact_form_r4, dom, a1, a2)
+    for _ in range(3):
+        f = cat.random_map(dom, 4, rng, amp=0.7)
+        c = me.pullback_coefficient(f, exact_form_r4.form)
+        assert abs(sigma(f) - float(np.sum(dom.signed_weights * c * Pg))) < 1e-15
+
+
 def test_lichnerowicz_values(torus_domain):
     dom = torus_domain
     eta = coordinate_form((0, 1), 2, 1.7)
@@ -322,6 +338,32 @@ def test_brane_gate_rejects_offplane_tangents():
     defect, reason = me.boundary_data_gate(D3, f, bad)
     assert defect == pytest.approx(0.5)
     assert reason == "boundary data leaves the subspace by 5.000e-01"
+
+
+def _endpoint_twist(H, B, D, dom):
+    """The twist form with its boundary term written out as the sum over the
+    signed endpoint pair, in D-coordinates: the reference route."""
+    hat_H = mapspace.hat_map(H, dom)
+    bdom = dom.boundary()
+    sw, ends = bdom.signed_weights, bdom.parent_indices
+
+    def ev(F, ts):
+        u = ((F.values[:, ends] - D.origin) @ D.basis).reshape(-1, D.dim)
+        vs = [(t[:, ends] @ D.basis).reshape(-1, D.dim) for t in ts]
+        vals = B.evaluator(u, vs).reshape(F.size, len(ends))
+        return hat_H.evaluator(F, ts) - np.array([sw @ v for v in vals])
+
+    return MapSpaceForm(hat_H.degree, ev)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_twist_two_form_is_the_endpoint_sum_bit_for_bit(seed):
+    iv, cases = suites.brane_catalog(suites.SuiteConfig(seed=seed))
+    for name, H, B, D, _ in cases:
+        g, ts = me.constrained_random_data(iv, D, np.random.default_rng(seed), 3)
+        got, want = me.twist_two_form(H, B, D, iv), _endpoint_twist(H, B, D, iv)
+        assert got(g, *ts[:2]) == want(g, *ts[:2]), name
+        assert mapspace.map_space_d(got)(g, *ts) == mapspace.map_space_d(want)(g, *ts), name
 
 
 def test_dual_pair_report(sys_r2):
