@@ -13,7 +13,8 @@ and printed values.  The witness set is:
 - the stdout of each `demos/*.py`;
 - the CSV and JSON tables and stdout of `mapforms converge` for
   `derivation-circle` at 32,64,128,256 and at 64, `derivation-torus` at
-  256,1024,4096, `two-route-circle` and `quadrature-circle`.
+  576,1024,4096 (sides 24, 32 and 64), `two-route-circle` and
+  `quadrature-circle`.
 
 Every command runs from a temporary directory with PYTHONPATH pointing at
 this checkout's `src/`, so nothing is written into the repository.  The
@@ -38,7 +39,7 @@ from mapforms.suites import SUITES  # noqa: E402
 CONVERGE = (
     ("derivation-circle", "32,64,128,256"),
     ("derivation-circle", "64"),
-    ("derivation-torus", "256,1024,4096"),
+    ("derivation-torus", "576,1024,4096"),
     ("two-route-circle", None),
     ("quadrature-circle", None),
 )

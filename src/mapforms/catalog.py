@@ -38,7 +38,7 @@ def named_field(name: str) -> VectorField:
     raise KeyError(f"unknown field id {name!r}")
 
 
-def unit_circle_map(dom: SourceDomain, target_dim: int = 3) -> ms.MapPoint:
+def unit_circle_map(dom: SourceDomain, target_dim: int) -> ms.MapPoint:
     """The unit circle in the (x,y)-plane of R^m."""
     def f(s):
         out = np.zeros(target_dim)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import sys
 import traceback
@@ -31,12 +30,12 @@ from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
 from .charts import DEFAULT_FD_STEP
-from .domains import circle, make_domain, torus2
+from .domains import make_domain, torus2
 from .forms import coefficient_form, integrate, scalar_coordinate
 from .report import TestRecord, VerificationReport, fit_order
-from .suites import (DERIVATION_CASES, GRID_MINIMUMS, SUITES, SuiteConfig,
-                     brane_catalog, brane_checks, derivation_residual,
-                     mw_links, run_suite, two_route_residual, unit_loop)
+from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
+                     brane_checks, derivation_residual, mw_links, run_suite,
+                     two_route_residual, unit_loop)
 
 USAGE_ERROR = 2
 
@@ -111,61 +110,30 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # convergence studies
 
-# below this side the torus derivation residual is under-resolution of the
-# random data, not FD error, and a fitted order means nothing
-MIN_TORUS_SIDE = 16
-
-
-def _torus_side(nodes: int) -> int:
-    return make_domain("torus2", nodes).shape[0]
-
-
-# kind -> (the grid a level runs on, what is counted, the count at a level,
-# the least count): below it a residual measures under-resolution of the
-# random data; circles take the minimum of verify's grids
-LEVEL_GRIDS = {
-    "circle": ("circle(level)", "node counts", int, GRID_MINIMUMS["nodes"]),
-    "torus2": ("torus2(round(sqrt(level)))", "sides", _torus_side, MIN_TORUS_SIDE),
-}
-
-
-def _check_levels(identity, kind, levels):
-    grid, counted, size, least = LEVEL_GRIDS[kind]
-    sizes = [size(n) for n in levels]
-    if min(sizes) < least or len(set(sizes)) < len(sizes):
-        smallest = next(n for n in itertools.count(1) if size(n) >= least)
-        raise ValueError(
-            f"--levels for {identity} run on {grid} and need distinct {counted} of at "
-            f"least {least}; got {counted} {sizes}, the smallest valid level is {smallest}")
-
-
 def _converge_derivation(kind):
     m, p, q = next(case[1:] for case in DERIVATION_CASES if case[0] == kind)
 
-    def runner(nodes: int, fd_step: float, seed: int) -> float:
-        dom = make_domain(kind, nodes)
+    def runner(dom, fd_step: float, seed: int) -> float:
         rng = np.random.default_rng([seed, 90])
         return abs(derivation_residual(dom, m, p, q, rng)(fd_step))
     return runner
 
 
-def _converge_two_route(nodes: int, fd_step: float, seed: int) -> float:
-    dom = circle(nodes)
+def _converge_two_route(dom, fd_step: float, seed: int) -> float:
     rng = np.random.default_rng([seed, 91])
     return two_route_residual(dom, 3, 2, 1, rng)
 
 
-def _converge_quadrature(nodes: int, fd_step: float, seed: int) -> float:
+def _converge_quadrature(dom, fd_step: float, seed: int) -> float:
     # quadrature of the exact derivative of a periodic function: zero up to
     # roundoff at every level (the machine-floor reference case)
-    dom = circle(nodes)
     rng = np.random.default_rng([seed, 92])
     g = cat.random_scalar(1, rng, n_terms=3, max_mode=3)
     dg = coefficient_form(1, 0, {(): g}).analytic_d
     return abs(integrate(dg, dom))
 
 
-# id -> (label, runner(nodes, fd_step, seed) -> residual, kind of its grids)
+# id -> (label, runner(domain, fd_step, seed) -> residual, kind of its grids)
 CONVERGE_IDS = {
     "derivation-circle": ("FD-limited derivation identity on the circle",
                           _converge_derivation("circle"), "circle"),
@@ -178,9 +146,20 @@ CONVERGE_IDS = {
 }
 
 
+def _level_config(kind: str, level: int, seed: int) -> SuiteConfig:
+    """The config a converge level runs on: `level` circle nodes, or the
+    torus side that make_domain gives `level` nodes.  It is validated like
+    verify's, so a grid under suites.GRID_MINIMUMS is a usage error."""
+    field = {"circle": "nodes", "torus2": "torus_side"}[kind]
+    size = make_domain(kind, level).shape[0]
+    try:
+        return SuiteConfig(seed=seed, **{field: size})
+    except ValueError as exc:
+        raise ValueError(f"level {level} of --levels, on {kind}({size}): {exc}") from None
+
+
 def cmd_converge(args) -> int:
     try:
-        config = SuiteConfig(seed=args.seed)
         if args.identity not in CONVERGE_IDS:
             print(f"error: unknown identity {args.identity!r}; available: "
                   f"{sorted(CONVERGE_IDS)}", file=sys.stderr)
@@ -189,17 +168,20 @@ def cmd_converge(args) -> int:
         levels = [int(t) for t in args.levels.split(",") if t]
         if not levels or min(levels) <= 0:
             raise ValueError(f"--levels needs positive node counts, got {args.levels!r}")
-        _check_levels(args.identity, kind, levels)
+        configs = [_level_config(kind, n, args.seed) for n in levels]
+        grids = [c.domains()[kind] for c in configs]
+        if len({g.shape for g in grids}) < len(grids):
+            raise ValueError(f"--levels {args.levels} repeat a {kind} grid, so no order "
+                             f"can be fitted: shapes {[g.shape for g in grids]}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     base_nodes = levels[0]
     rows = []
-    for nodes in levels:
+    for nodes, dom in zip(levels, grids):
         fd = DEFAULT_FD_STEP * base_nodes / nodes * 40.0  # keep the FD term visible
-        residual = runner(nodes, fd, config.seed)
-        rows.append((nodes, fd, residual))
+        rows.append((nodes, fd, runner(dom, fd, args.seed)))
     steps = [1.0 / n for n, _, _ in rows]
     residuals = [r for _, _, r in rows]
     order, note = fit_order(steps, residuals)
@@ -219,7 +201,7 @@ def cmd_converge(args) -> int:
                 "levels": [{"nodes": n, "fd_step": fd, "residual": r}
                            for n, fd, r in rows],
                 "order": order, "order_note": note,
-                "seed": config.seed,
+                "seed": args.seed,
             }, indent=2, sort_keys=True) + "\n")
         else:
             with open(out, "w", newline="") as fh:

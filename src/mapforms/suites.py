@@ -614,9 +614,10 @@ def run_fiber_rules(config: SuiteConfig):
                     "d (S-integral) - S-integral of d = (-1)^(n-k) boundary integral",
                     res, IDENTITY_TOL, iv, order_note="fd",
                     detail=f"flipped-sign residual {flipped:.3e}")
+        # the opposite sign must fail the identity at the identity's tolerance
         records.add(f"fiber-rule-boundary-sign-n{n4}",
                     "the boundary term enters with (-1)^(n-k), not the opposite sign",
-                    0.0 if flipped > 1e-3 else 1.0, 1e-12, iv,
+                    0.0 if flipped > IDENTITY_TOL else 1.0, 1e-12, iv,
                     detail=f"flipped-sign residual {flipped:.3e} must be O(1)")
     return records
 
@@ -654,9 +655,10 @@ def run_boundary(config: SuiteConfig):
     ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (iv.n_nodes, 1)))]
     *bulk, endpoint = derivation_terms(dx, one_plus_s, iv)
     witness = abs(derivation_identity(dx, one_plus_s, iv, f, ex, bulk)(DEFAULT_FD_STEP))
+    # dropping the boundary term must fail the identity at its tolerance
     records.add("boundary-witness",
                 "without the boundary term the defect is O(1) (sign sensitivity)",
-                0.0 if witness > 1e-2 else 1.0, 1e-12, iv,
+                0.0 if witness > IDENTITY_TOL else 1.0, 1e-12, iv,
                 detail=f"residual without boundary term {witness:.3e}, "
                        f"endpoint term {endpoint(f, *ex):.3e}")
 
