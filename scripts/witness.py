@@ -8,6 +8,8 @@ and printed values.  The witness set is:
 
 - the JSON report and stdout of `mapforms verify` on all eight suites at
   seeds 0-23, and at seeds 0 and 7 with `--nodes 32`;
+- the CSV report and stdout of `mapforms verify --format csv` on all eight
+  suites at seed 3;
 - every file and the stdout of `mapforms demo mw-links|dualpair|branes`
   at seed 7;
 - the stdout of each `demos/*.py`;
@@ -54,6 +56,8 @@ def _commands():
         label = f"verify-seed{seed}" + "".join(extra).replace("--", "-")
         out = f"{label}.json"
         yield label, cli + ["verify", "--seed", str(seed), *extra, *suites, "--out", out], [out]
+    yield "verify-seed3-csv", cli + ["verify", "--seed", "3", "--format", "csv", *suites,
+                                     "--out", "verify-seed3.csv"], ["verify-seed3.csv"]
     for name in ("mw-links", "dualpair", "branes"):
         label = f"demo-{name}"
         yield label, cli + ["demo", name, "--seed", "7", "--out", label], [label]

@@ -57,8 +57,8 @@ def torus_graph_map(dom: SourceDomain) -> ms.MapPoint:
 # ---------------------------------------------------------------------------
 # random generators
 
-def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int = 2,
-                max_mode: int = MAX_MODE, amp: float = 1.0, integer_modes: bool = True):
+def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int, max_mode: int,
+                amp: float, integer_modes: bool):
     """Modes (n_terms, dim), amplitudes and phases of one random
     trigonometric scalar, drawn in that order."""
     if integer_modes:
@@ -91,7 +91,8 @@ def _sampled(dom: SourceDomain, count: int, rng: np.random.Generator,
     sampled on every node: (n_nodes, count).  One sine evaluation covers
     the terms of every component; each component then takes its own dot
     with its amplitudes, as its ScalarFunc would."""
-    K, A, P = zip(*(_trig_terms(dom.chart_dim, rng, amp=amp) for _ in range(count)))
+    K, A, P = zip(*(_trig_terms(dom.chart_dim, rng, n_terms=2, max_mode=MAX_MODE, amp=amp,
+                                integer_modes=True) for _ in range(count)))
     S = np.sin(dom.nodes @ np.concatenate(K).T + np.concatenate(P))
     S = S.reshape(dom.n_nodes, count, -1)
     return np.column_stack([S[:, c] @ a for c, a in enumerate(A)])

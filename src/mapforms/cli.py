@@ -17,7 +17,6 @@ conventions in force, and are byte-identical for identical (config, seed).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import traceback
@@ -32,12 +31,19 @@ from . import mechanics as me
 from .charts import DEFAULT_FD_STEP
 from .domains import make_domain, torus2
 from .forms import coefficient_form, integrate, scalar_coordinate
-from .report import TestRecord, VerificationReport, fit_order
+from .report import TestRecord, VerificationReport, csv_text, fit_order, json_text
 from .suites import (DERIVATION_CASES, SUITES, SuiteConfig, brane_catalog,
                      brane_checks, derivation_residual, mw_links, run_suite,
                      two_route_residual, unit_loop)
 
 USAGE_ERROR = 2
+
+
+def _write(path, text: str) -> None:
+    """Write `text` to `path`, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _load_config(args):
@@ -77,7 +83,7 @@ def cmd_verify(args) -> int:
                   f"--suite hat-calculus; available: {sorted(SUITES)})",
                   file=sys.stderr)
             return USAGE_ERROR
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -99,50 +105,36 @@ def cmd_verify(args) -> int:
     n_fail = sum(not r.passed for r in records)
     print(f"{len(records) - n_fail}/{len(records)} checks passed")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        text = report.to_csv() if args.format == "csv" else report.to_json()
-        out.write_text(text)
-        print(f"report written to {out}")
+        _write(args.out, report.to_csv() if args.format == "csv" else report.to_json())
+        print(f"report written to {Path(args.out)}")
     return 0 if n_fail == 0 else 1
 
 
 # ---------------------------------------------------------------------------
 # convergence studies
 
-def _converge_derivation(kind):
-    m, p, q = next(case[1:] for case in DERIVATION_CASES if case[0] == kind)
-
-    def runner(dom, fd_step: float, seed: int) -> float:
-        rng = np.random.default_rng([seed, 90])
-        return abs(derivation_residual(dom, m, p, q, rng)(fd_step))
-    return runner
+def _derivation(dom, fd_step: float, rng) -> float:
+    """The derivation identity on the first DERIVATION_CASES entry of the
+    domain's kind."""
+    m, p, q = next(case[1:] for case in DERIVATION_CASES if case[0] == dom.kind)
+    return abs(derivation_residual(dom, m, p, q, rng)(fd_step))
 
 
-def _converge_two_route(dom, fd_step: float, seed: int) -> float:
-    rng = np.random.default_rng([seed, 91])
-    return two_route_residual(dom, 3, 2, 1, rng)
-
-
-def _converge_quadrature(dom, fd_step: float, seed: int) -> float:
-    # quadrature of the exact derivative of a periodic function: zero up to
-    # roundoff at every level (the machine-floor reference case)
-    rng = np.random.default_rng([seed, 92])
-    g = cat.random_scalar(1, rng, n_terms=3, max_mode=3)
-    dg = coefficient_form(1, 0, {(): g}).analytic_d
-    return abs(integrate(dg, dom))
-
-
-# id -> (label, runner(domain, fd_step, seed) -> residual, kind of its grids)
+# id -> (label, kind of its grids, draw salt, residual(domain, fd_step, rng));
+# every level draws its case from [seed, salt].  The quadrature of the exact
+# derivative of a periodic function is zero up to roundoff at every level
+# (the machine-floor reference case).
 CONVERGE_IDS = {
-    "derivation-circle": ("FD-limited derivation identity on the circle",
-                          _converge_derivation("circle"), "circle"),
-    "derivation-torus": ("FD-limited derivation identity on the torus",
-                         _converge_derivation("torus2"), "torus2"),
-    "two-route-circle": ("spectral two-route agreement (machine floor)",
-                         _converge_two_route, "circle"),
-    "quadrature-circle": ("spectral quadrature of an exact derivative",
-                          _converge_quadrature, "circle"),
+    "derivation-circle": ("FD-limited derivation identity on the circle", "circle", 90,
+                          _derivation),
+    "derivation-torus": ("FD-limited derivation identity on the torus", "torus2", 90,
+                         _derivation),
+    "two-route-circle": ("spectral two-route agreement (machine floor)", "circle", 91,
+                         lambda dom, fd_step, rng: two_route_residual(dom, 3, 2, 1, rng)),
+    "quadrature-circle": (
+        "spectral quadrature of an exact derivative", "circle", 92,
+        lambda dom, fd_step, rng: abs(integrate(coefficient_form(
+            1, 0, {(): cat.random_scalar(1, rng, n_terms=3, max_mode=3)}).analytic_d, dom))),
 }
 
 
@@ -164,7 +156,7 @@ def cmd_converge(args) -> int:
             print(f"error: unknown identity {args.identity!r}; available: "
                   f"{sorted(CONVERGE_IDS)}", file=sys.stderr)
             return USAGE_ERROR
-        label, runner, kind = CONVERGE_IDS[args.identity]
+        label, kind, salt, measure = CONVERGE_IDS[args.identity]
         levels = [int(t) for t in args.levels.split(",") if t]
         if not levels or min(levels) <= 0:
             raise ValueError(f"--levels needs positive node counts, got {args.levels!r}")
@@ -173,7 +165,7 @@ def cmd_converge(args) -> int:
         if len({g.shape for g in grids}) < len(grids):
             raise ValueError(f"--levels {args.levels} repeat a {kind} grid, so no order "
                              f"can be fitted: shapes {[g.shape for g in grids]}")
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -181,7 +173,7 @@ def cmd_converge(args) -> int:
     rows = []
     for nodes, dom in zip(levels, grids):
         fd = DEFAULT_FD_STEP * base_nodes / nodes * 40.0  # keep the FD term visible
-        rows.append((nodes, fd, runner(dom, fd, args.seed)))
+        rows.append((nodes, fd, measure(dom, fd, np.random.default_rng([args.seed, salt]))))
     steps = [1.0 / n for n, _, _ in rows]
     residuals = [r for _, _, r in rows]
     order, note = fit_order(steps, residuals)
@@ -193,22 +185,16 @@ def cmd_converge(args) -> int:
         print(f"{nodes},{fd:.6e},{residual:.6e}")
     print(f"fitted order vs 1/nodes: {order_text}")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         if args.format == "json":
-            out.write_text(json.dumps({
+            text = json_text({
                 "identity": args.identity, "label": label,
-                "levels": [{"nodes": n, "fd_step": fd, "residual": r}
-                           for n, fd, r in rows],
-                "order": order, "order_note": note,
-                "seed": args.seed,
-            }, indent=2, sort_keys=True) + "\n")
+                "levels": [{"nodes": n, "fd_step": fd, "residual": r} for n, fd, r in rows],
+                "order": order, "order_note": note, "seed": args.seed,
+            })
         else:
-            with open(out, "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["nodes", "fd_step", "residual"])
-                writer.writerows(rows)
-        print(f"table written to {out}")
+            text = csv_text([("nodes", "fd_step", "residual"), *rows])
+        _write(args.out, text)
+        print(f"table written to {Path(args.out)}")
     return 0
 
 
@@ -247,11 +233,10 @@ def demo_dualpair(config: SuiteConfig):
                              name="x dy")
     om_ex = me.exact_two_form(theta)
     report = me.dual_pair_report(sys, om_ex, dom, rng)
-    rows = [("quantity", "value")]
-    rows.append(("commutation_error", f"{report['commutation_error']:.3e}"))
-    rows.append(("diffham_residual", f"{report['diffham_residual']:.3e}"))
-    rows.append(("diffex_residual", f"{report['diffex_residual']:.3e}"))
-    rows.append(("diffex_cocycle_spread", f"{report['diffex_cocycle_spread']:.3e}"))
+    # each quantity with the bound it must stay under for the demo to pass
+    bounds = {"commutation_error": 1e-12, "diffham_residual": 1e-6,
+              "diffex_residual": 1e-6, "diffex_cocycle_spread": 1e-6}
+    rows = [("quantity", "value")] + [(key, f"{report[key]:.3e}") for key in bounds]
     # momentum samples along the homotopy; the cocycle column stays constant
     names = [p.name for p in sys.catalog]
     path_rows = [("t",) + tuple(f"J_ham[{n}]" for n in names)
@@ -262,16 +247,8 @@ def demo_dualpair(config: SuiteConfig):
             + tuple(f"{v:.12f}" for v in step_data["momentum_diffham"])
             + (f"{step_data['momentum_diffex']:.12f}",
                f"{step_data['cocycle_diffex']:.3e}"))
-    summary = {
-        "commutation_error": report["commutation_error"],
-        "diffham_residual": report["diffham_residual"],
-        "diffex_residual": report["diffex_residual"],
-        "diffex_cocycle_spread": report["diffex_cocycle_spread"],
-        "passed": bool(report["commutation_error"] < 1e-12
-                       and report["diffham_residual"] < 1e-6
-                       and report["diffex_residual"] < 1e-6
-                       and report["diffex_cocycle_spread"] < 1e-6),
-    }
+    summary = {key: report[key] for key in bounds}
+    summary["passed"] = all(report[key] < bound for key, bound in bounds.items())
     return summary, {"dualpair.csv": rows,
                      "dualpair-homotopy.csv": path_rows}
 
@@ -301,18 +278,14 @@ def cmd_demo(args) -> int:
         return USAGE_ERROR
     try:
         config, _ = _load_config(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     summary, tables = DEMOS[args.name](config)
     out_dir = Path(args.out or "demo-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
     for fname, rows in tables.items():
-        with open(out_dir / fname, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerows(rows)
-    (out_dir / f"{args.name}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        _write(out_dir / fname, csv_text(rows))
+    _write(out_dir / f"{args.name}.json", json_text(summary))
     for key, value in summary.items():
         print(f"{key}: {value}")
     print(f"artifacts written to {out_dir}/")
@@ -356,14 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "converge":
-        return cmd_converge(args)
-    if args.command == "demo":
-        return cmd_demo(args)
-    parser.print_help()
-    return USAGE_ERROR
+    command = {"verify": cmd_verify, "converge": cmd_converge, "demo": cmd_demo}.get(args.command)
+    if command is None:
+        parser.print_help()
+        return USAGE_ERROR
+    try:
+        return command(args)
+    except OSError as exc:  # a --config that cannot be read or an --out that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

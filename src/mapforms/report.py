@@ -76,19 +76,29 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
         fields = ["test_id", "statement", "residual", "tolerance", "passed",
                   "order", "order_target", "order_note", "seed", "mesh", "detail"]
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
+        rows = [fields]
         for r in self.records:
             d = asdict(r)
             d["mesh"] = json.dumps(d["mesh"], sort_keys=True)
-            writer.writerow([d[k] for k in fields])
-        return buf.getvalue()
+            rows.append([d[k] for k in fields])
+        return csv_text(rows)
+
+
+def json_text(obj) -> str:
+    """`obj` as JSON with sorted keys, a two-space indent and a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(rows) -> str:
+    """`rows` as CSV lines ending in a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def fit_order(steps, residuals):

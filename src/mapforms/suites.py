@@ -111,6 +111,14 @@ class _Records(list):
                                mesh=mesh, order=order, order_target=order_target,
                                order_note=order_note, detail=detail))
 
+    def gap(self, test_id, statement, lhs, rhs, at, tol, dom, **kw):
+        """Append |_gap(lhs, rhs, *at)| at the map and tangents `at`."""
+        self.add(test_id, statement, abs(_gap(lhs, rhs, *at)), tol, dom, **kw)
+
+    def gate(self, test_id, statement, ok, dom, detail):
+        """Append a 0/1 gate: residual 0 when `ok`, else 1, against 1e-12."""
+        self.add(test_id, statement, 0.0 if ok else 1.0, 1e-12, dom, detail=detail)
+
     def ladder(self, test_id, statement, dom, residual, trial_keys, ladder_key,
                steps=ORDER_STEPS):
         """Record an FD-limited identity given residual(rng), which draws one
@@ -284,18 +292,16 @@ def run_hat_calculus(config: SuiteConfig):
     omI, alI, fI, _ = _hat_case(dom, 3, 2, 1, rngI)
     X = cat.random_affine_field(3, rngI, amp=0.8)
     WI = hat_pairing(omI, alI, dom)
-    lhs = map_space_interior(WI, lambda g: generator_M(X, g))
-    rhs = hat_pairing(interior(omI, X), alI, dom)
     yI = cat.random_tangent(fI, rngI)
-    records.add("insert-generator-M", "i_{Xbar}(w.a)^ = (i_X w.a)^",
-                abs(_gap(lhs, rhs, fI, yI)), 1e-10, dom)
+    records.gap("insert-generator-M", "i_{Xbar}(w.a)^ = (i_X w.a)^",
+                map_space_interior(WI, lambda g: generator_M(X, g)),
+                hat_pairing(interior(omI, X), alI, dom), (fI, yI), 1e-10, dom)
 
     Z = constant_field(np.array([0.4]), name="0.4 d/ds")
-    lhsZ = map_space_interior(WI, lambda g: generator_S(Z, g))
-    rhsZ = mapspace_scale((-1.0) ** omI.degree,
-                          hat_pairing(omI, interior(alI, Z), dom))
-    records.add("insert-generator-S", "i_{Zhat}(w.a)^ = (-1)^p (w.i_Z a)^",
-                abs(_gap(lhsZ, rhsZ, fI, yI)), 1e-10, dom)
+    records.gap("insert-generator-S", "i_{Zhat}(w.a)^ = (-1)^p (w.i_Z a)^",
+                map_space_interior(WI, lambda g: generator_S(Z, g)),
+                mapspace_scale((-1.0) ** omI.degree, hat_pairing(omI, interior(alI, Z), dom)),
+                (fI, yI), 1e-10, dom)
 
     # reparameterization action: rigid shift (exact) and a warp
     rngS = np.random.default_rng([config.seed, 7])
@@ -307,10 +313,9 @@ def run_hat_calculus(config: SuiteConfig):
              "rigid shift, interpolation exact", 1e-9),
             ("action-reparam-warp", cat.circle_warp(),
              "orientation-preserving warp", IDENTITY_TOL)]:
-        records.add(test_id, f"psihat*(w.a)^ = (w.psi*a)^  ({label})",
-                    abs(_gap(action_pullback_S(WS, psi),
-                             hat_pairing(omS, pullback(alS, psi), dom), fS, *yS)),
-                    tol, dom)
+        records.gap(test_id, f"psihat*(w.a)^ = (w.psi*a)^  ({label})",
+                    action_pullback_S(WS, psi), hat_pairing(omS, pullback(alS, psi), dom),
+                    (fS, *yS), tol, dom)
 
     # infinitesimal reparameterization
     def lieS_residual(rngZ):
@@ -338,10 +343,9 @@ def run_hat_calculus(config: SuiteConfig):
             ("lie-dual-route-S", lambda g: generator_S(Zc, g),
              lambda t: action_pullback_S(WF, cat.rigid_shift(0.4 * t)),
              "rigid reparameterization")]:
-        records.add(test_id, f"Cartan formula = flow finite difference ({label})",
-                    abs(_gap(map_space_lie(WF, generator),
-                             map_space_lie_flow(pulled_back), fF, *tsF)),
-                    1e-5, dom, order_note="fd")
+        records.gap(test_id, f"Cartan formula = flow finite difference ({label})",
+                    map_space_lie(WF, generator), map_space_lie_flow(pulled_back),
+                    (fF, *tsF), 1e-5, dom, order_note="fd")
 
     # exact w, closed a, p+q = k: the induced function vanishes
     rngV = np.random.default_rng([config.seed, 10])
@@ -377,32 +381,28 @@ def run_bar_calculus(config: SuiteConfig):
     ts = [cat.random_tangent(f, rng) for _ in range(2)]
 
     W = bar_map(om, dom)
-    records.add("bar-direct-agreement",
-                "(w.mu)^ = integral of w(Y...) against normalized mu",
-                abs(_gap(W, bar_map_direct(om, dom), f, *ts)), 1e-10, dom)
+    records.gap("bar-direct-agreement", "(w.mu)^ = integral of w(Y...) against normalized mu",
+                W, bar_map_direct(om, dom), (f, *ts), 1e-10, dom)
 
     phi = affine_map(np.array([[1.0, 0.4], [0.0, 1.0]]),
                      np.array([0.2, -0.1]), name="shear")
-    records.add("bar-pullback", "phibar* wbar = (phi*w)bar",
-                abs(_gap(action_pullback_M(W, phi), bar_map(pullback(om, phi), dom),
-                         f, *ts)), 1e-10, dom)
+    records.gap("bar-pullback", "phibar* wbar = (phi*w)bar", action_pullback_M(W, phi),
+                bar_map(pullback(om, phi), dom), (f, *ts), 1e-10, dom)
 
     X = cat.random_affine_field(2, rng, amp=0.6)
-    records.add("bar-lie", "L_{Xbar} wbar = (L_X w)bar",
-                abs(_gap(map_space_lie(W, lambda g: generator_M(X, g)),
-                         bar_map(lie_derivative(om, X), dom), f, *ts)),
+    records.gap("bar-lie", "L_{Xbar} wbar = (L_X w)bar",
+                map_space_lie(W, lambda g: generator_M(X, g)),
+                bar_map(lie_derivative(om, X), dom), (f, *ts),
                 IDENTITY_TOL, dom, fd=True, order_note="fd")
 
-    lhs = map_space_interior(W, lambda g: generator_M(X, g))
-    rhs = bar_map(interior(om, X), dom)
     y = cat.random_tangent(f, rng)
-    records.add("bar-insert", "i_{Xbar} wbar = (i_X w)bar",
-                abs(_gap(lhs, rhs, f, y)), 1e-10, dom)
+    records.gap("bar-insert", "i_{Xbar} wbar = (i_X w)bar",
+                map_space_interior(W, lambda g: generator_M(X, g)),
+                bar_map(interior(om, X), dom), (f, y), 1e-10, dom)
 
-    dW = map_space_d(W)
-    rhs = bar_map(exterior_derivative(om), dom)
     ts3 = [cat.random_tangent(f, rng) for _ in range(3)]
-    records.add("bar-d", "d wbar = (dw)bar", abs(_gap(dW, rhs, f, *ts3)),
+    records.gap("bar-d", "d wbar = (dw)bar", map_space_d(W),
+                bar_map(exterior_derivative(om), dom), (f, *ts3),
                 IDENTITY_TOL, dom, fd=True, order_note="fd")
 
     # symplectic coefficient form: closedness and the weights-x-coefficients
@@ -495,10 +495,8 @@ def run_tilda_calculus(config: SuiteConfig):
     hatW = hat_map(om3, dom)
     f = cat.random_loop(dom, 3, rng)
     y = cat.random_tangent(f, rng)
-    records.add("hat-basic-invariance",
-                "psihat* w^ = w^ for orientation-preserving psi",
-                abs(_gap(action_pullback_S(hatW, cat.rigid_shift(0.61)), hatW, f, y)),
-                1e-9, dom)
+    records.gap("hat-basic-invariance", "psihat* w^ = w^ for orientation-preserving psi",
+                action_pullback_S(hatW, cat.rigid_shift(0.61)), hatW, (f, y), 1e-9, dom)
 
     Zf = cat.random_scalar(1, rng, amp=0.5)
     Zfield = cat.VectorField(lambda s: Zf.value(s)[:, None], 1, batched=True)
@@ -606,19 +604,18 @@ def run_fiber_rules(config: SuiteConfig):
         fibd = fiber_integrate(exterior_derivative(beta), iv)
         lhs = form_sum(dfib, form_scale(-1.0, fibd))
         sign = (-1.0) ** (n4 - 1)
-        rhs = form_scale(sign, fiber_integrate(beta, bdom))
-        res = sample_difference(lhs, rhs, rng, 8)
-        flipped = sample_difference(lhs, form_scale(-sign, fiber_integrate(
-            beta, bdom)), rng, 8)
+        bd_integral = fiber_integrate(beta, bdom)
+        res = sample_difference(lhs, form_scale(sign, bd_integral), rng, 8)
+        flipped = sample_difference(lhs, form_scale(-sign, bd_integral), rng, 8)
         records.add(f"fiber-rule-boundary-n{n4}",
                     "d (S-integral) - S-integral of d = (-1)^(n-k) boundary integral",
                     res, IDENTITY_TOL, iv, order_note="fd",
                     detail=f"flipped-sign residual {flipped:.3e}")
         # the opposite sign must fail the identity at the identity's tolerance
-        records.add(f"fiber-rule-boundary-sign-n{n4}",
-                    "the boundary term enters with (-1)^(n-k), not the opposite sign",
-                    0.0 if flipped > IDENTITY_TOL else 1.0, 1e-12, iv,
-                    detail=f"flipped-sign residual {flipped:.3e} must be O(1)")
+        records.gate(f"fiber-rule-boundary-sign-n{n4}",
+                     "the boundary term enters with (-1)^(n-k), not the opposite sign",
+                     flipped > IDENTITY_TOL, iv,
+                     f"flipped-sign residual {flipped:.3e} must be O(1)")
     return records
 
 
@@ -656,11 +653,10 @@ def run_boundary(config: SuiteConfig):
     *bulk, endpoint = derivation_terms(dx, one_plus_s, iv)
     witness = abs(derivation_identity(dx, one_plus_s, iv, f, ex, bulk)(DEFAULT_FD_STEP))
     # dropping the boundary term must fail the identity at its tolerance
-    records.add("boundary-witness",
-                "without the boundary term the defect is O(1) (sign sensitivity)",
-                0.0 if witness > IDENTITY_TOL else 1.0, 1e-12, iv,
-                detail=f"residual without boundary term {witness:.3e}, "
-                       f"endpoint term {endpoint(f, *ex):.3e}")
+    records.gate("boundary-witness",
+                 "without the boundary term the defect is O(1) (sign sensitivity)",
+                 witness > IDENTITY_TOL, iv, f"residual without boundary term {witness:.3e}, "
+                 f"endpoint term {endpoint(f, *ex):.3e}")
 
     # q = 1 on the interval: both correction terms vanish
     rng = np.random.default_rng([config.seed, 53])
@@ -904,12 +900,10 @@ def brane_checks(config: SuiteConfig, salt, iv, cases):
         if should_apply:
             records.add(f"brane-{name}", "d( H^ - bd*(B^bd) ) = 0 on maps with boundary in D",
                         rep.closedness_residual if rep.applicable else 1.0, me.TWIST_TOL, iv,
-                        fd=True, order_note="fd",
-                        detail=f"gate residual {rep.gate_residual:.3e}")
+                        fd=True, order_note="fd", detail=f"gate residual {rep.gate_residual:.3e}")
         else:
-            records.add(f"brane-{name}", "an inconsistent (H, B) pair is rejected, not passed",
-                        0.0 if (not rep.applicable and not rep.passed) else 1.0, 1e-12, iv,
-                        detail=rep.reason)
+            records.gate(f"brane-{name}", "an inconsistent (H, B) pair is rejected, not passed",
+                         not rep.applicable and not rep.passed, iv, rep.reason)
     return records, reports
 
 
@@ -923,8 +917,8 @@ def run_branes(config: SuiteConfig):
     g, ts = me.constrained_random_data(iv, D, rng, 3)
     bad = [MapTangent(g, ts[0].vectors + np.array([0.0, 0.0, 0.5]))] + ts[1:]
     _, reason = me.boundary_data_gate(D, g, bad)
-    records.add("brane-tangency-gate", "boundary data off the subspace is reported inapplicable",
-                0.0 if reason else 1.0, 1e-12, iv, detail=reason)
+    records.gate("brane-tangency-gate", "boundary data off the subspace is reported inapplicable",
+                 reason, iv, reason)
     return records
 
 

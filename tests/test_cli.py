@@ -309,6 +309,24 @@ def test_unknown_config_suite_is_usage_error_for_every_command(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+# an --out that cannot be written is a usage error, not a traceback after the run
+@pytest.mark.parametrize("argv, existing", [
+    (["verify", "--suite", "bar-calculus"], "directory"),
+    (["converge", "--identity", "quadrature-circle", "--levels", "32,64"], "directory"),
+    (["demo", "branes"], "file"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, existing):
+    out = tmp_path / "taken"
+    if existing == "directory":
+        out.mkdir()
+    else:
+        out.write_text("")
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
+
+
 def test_demo_accepts_a_config_with_known_suites(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 7, "suites": ["branes"]}))
