@@ -117,7 +117,7 @@ class _Records(list):
 
     def gate(self, test_id, statement, ok, dom, detail):
         """Append a 0/1 gate: residual 0 when `ok`, else 1, against 1e-12."""
-        self.add(test_id, statement, 0.0 if ok else 1.0, 1e-12, dom, detail=detail)
+        self.add(test_id, statement, 0.0 if ok else 1.0, 1e-12, dom, detail=f"gate: {detail}")
 
     def ladder(self, test_id, statement, dom, residual, trial_keys, ladder_key,
                steps=ORDER_STEPS):
@@ -611,11 +611,10 @@ def run_fiber_rules(config: SuiteConfig):
                     "d (S-integral) - S-integral of d = (-1)^(n-k) boundary integral",
                     res, IDENTITY_TOL, iv, order_note="fd",
                     detail=f"flipped-sign residual {flipped:.3e}")
-        # the opposite sign must fail the identity at the identity's tolerance
         records.gate(f"fiber-rule-boundary-sign-n{n4}",
                      "the boundary term enters with (-1)^(n-k), not the opposite sign",
                      flipped > IDENTITY_TOL, iv,
-                     f"flipped-sign residual {flipped:.3e} must be O(1)")
+                     f"flipped-sign residual {flipped:.3e} must exceed {IDENTITY_TOL:.0e}")
     return records
 
 
@@ -652,9 +651,8 @@ def run_boundary(config: SuiteConfig):
     ex = [MapTangent(f, np.tile([1.0, 0.0, 0.0], (iv.n_nodes, 1)))]
     *bulk, endpoint = derivation_terms(dx, one_plus_s, iv)
     witness = abs(derivation_identity(dx, one_plus_s, iv, f, ex, bulk)(DEFAULT_FD_STEP))
-    # dropping the boundary term must fail the identity at its tolerance
     records.gate("boundary-witness",
-                 "without the boundary term the defect is O(1) (sign sensitivity)",
+                 f"without the boundary term the residual must exceed {IDENTITY_TOL:.0e}",
                  witness > IDENTITY_TOL, iv, f"residual without boundary term {witness:.3e}, "
                  f"endpoint term {endpoint(f, *ex):.3e}")
 

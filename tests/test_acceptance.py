@@ -120,7 +120,7 @@ def test_criterion_09_brane_twist():
     gate = next(r for r in records if r.test_id == "brane-r4-inconsistent")
     ok = all(r.passed for r in records)
     _criterion(9, "twist closedness on cataloged boundary data plus gates",
-               ok, _suite_detail(records) + f"; gate: {gate.detail[:48]}")
+               ok, _suite_detail(records) + f"; {gate.detail[:54]}")
 
 
 def test_criterion_10_deterministic_reports(tmp_path):

@@ -1,12 +1,12 @@
-"""The record builder of the identity suites, and an oracle mutant of the
-flow route of the Lie derivative."""
+"""The record builder of the identity suites, the marking of its gates, and
+an oracle mutant of the flow route of the Lie derivative."""
 
 import numpy as np
 import pytest
 
 from mapforms.charts import DEFAULT_FD_STEP, VectorField
 from mapforms.domains import circle
-from mapforms.suites import SuiteConfig, _Records, run_hat_calculus
+from mapforms.suites import SUITES, SuiteConfig, _Records, run_hat_calculus, run_suite
 
 
 @pytest.mark.parametrize("trial_keys, ladder_key, calls", [
@@ -45,3 +45,13 @@ def test_flipped_flow_sign_breaks_the_dual_route_record(monkeypatch):
     assert not after["lie-dual-route-M"].passed
     # the flipped flow reaches no other record of the suite
     assert [k for k in before if before[k] != after[k]] == ["lie-dual-route-M"]
+
+
+def test_gates_are_marked_and_name_their_threshold():
+    # a 0/1 gate reads 0.0 whatever its margin, so its detail marks it as a
+    # gate, and no record promises an O(1) defect that the gate does not test
+    records = [r for name in SUITES for r in run_suite(name, SuiteConfig(seed=3))]
+    assert [r.test_id for r in records if r.detail.startswith("gate: ")] == [
+        "fiber-rule-boundary-sign-n1", "fiber-rule-boundary-sign-n2", "boundary-witness",
+        "brane-r4-inconsistent", "brane-tangency-gate"]
+    assert not [r.test_id for r in records if "O(1)" in r.statement + r.detail]
