@@ -41,17 +41,17 @@ def named_field(name: str) -> VectorField:
 def unit_circle_map(dom: SourceDomain, target_dim: int) -> ms.MapPoint:
     """The unit circle in the (x,y)-plane of R^m."""
     def f(s):
-        out = np.zeros(target_dim)
-        out[0], out[1] = np.cos(s[0]), np.sin(s[0])
+        out = np.zeros((len(s), target_dim))
+        out[:, 0], out[:, 1] = np.cos(s[:, 0]), np.sin(s[:, 0])
         return out
     return ms.map_from_function(dom, f, target_dim)
 
 
 def torus_graph_map(dom: SourceDomain) -> ms.MapPoint:
     """The standard flat embedding of the 2-torus into R^4."""
-    def f(s):
-        return np.array([np.cos(s[0]), np.sin(s[0]), np.cos(s[1]), np.sin(s[1])])
-    return ms.map_from_function(dom, f, 4)
+    return ms.map_from_function(
+        dom, lambda s: np.column_stack([np.cos(s[:, 0]), np.sin(s[:, 0]),
+                                        np.cos(s[:, 1]), np.sin(s[:, 1])]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +153,7 @@ def circle_warp() -> ChartMap:
     eps = 0.3
 
     def inv(y):
-        x = np.asarray(y, dtype=float).copy()
+        x = y
         for _ in range(60):
             x = y - eps * np.sin(x)
         return x

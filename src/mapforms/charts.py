@@ -5,7 +5,7 @@ finite differences fill in whatever is missing.  Every map and field
 evaluates points stacked as rows through `rows`, `jacobian_rows` and
 `inverse_rows`, one route each.  Its callables take rows when it is built
 with batched=True, as by every constructor here except `field_from_callable`,
-and single points otherwise; calling it on one point wraps whichever it stores.
+and single points otherwise; a single point is row 0 of one row call.
 Instances are immutable and their callables must be pure, so evaluation is
 safe to run concurrently.
 """
@@ -46,15 +46,13 @@ def _fd_jacobian_rows(func: Callable, x: Array, step: float) -> Array:
     n_rows, m = x.shape
     e = step * np.eye(m)[:, None, :]
     shifted = np.concatenate([x + e, x - e]).reshape(2 * m * n_rows, m)
-    f = np.asarray(func(shifted), dtype=float).reshape(2, m, n_rows, -1)
+    f = func(shifted).reshape(2, m, n_rows, -1)
     return np.moveaxis((f[0] - f[1]) / (2.0 * step), 0, -1)
 
 
-def _point(func: Callable, batched: bool, x) -> Array:
-    x = np.asarray(x, dtype=float)
-    if batched:
-        return np.asarray(func(np.atleast_1d(x)[None]), dtype=float)[0]
-    return np.asarray(func(x), dtype=float)
+def _row(x) -> Array:
+    """A single point as the one row (1, m)."""
+    return np.atleast_1d(np.asarray(x, dtype=float))[None]
 
 
 def _rows(func: Callable, batched: bool, x) -> Array:
@@ -63,12 +61,12 @@ def _rows(func: Callable, batched: bool, x) -> Array:
 
 
 class _RowCalculus:
-    """Single-point and row evaluation shared by maps and fields: `_func`
-    names the callable; with `batched` the stored callables take points
-    stacked as rows (N, m), otherwise single points."""
+    """Row evaluation shared by maps and fields: `_func` names the callable;
+    with `batched` the stored callables take points stacked as rows (N, m),
+    otherwise single points.  A single point is row 0 of one `rows` call."""
 
     def __call__(self, x) -> Array:
-        return _point(self._func, self.batched, x)
+        return self.rows(_row(x))[0]
 
     def rows(self, x) -> Array:
         """Values at the rows of x (N, m): shape (N, n), possibly a
@@ -76,9 +74,7 @@ class _RowCalculus:
         return _rows(self._func, self.batched, x)
 
     def jacobian(self, x) -> Array:
-        if self.jacobian_func is not None:
-            return _point(self.jacobian_func, self.batched, x)
-        return self.jacobian_rows(np.atleast_1d(np.asarray(x, dtype=float))[None])[0]
+        return self.jacobian_rows(_row(x))[0]
 
     def jacobian_rows(self, x) -> Array:
         """Jacobians at the rows of x (N, m): shape (N, n, m); central
@@ -111,7 +107,7 @@ class ChartMap(_RowCalculus):
         return self.inverse
 
     def inverse_point(self, y) -> Array:
-        return _point(self._inverse(), self.batched, y)
+        return self.inverse_rows(_row(y))[0]
 
     def inverse_rows(self, y) -> Array:
         """Inverse images of the rows of y (N, n): shape (N, m)."""
@@ -213,11 +209,10 @@ def _rk4_flow(X: VectorField, t: float, steps: int) -> ChartMap:
     h = t / steps
 
     def jacobian(x):
-        x = np.array(x, dtype=float)
         eye = np.broadcast_to(np.eye(X.dim), x.shape + (X.dim,))
         return _rk4_steps(X, h, steps, None, x, eye)[1]
 
-    return ChartMap(lambda x: _rk4_steps(X, h, steps, None, np.array(x, dtype=float))[0],
+    return ChartMap(lambda x: _rk4_steps(X, h, steps, None, x)[0],
                     X.dim, X.dim, jacobian_func=jacobian,
                     name=f"flow({X.name},{t:g})", batched=True)
 

@@ -48,8 +48,8 @@ def _write(path, text: str) -> None:
 
 def _load_config(args):
     """The SuiteConfig and the suite ids of an optional JSON config file (an
-    object of SuiteConfig fields plus "suites"), overridden by the flags;
-    an unknown suite id is an error for every command, a demo included."""
+    object of SuiteConfig fields plus "suites"), overridden by the flags; an
+    unknown or repeated suite id is an error for every command, a demo included."""
     config, suites = SuiteConfig(), []
     if args.config:
         with open(args.config) as fh:
@@ -72,6 +72,9 @@ def _load_config(args):
     unknown = [s for s in suites if s not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite ids {unknown}; available: {sorted(SUITES)}")
+    repeated = sorted({s for s in suites if suites.count(s) > 1})
+    if repeated:
+        raise ValueError(f"repeated suite ids {repeated}: each suite runs once")
     return config, suites
 
 

@@ -147,8 +147,9 @@ class SourceDomain:
         ends) on the interval.  values may be (n_nodes,), (n_nodes, m) or a
         stack (B, n_nodes, m); each map of a stack is differentiated exactly
         as it would be alone: D @ values.reshape(lead, n, -1) takes one
-        (n, n) product per map and grid line, or one FFT on long axes."""
-        values = np.asarray(values, dtype=float)
+        (n, n) product per map and grid line, or one FFT on long axes, which
+        alone takes the real part: complex data passes through short axes."""
+        values = np.asarray(values)
         if axis < 0 or axis >= max(self.dim, 1) or self.dim == 0:
             raise IndexError(f"axis {axis} out of range for dim-{self.dim} domain")
         n, node = self.shape[axis], max(values.ndim - 2, 0)
@@ -206,7 +207,7 @@ class SourceDomain:
         column counts, from one transform of all columns."""
         if self.periods is None:
             return 0.0
-        c = np.asarray(values, dtype=float).reshape(self.shape + (-1,))
+        c = np.asarray(values).reshape(self.shape + (-1,))
         c = np.abs(np.fft.fftn(c, axes=tuple(range(self.dim))))
         scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
         # dividing by the positive scale keeps the order, so the running
@@ -294,7 +295,7 @@ def _derivative_symbol(n: int, length: float, trailing: int) -> Array:
 
 
 def _spectral_derivative(values: Array, axis: int, length: float) -> Array:
-    vhat = np.fft.fft(values, axis=axis)
+    vhat = np.fft.fft(np.asarray(values, dtype=float), axis=axis)
     vhat *= _derivative_symbol(values.shape[axis], length, values.ndim - axis - 1)
     return np.real(np.fft.ifft(vhat, axis=axis))
 

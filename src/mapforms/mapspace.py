@@ -149,8 +149,8 @@ class MapSpaceForm:
 
 
 def map_from_function(dom: SourceDomain, func, target_dim: int) -> MapPoint:
-    vals = np.array([np.asarray(func(s), dtype=float) for s in dom.nodes])
-    vals = vals.reshape(dom.n_nodes, target_dim)
+    """The map point of a row function, one call func(dom.nodes) -> (n_nodes, m)."""
+    vals = np.asarray(func(dom.nodes), dtype=float).reshape(dom.n_nodes, target_dim)
     warn_if_rough(dom, vals)
     return MapPoint(dom, vals)
 
@@ -375,8 +375,6 @@ def pushforward_tangent(phi: ChartMap, Y: MapTangent) -> MapTangent:
 def pullback_action(psi: ChartMap, f: MapPoint) -> MapPoint:
     """(ψ·f) = f∘ψ^{-1}, resampled at ψ^{-1}(nodes) by trigonometric
     interpolation; only periodic domains resample."""
-    if psi.inverse is None:
-        raise ValueError("the reparameterization needs an inverse")
     vals = f.dom.resample(f.values, psi.inverse_rows(f.dom.nodes))
     return replace(f, values=vals)
 
@@ -487,8 +485,6 @@ def action_pullback_S(W: MapSpaceForm, psi: ChartMap) -> MapSpaceForm:
     points ψ^{-1}(nodes)."""
 
     def ev(F: MapStack, tangents) -> Array:
-        if psi.inverse is None:
-            raise ValueError("the reparameterization needs an inverse")
         pts = psi.inverse_rows(F.dom.nodes)
 
         def moved(arr):

@@ -114,13 +114,13 @@ def hamiltonian_field_r2(h: ScalarFunc, name: str) -> HamiltonianPair:
     """On (R^2, dx∧dy), i_{X_h}(dx∧dy) = dh gives X_h = (∂_y h, -∂_x h)."""
 
     def func(x):
-        g = np.asarray(h.grad(x), dtype=float)
+        g = h.grad(x)
         return np.stack([g[:, 1], -g[:, 0]], axis=-1)
 
     jac = None
     if h.hess is not None:
         def jac(x):
-            H = np.asarray(h.hess(x), dtype=float)
+            H = h.hess(x)
             return np.stack([H[:, 1], -H[:, 0]], axis=1)
 
     return HamiltonianPair(name, h, VectorField(func, 2, jacobian_func=jac,
@@ -167,7 +167,7 @@ def hamiltonian_of(sys: HamiltonianSystem, X: VectorField) -> Callable[[Array], 
     x0 = sys.base_point
 
     def h(x):
-        seg = np.asarray(x, dtype=float) - x0
+        seg = x - x0
         # every quadrature point of every segment, quadrature-major
         y = (x0 + t[:, None, None] * seg).reshape(-1, x0.size)
         segs = np.tile(seg, (len(t), 1))

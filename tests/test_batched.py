@@ -21,6 +21,7 @@ from mapforms import catalog as cat
 from mapforms import grassmannian as gr
 from mapforms import mechanics as me
 from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobian_rows,
+                             _RowCalculus,
                              _rk4_flow, _rk4_steps, affine_field, affine_map,
                              constant_field, field_from_callable, identity_map,
                              rotation3)
@@ -359,6 +360,38 @@ def test_field_rows_match_single_points(name):
     check_rows(X, x, jac_tol)
     assert X.rows(x).shape == (N, X.dim)
     check_jacobian_consistent(X, x)
+
+
+@pytest.mark.parametrize("name", [f"map-{n}" for n in sorted(_maps())]
+                         + [f"field-{n}" for n in sorted(_fields())])
+def test_single_point_is_row_0_of_one_row_call(name, monkeypatch):
+    kind, key = name.split("-", 1)
+    obj = (_maps() if kind == "map" else _fields())[key][0]
+    calls = []
+
+    def counted(cls, method):
+        inner = getattr(cls, method)
+
+        def wrapped(self, x):
+            if self is obj:
+                calls.append((method, np.shape(x)))
+            return inner(self, x)
+        monkeypatch.setattr(cls, method, wrapped)
+
+    for cls, method in [(_RowCalculus, "rows"), (_RowCalculus, "jacobian_rows"),
+                        (ChartMap, "inverse_rows")]:
+        counted(cls, method)
+    dim = getattr(obj, "source_dim", getattr(obj, "dim", None))
+    x = points(dim, seed=43)[0][0]
+    obj(x)
+    assert calls == [("rows", (1, dim))]
+    calls.clear()
+    obj.jacobian(x)
+    assert [c for c in calls if c[0] == "jacobian_rows"] == [("jacobian_rows", (1, dim))]
+    if getattr(obj, "inverse", None) is not None:
+        calls.clear()
+        obj.inverse_point(obj(x))
+        assert calls == [("rows", (1, dim)), ("inverse_rows", (1, obj.target_dim))]
 
 
 def test_bracket_matches_per_point_formula():

@@ -309,6 +309,21 @@ def test_unknown_config_suite_is_usage_error_for_every_command(tmp_path, capsys)
     assert not (tmp_path / "out").exists()
 
 
+# a repeated suite id would run its suite twice and write each record id twice
+def test_repeated_suite_id_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "bar-calculus", "--suite", "bar-calculus", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "repeated suite ids ['bar-calculus']" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": ["branes", "boundary", "branes"]}))
+    for argv in (["verify"], ["demo", "branes", "--out", str(tmp_path / "out")]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "repeated suite ids ['branes']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # an --out that cannot be written is a usage error, not a traceback after the run
 @pytest.mark.parametrize("argv, existing", [
     (["verify", "--suite", "bar-calculus"], "directory"),

@@ -85,3 +85,28 @@ def test_differentiation_matrices_are_cached_read_only():
         D = _spectral_matrix(n, 2.0 * np.pi)
         assert np.max(np.abs(D + D.T)) < 1e-14
         assert np.max(np.abs(D @ np.ones(n))) < 1e-14
+
+
+@pytest.mark.parametrize("make_dom", [lambda: circle(MATRIX_MAX_NODES), lambda: torus2(16),
+                                      lambda: interval(33)], ids=["circle", "torus2", "interval"])
+def test_short_axes_keep_a_complex_dtype(make_dom):
+    # the matrix product is linear over the complex numbers, so the real and
+    # imaginary parts are differentiated as two real arrays would be, up to
+    # the roundoff of a complex product
+    dom = make_dom()
+    rng = np.random.default_rng(44)
+    re, im = rng.uniform(-1.0, 1.0, (2, dom.n_nodes, 3))
+    for axis in range(dom.dim):
+        got = dom.differentiate(re + 1j * im, axis)
+        want = dom.differentiate(re, axis) + 1j * dom.differentiate(im, axis)
+        assert got.dtype == complex
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_long_axes_and_resampling_take_the_real_part():
+    dom = circle(MATRIX_MAX_NODES + 1)
+    values = np.cos(dom.nodes) + 1j * np.sin(dom.nodes)
+    with pytest.warns(np.exceptions.ComplexWarning):
+        assert dom.differentiate(values, 0).dtype == float
+    with pytest.warns(np.exceptions.ComplexWarning):
+        dom.resample(values, dom.nodes[:3])

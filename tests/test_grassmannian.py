@@ -23,7 +23,7 @@ def test_embedding_gates():
     with pytest.raises(gr.EmbeddingError):
         gr.embed(MapPoint(dom, np.tile([1.0, 0.0, 0.0], (64, 1))))
     fig8 = map_from_function(
-        dom, lambda s: np.array([np.sin(2 * s[0]), np.sin(s[0]), 0.0]), 3)
+        dom, lambda s: np.column_stack([np.sin(2 * s[:, 0]), np.sin(s[:, 0]), 0.0 * s[:, 0]]), 3)
     with pytest.raises(gr.EmbeddingError):
         gr.embed(fig8)
     N = unit_circle_submanifold(64)
@@ -34,9 +34,9 @@ def test_embedding_gates():
 def test_embedding_min_singular_value_on_a_torus():
     # the standard torus: singular values r and R + r cos v at every node
     R, r = 2.0, 0.5
-    T = map_from_function(torus2(16), lambda s: np.array([
-        (R + r * np.cos(s[1])) * np.cos(s[0]), (R + r * np.cos(s[1])) * np.sin(s[0]),
-        r * np.sin(s[1])]), 3)
+    T = map_from_function(torus2(16), lambda s: np.column_stack([
+        (R + r * np.cos(s[:, 1])) * np.cos(s[:, 0]), (R + r * np.cos(s[:, 1])) * np.sin(s[:, 0]),
+        r * np.sin(s[:, 1])]), 3)
     N = gr.embed(T)
     loop = min(np.linalg.svd(J, compute_uv=False)[-1] for J in T.jacobian())
     assert N.min_singular_value == loop
