@@ -59,15 +59,15 @@ def torus_graph_map(dom: SourceDomain) -> ms.MapPoint:
 
 def _trig_terms(dim: int, rng: np.random.Generator, n_terms: int, max_mode: int,
                 amp: float, integer_modes: bool):
-    """Modes (n_terms, dim), amplitudes and phases of one random
-    trigonometric scalar, drawn in that order."""
+    """Modes (n_terms, dim), amplitudes and phases of one random trigonometric
+    scalar, drawn in that order; modes drawn flat are the same C-order stream."""
     if integer_modes:
-        K = rng.integers(-max_mode, max_mode + 1, size=(n_terms, dim)).astype(float)
+        K = rng.integers(-max_mode, max_mode + 1, size=n_terms * dim).astype(float)
     else:
-        K = rng.uniform(-1.0, 1.0, size=(n_terms, dim))
+        K = rng.uniform(-1.0, 1.0, size=n_terms * dim)
     A = amp * rng.uniform(-1.0, 1.0, size=n_terms)
     P = rng.uniform(0.0, 2.0 * np.pi, size=n_terms)
-    return K, A, P
+    return K.reshape(n_terms, dim), A, P
 
 
 def random_scalar(dim: int, rng: np.random.Generator, n_terms: int = 2,

@@ -6,8 +6,9 @@ evaluates points stacked as rows through `rows`, `jacobian_rows` and
 `inverse_rows`, one route each.  Its callables take rows when it is built
 with batched=True, as by every constructor here except `field_from_callable`,
 and single points otherwise; a single point is row 0 of one row call.
-Instances are immutable and their callables must be pure, so evaluation is
-safe to run concurrently.
+Rows and values are at least float64, so complex rows stay complex; a
+single point is a float row.  Instances are immutable and their callables
+must be pure, so evaluation is safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -34,15 +35,10 @@ def broadcast_rows(value, x: Array) -> Array:
     return np.broadcast_to(value, x.shape[:-1] + value.shape)
 
 
-def apply_rows(func: Callable[[Array], Array], x: Array) -> Array:
-    """A per-point callable applied to every row of x."""
-    return np.array([func(xi) for xi in x], dtype=float)
-
-
 def _fd_jacobian_rows(func: Callable, x: Array, step: float) -> Array:
     """Central-difference Jacobians (N, n, m) of a batched func at the rows
     of x (N, m); all 2m shifted copies of all N rows go through one call."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)  # the shifts x ± e are at least float64
     n_rows, m = x.shape
     e = step * np.eye(m)[:, None, :]
     shifted = np.concatenate([x + e, x - e]).reshape(2 * m * n_rows, m)
@@ -55,9 +51,16 @@ def _row(x) -> Array:
     return np.atleast_1d(np.asarray(x, dtype=float))[None]
 
 
+def _floating(a) -> Array:
+    """a as an array of at least float64: float64, or complex128 if complex."""
+    a = np.asarray(a)  # float64 (char d) and complex128 (D) pass as they are
+    return a if a.dtype.char in "dD" else a.astype(np.promote_types(a.dtype, np.float64))
+
+
 def _rows(func: Callable, batched: bool, x) -> Array:
-    x = np.asarray(x, dtype=float)
-    return np.asarray(func(x), dtype=float) if batched else apply_rows(func, x)
+    """func at the rows of x, row by row unless batched, at least float64."""
+    x = _floating(x)
+    return _floating(func(x) if batched else [func(xi) for xi in x])
 
 
 class _RowCalculus:
@@ -101,17 +104,14 @@ class ChartMap(_RowCalculus):
 
     _func = property(lambda self: self.forward)
 
-    def _inverse(self) -> Callable[[Array], Array]:
-        if self.inverse is None:
-            raise ValueError(f"map {self.name!r} has no inverse")
-        return self.inverse
-
     def inverse_point(self, y) -> Array:
         return self.inverse_rows(_row(y))[0]
 
     def inverse_rows(self, y) -> Array:
         """Inverse images of the rows of y (N, n): shape (N, m)."""
-        return _rows(self._inverse(), self.batched, y)
+        if self.inverse is None:
+            raise ValueError(f"map {self.name!r} has no inverse")
+        return _rows(self.inverse, self.batched, y)
 
 
 def identity_map(dim: int) -> ChartMap:
@@ -290,4 +290,4 @@ def as_field(X, dim: int) -> VectorField:
         if X.dim != dim:
             raise DimensionMismatch(f"field dim {X.dim} != chart dim {dim}")
         return X
-    return constant_field(np.asarray(X, dtype=float))
+    return constant_field(X)

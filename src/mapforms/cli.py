@@ -172,11 +172,11 @@ def cmd_converge(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
-    base_nodes = levels[0]
+    base_nodes = grids[0].n_nodes  # a torus2 level is rounded to a square grid
     rows = []
-    for nodes, dom in zip(levels, grids):
-        fd = DEFAULT_FD_STEP * base_nodes / nodes * 40.0  # keep the FD term visible
-        rows.append((nodes, fd, measure(dom, fd, np.random.default_rng([args.seed, salt]))))
+    for dom in grids:
+        fd = DEFAULT_FD_STEP * base_nodes / dom.n_nodes * 40.0  # keep the FD term visible
+        rows.append((dom.n_nodes, fd, measure(dom, fd, np.random.default_rng([args.seed, salt]))))
     steps = [1.0 / n for n, _, _ in rows]
     residuals = [r for _, _, r in rows]
     order, note = fit_order(steps, residuals)

@@ -147,8 +147,8 @@ class SourceDomain:
         ends) on the interval.  values may be (n_nodes,), (n_nodes, m) or a
         stack (B, n_nodes, m); each map of a stack is differentiated exactly
         as it would be alone: D @ values.reshape(lead, n, -1) takes one
-        (n, n) product per map and grid line, or one FFT on long axes, which
-        alone takes the real part: complex data passes through short axes."""
+        (n, n) product per map and grid line, or one FFT on long axes.
+        Complex values stay complex: the result is D(re) + i D(im)."""
         values = np.asarray(values)
         if axis < 0 or axis >= max(self.dim, 1) or self.dim == 0:
             raise IndexError(f"axis {axis} out of range for dim-{self.dim} domain")
@@ -178,7 +178,7 @@ class SourceDomain:
         Only periodic domains resample."""
         if self.periods is None:
             raise ValueError(f"no interpolation on domain kind {self.kind!r}")
-        values = np.asarray(values, dtype=float)
+        values = np.asarray(values)
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = _trig_interp(values.reshape(self.n_nodes, -1), self.shape, pts)
         return out.reshape((pts.shape[0],) + values.shape[1:])
@@ -295,7 +295,11 @@ def _derivative_symbol(n: int, length: float, trailing: int) -> Array:
 
 
 def _spectral_derivative(values: Array, axis: int, length: float) -> Array:
-    vhat = np.fft.fft(np.asarray(values, dtype=float), axis=axis)
+    # a complex FFT would mix the real part's roundoff into a tiny imaginary part
+    if np.iscomplexobj(values):
+        return (_spectral_derivative(values.real, axis, length)
+                + 1j * _spectral_derivative(values.imag, axis, length))
+    vhat = np.fft.fft(values, axis=axis)
     vhat *= _derivative_symbol(values.shape[axis], length, values.ndim - axis - 1)
     return np.real(np.fft.ifft(vhat, axis=axis))
 
@@ -337,7 +341,10 @@ def _trig_interp(flat: Array, shape: tuple, pts: Array) -> Array:
     """Tensor-product trigonometric interpolant of every column of flat
     (n_nodes, comps) at pts (P, k): the coefficients of all columns, laid
     out (n_0, comps, n_1, ...), meet the axis-0 basis in one matrix product;
-    the other axes are then summed out one by one from the last."""
+    the other axes are then summed out one by one from the last.  Complex
+    data goes one part at a time, as in _spectral_derivative."""
+    if np.iscomplexobj(flat):
+        return _trig_interp(flat.real, shape, pts) + 1j * _trig_interp(flat.imag, shape, pts)
     k, comps = len(shape), flat.shape[1]
     c = np.fft.fftn(flat.reshape(shape + (comps,)), axes=tuple(range(k)))
     c = c.transpose((0, k, *range(1, k))) / flat.shape[0]

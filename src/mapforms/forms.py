@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .charts import (DEFAULT_FD_STEP, ChartMap, DimensionMismatch, VectorField,
-                     _rk4_sign_pair, as_field, broadcast_rows, identity_map)
+                     _rk4_sign_pair, _row, as_field, broadcast_rows, identity_map)
 
 Array = np.ndarray
 
@@ -113,7 +113,7 @@ class ScalarFunc:
 
     def __call__(self, x) -> float:
         """Value at a single point."""
-        return float(self.value(np.atleast_1d(np.asarray(x, dtype=float))[None])[0])
+        return float(self.value(_row(x))[0])
 
 
 def scalar_const(c: float, dim: int) -> ScalarFunc:
@@ -132,18 +132,14 @@ def scalar_coordinate(i: int, dim: int) -> ScalarFunc:
 
 
 def scalar_sum(funcs: Sequence[ScalarFunc]) -> ScalarFunc:
+    """The sum of funcs; a gradient or Hessian only if every summand has one."""
     funcs = list(funcs)
 
-    def value(x):
-        return sum(f.value(x) for f in funcs)
+    def summed(part: str):
+        parts = [getattr(f, part) for f in funcs]
+        return None if any(g is None for g in parts) else lambda x: sum(g(x) for g in parts)
 
-    grad = None
-    if all(f.grad is not None for f in funcs):
-        grad = lambda x: sum(f.grad(x) for f in funcs)  # noqa: E731
-    hess = None
-    if all(f.hess is not None for f in funcs):
-        hess = lambda x: sum(f.hess(x) for f in funcs)  # noqa: E731
-    return ScalarFunc(value, grad, hess)
+    return ScalarFunc(summed("value"), summed("grad"), summed("hess"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,9 +240,7 @@ class Form:
             raise DegreeError(
                 f"form of degree {self.degree} evaluated on {len(vectors)} vectors"
             )
-        vs = [np.atleast_1d(np.asarray(v, dtype=float))[None] for v in vectors]
-        x = np.atleast_1d(np.asarray(point, dtype=float))[None]
-        return float(self.evaluator(x, vs)[0])
+        return float(self.evaluator(_row(point), [_row(v) for v in vectors])[0])
 
 
 def zero_form(dim: int, degree: int) -> Form:

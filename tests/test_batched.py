@@ -394,6 +394,53 @@ def test_single_point_is_row_0_of_one_row_call(name, monkeypatch):
         assert calls == [("rows", (1, dim)), ("inverse_rows", (1, obj.target_dim))]
 
 
+def _square(x):
+    return x ** 2
+
+
+def _square_jacobian(x):
+    return 2.0 * x[..., :, None] * np.eye(x.shape[-1])
+
+
+def _dtype_cases():
+    """Maps and fields whose values and Jacobians depend on the point."""
+    field = VectorField(_square, 2, jacobian_func=_square_jacobian, batched=True)
+    return {
+        "map": ChartMap(_square, 2, 2, jacobian_func=_square_jacobian, batched=True),
+        "fd-map": ChartMap(_square, 2, 2, batched=True),
+        "per-point-map": ChartMap(_square, 2, 2, jacobian_func=_square_jacobian),
+        "field": field,
+        "rk4-flow": field.flow(0.1, 2),
+    }
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+@pytest.mark.parametrize("x, dtype", [
+    ([[0.5, 1.0], [2.0, -1.0]], np.float64),
+    (np.array([[1, 2], [3, -1]]), np.float64),
+    (np.array([[0.5, 1.0]], dtype=np.float32), np.float64),
+    (np.array([[0.5 + 1e-30j, 1.0]]), np.complex128),
+    (np.array([[0.5 + 1j, 1.0]], dtype=np.complex64), np.complex128),
+], ids=["list", "int", "float32", "complex128", "complex64"])
+@pytest.mark.parametrize("name", sorted(_dtype_cases()))
+def test_rows_are_at_least_float64_and_keep_a_complex_dtype(name, x, dtype):
+    obj = _dtype_cases()[name]
+    values, jac = obj.rows(x), obj.jacobian_rows(x)
+    assert (values.dtype, jac.dtype) == (dtype, dtype)
+    rows = np.asarray(x).astype(dtype)
+    assert np.array_equal(values, obj.rows(rows))
+    if dtype is np.complex128 and name != "rk4-flow":
+        # the imaginary part is carried, not dropped: Im (x + ih)^2 = 2 x h
+        assert np.array_equal(values.imag, 2.0 * rows.real * rows.imag)
+
+
+def test_row_values_are_at_least_float64():
+    for out in (np.float32, np.int64, bool):
+        phi = ChartMap(lambda x: np.ones(x.shape, out), 2, 2, batched=True)
+        assert phi.rows([[1, 2]]).dtype == np.float64
+        assert phi.jacobian_rows(np.array([[1.0, 2.0]], np.float32)).dtype == np.float64
+
+
 def test_bracket_matches_per_point_formula():
     rng = np.random.default_rng(25)
     X, Y = _trig_field(3, rng), affine_field(rng.uniform(-1, 1, (3, 3)))

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from mapforms import mechanics as me
+from mapforms.charts import DEFAULT_FD_STEP
 from mapforms.cli import main
 from mapforms.forms import ScalarFunc
-from mapforms.report import TestRecord
+from mapforms.report import TestRecord, fit_order
 from mapforms.suites import SUITES, SuiteConfig, run_branes
 
 REPO = Path(__file__).resolve().parent.parent
@@ -442,7 +443,26 @@ def test_converge_runs_each_level_on_its_suite_config(monkeypatch, capsys):
     # a torus level sets the side make_domain gives its node count
     assert main(["converge", "--identity", "derivation-torus", "--levels", "600,1100"]) == 0
     assert grids == [(7, 48, 24), (7, 48, 33)]
-    assert "600,4.000000e-03," in capsys.readouterr().out
+    assert "576,4.000000e-03," in capsys.readouterr().out
+
+
+def test_converge_reports_the_node_count_of_each_grid(tmp_path, capsys):
+    # a torus2 level rounds to a square side: 1100 runs on torus2(33), whose
+    # 1089 nodes fill the table, scale the FD step and enter the fit
+    out = tmp_path / "table.json"
+    assert main(["converge", "--identity", "derivation-torus", "--levels", "576,1024,1100",
+                 "--format", "json", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    table = json.loads(out.read_text())
+    nodes = [level["nodes"] for level in table["levels"]]
+    assert nodes == [576, 1024, 1089]
+    assert [level["fd_step"] for level in table["levels"]] == [
+        DEFAULT_FD_STEP * 576 / n * 40.0 for n in nodes]
+    assert [line.split(",")[0] for line in text.splitlines() if line[:1].isdigit()] == [
+        "576", "1024", "1089"]
+    order, _ = fit_order([1.0 / n for n in nodes],
+                         [level["residual"] for level in table["levels"]])
+    assert table["order"] == order
 
 
 def test_converge_torus_fits_second_order_on_resolved_levels(capsys):

@@ -275,12 +275,15 @@ def complex_step_d(W, f, ts):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("make_dom, m, p, q", [
     (lambda: circle(48), 3, 2, 0), (lambda: circle(48), 3, 1, 1),
-    (lambda: torus2(48), 4, 2, 1)], ids=["circle-p2q0", "circle-p1q1", "torus2-p2q1"])
+    (lambda: torus2(48), 4, 2, 1), (lambda: circle(128), 3, 2, 0),
+    (lambda: circle(128), 3, 1, 1)],
+    ids=["circle-p2q0", "circle-p1q1", "torus2-p2q1", "circle128-p2q0", "circle128-p1q1"])
 def test_complex_step_meets_the_derivation_identity(make_dom, m, p, q, seed):
-    # short axes differentiate complex map values by the cached matrix, so
-    # the pairing's evaluator keeps the imaginary part end to end.  The gap
-    # left is the grid's: torus2(32) leaves 1.6e-12 at seed 1, where the
-    # side of 48 leaves 2e-16
+    # short axes differentiate complex map values by the cached matrix, and
+    # long axes (circle(128)) by one FFT of each part, so the pairing's
+    # evaluator keeps the imaginary part end to end.  The gap left is the
+    # grid's: torus2(32) leaves 1.6e-12 at seed 1, where the side of 48
+    # leaves 2e-16; central differences leave about 1e-9 on circle(128)
     dom = make_dom()
     rng = np.random.default_rng(seed)
     om = cat.random_form(m, p, rng, amp=0.8)
