@@ -23,9 +23,11 @@ chart first.  So exterior calculus on F(S,M) is the chart formula of
 forms.alternating_differences, with constant-extension central differences
 of whole maps.  The Lie derivative has a second, flow route: the central
 difference in t of the forms pulled back by the time-t action.  The
-momenta of mechanics are bar_map_direct of 0-forms.  Only the fiber-route
-oracle evaluates a stack map by map.
-"""
+momenta of mechanics are bar_map_direct of 0-forms.  The fiber-route oracle,
+the quadratures of hat_pairing, bar_map_direct and mechanics.diffex_routes
+and the resampling of action_pullback_S loop over the maps of a stack: one
+product over the stack could round differently, and tests/test_stacked.py
+holds each map to its single-map value bit for bit."""
 
 from __future__ import annotations
 

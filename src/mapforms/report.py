@@ -101,17 +101,25 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def worst(values) -> float:
+    """The worst of a record's cases (numbers or arrays): their maximum, NaN if any is NaN."""
+    return float(np.max(np.hstack(list(values))))
+
+
 def fit_order(steps, residuals):
     """Least-squares slope of log(residual) vs log(step).
 
     Returns (order, note): the order is None with note "floor" when every
-    residual sits below RESIDUAL_FLOOR (spectral tests), and None with
-    note "n/a" when fewer than two levels are available.
+    residual sits below RESIDUAL_FLOOR (spectral tests), None with note
+    "n/a" when fewer than two levels are available, and NaN (which fails
+    any order target) with note "non-finite" when a residual is not finite.
     """
     steps = np.asarray(steps, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     if steps.size < 2:
         return None, "n/a"
+    if not np.all(np.isfinite(residuals)):
+        return float("nan"), "non-finite"
     if np.all(residuals < RESIDUAL_FLOOR):
         return None, "floor"
     keep = residuals > 0

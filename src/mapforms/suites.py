@@ -35,7 +35,7 @@ from .mapspace import (MapPoint, MapStack, MapTangent, action_pullback_M,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, mapspace_scale, mapspace_sum,
                        pushforward_tangent)
-from .report import CONVENTIONS, TestRecord, fit_order
+from .report import CONVENTIONS, TestRecord, fit_order, worst
 
 IDENTITY_TOL = 1e-6
 ORDER_TARGET = 1.9
@@ -133,10 +133,11 @@ class _Records(list):
         seed = self.config.seed
         cases = {key: residual(np.random.default_rng([seed, *key]))
                  for key in dict.fromkeys([*trial_keys, ladder_key])}
-        worst = max(abs(cases[key](DEFAULT_FD_STEP)) for key in trial_keys)
         at = cases[ladder_key]
         floor = at(2e-5)
-        self.add(test_id, statement, worst, IDENTITY_TOL, dom, fd=True,
+        self.add(test_id, statement,
+                 worst(abs(cases[key](DEFAULT_FD_STEP)) for key in trial_keys),
+                 IDENTITY_TOL, dom, fd=True,
                  fit=fit_order(steps, [abs(at(h) - floor) for h in steps]))
 
 
@@ -189,11 +190,8 @@ def two_route_sweep(kind: str, cases: int, config: SuiteConfig):
     dom = make_domain(kind, {"circle": min(config.nodes, 64), "torus2": 256,
                              "interval": min(config.interval_nodes, 65)}[kind])
     m, sigs = TWO_ROUTE_SIGNATURES[kind]
-    worst = 0.0
-    for i in range(cases):
-        p, q = sigs[i % len(sigs)]
-        worst = max(worst, two_route_residual(dom, m, p, q, rng))
-    return worst, dom
+    return worst(two_route_residual(dom, m, *sigs[i % len(sigs)], rng)
+                 for i in range(cases)), dom
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +237,10 @@ def run_hat_calculus(config: SuiteConfig):
     # two-route agreement, spot level
     for kind, (m, sigs) in TWO_ROUTE_SIGNATURES.items():
         dom = doms[kind] if kind != "torus2" else torus2(16)
-        worst = max(two_route_residual(dom, m, p, q, rng) for p, q in sigs)
         records.add(f"two-route-{kind}",
                     "(w.a)^ pointwise route = fiber-integration route",
-                    worst, IDENTITY_TOL, dom)
+                    worst(two_route_residual(dom, m, p, q, rng) for p, q in sigs),
+                    IDENTITY_TOL, dom)
 
     # derivation identity with refinement order in the FD step
     for kind, m, p, q in DERIVATION_CASES:
@@ -349,14 +347,11 @@ def run_hat_calculus(config: SuiteConfig):
 
     # exact w, closed a, p+q = k: the induced function vanishes
     rngV = np.random.default_rng([config.seed, 10])
-    worstV = 0.0
-    for _ in range(20):
-        h_pot = cat.random_form(3, 0, rngV)
-        loop = cat.random_loop(dom, 3, rngV)
-        val = hat_pairing(h_pot.analytic_d, float(rngV.uniform(-1.0, 1.0)), dom)(loop)
-        worstV = max(worstV, abs(val))
-    records.add("exact-closed-vanishing",
-                "(w.a)^ = 0 for exact w, closed a, p+q = dim S", worstV, 1e-10, dom)
+    cases = [(cat.random_form(3, 0, rngV), cat.random_loop(dom, 3, rngV),
+              float(rngV.uniform(-1.0, 1.0))) for _ in range(20)]
+    records.add("exact-closed-vanishing", "(w.a)^ = 0 for exact w, closed a, p+q = dim S",
+                worst(abs(hat_pairing(h_pot.analytic_d, c, dom)(loop))
+                      for h_pot, loop, c in cases), 1e-10, dom)
 
     # flat-model d∘d = 0 on F(S,M)
     rngD = np.random.default_rng([config.seed, 11])
@@ -524,17 +519,15 @@ def run_tilda_calculus(config: SuiteConfig):
     _, sv, Vt = np.linalg.svd(G)
     nkernel = int(np.sum(sv < 1e-10 * sv[0]))
     Tf_s = circ_s.rep.jacobian()
-    tangentials = np.array([np.concatenate([Tf_s[i, :, 0] if i == j else np.zeros(3)
-                                            for j in range(small.n_nodes)])
-                            for i in range(small.n_nodes)])
-    kernel_basis = Vt[len(sv) - nkernel:]
-    defect = 0.0
-    for vec in kernel_basis:
-        coeffs = np.linalg.lstsq(tangentials.T, vec, rcond=None)[0]
-        defect = max(defect, float(np.linalg.norm(tangentials.T @ coeffs - vec)))
+    # worst distance of a kernel vector from the nodal tangentials (columns of T)
+    T = np.array([np.concatenate([Tf_s[i, :, 0] if i == j else np.zeros(3)
+                                  for j in range(small.n_nodes)])
+                  for i in range(small.n_nodes)]).T
+    defect = worst(np.linalg.norm(T @ np.linalg.lstsq(T, vec, rcond=None)[0] - vec)
+                   for vec in Vt[len(sv) - nkernel:]) if nkernel == small.n_nodes else 1.0
     records.add("mw-kernel-rank",
                 "kernel of the nodal Gram matrix = tangential directions only",
-                defect if nkernel == small.n_nodes else 1.0, 1e-8, small,
+                defect, 1e-8, small,
                 detail=f"kernel dim {nkernel} of expected {small.n_nodes}")
     return records
 
@@ -687,7 +680,7 @@ def run_momentum(config: SuiteConfig):
         for xi in elements:
             g = cat.random_map(dom, 2, rngx, amp=0.8)
             cases.append(me.momentum_identity_residual(action, xi, g, cat.random_tangent(g, rngx)))
-        return lambda h: max(case(h) for case in cases)
+        return lambda h: worst(case(h) for case in cases)
 
     # lifted finite-dimensional action
     group = me.se2_action()
@@ -703,11 +696,10 @@ def run_momentum(config: SuiteConfig):
                 float(np.max(np.abs(J - np.array([-0.5, 0.0, 0.0])))), 1e-10, dom)
 
     const_map = MapPoint(dom, np.tile([0.3, -0.7], (dom.n_nodes, 1)))
-    Jc = np.array([lifted.momentum(e)(const_map) for e in basis])
-    expect = np.array([m(np.array([0.3, -0.7])) for m in group.momenta])
     records.add("momentum-lifted-constant-map",
                 "a constant map returns the base momentum exactly (normalized mu)",
-                float(np.max(np.abs(Jc - expect))), 1e-12, dom)
+                worst(abs(lifted.momentum(e)(const_map) - m(const_map.values[0]))
+                      for e, m in zip(basis, group.momenta)), 1e-12, dom)
 
     # hamiltonian diffeomorphisms of M
     ham = me.diffham_action(sys, dom)
@@ -737,7 +729,7 @@ def run_momentum(config: SuiteConfig):
     r1, r2 = (float(r[0]) for r in me.diffex_routes(om_ex, domt, alpha)(MapStack.of(f4)))
     records.add("momentum-diffex-value",
                 "<J(f), X_alpha> = direct quadrature of the pulled-back integrand",
-                max(abs(r1 - oracle), abs(r2 - oracle), abs(r1 - r2)), 1e-9, domt,
+                worst([abs(r1 - oracle), abs(r2 - oracle), abs(r1 - r2)]), 1e-9, domt,
                 detail=f"value {r1:.12f}, oracle {oracle:.12f}")
 
     def diffex_residual(rngx):
@@ -753,8 +745,8 @@ def run_momentum(config: SuiteConfig):
     zero = ScalarField(domt, np.zeros(domt.n_nodes))
     const4 = MapPoint(domt, np.tile([0.2, 0.4, -0.1, 0.3], (domt.n_nodes, 1)))
     records.add("momentum-diffex-trivial", "constant alpha or constant f give zero momentum",
-                max(abs(me.momentum_diffex(om_ex, domt, zero)(f4)),
-                    abs(me.momentum_diffex(om_ex, domt, alpha)(const4))),
+                worst([abs(me.momentum_diffex(om_ex, domt, zero)(f4)),
+                       abs(me.momentum_diffex(om_ex, domt, alpha)(const4))]),
                 1e-12, domt)
     return records
 
@@ -779,21 +771,20 @@ def run_cocycles(config: SuiteConfig):
     vals = [dual(cat.random_map(dom, 2, rng, amp=0.7)) for _ in range(6)]
     records.add("cocycle-diffham-dual-route",
                 "<J(f),[X,Y]op> - omega bar(Xbar,Ybar)(f) = -omega(X,Y)(x0)",
-                max(abs(v - me.cocycle_diffham(sys, sx, sy)) for v in vals),
+                worst(abs(v - me.cocycle_diffham(sys, sx, sy)) for v in vals),
                 IDENTITY_TOL, dom, detail=f"sigma(x,y) = {me.cocycle_diffham(sys, sx, sy)!r}")
     records.add("cocycle-diffham-f-independence",
                 "the defining difference does not depend on the map",
-                max(vals) - min(vals), 1e-8, dom)
+                worst(abs(a - b) for a, b in itertools.combinations(vals, 2)), 1e-8, dom)
 
-    anti = max(abs(me.cocycle_diffham(sys, a, b) + me.cocycle_diffham(sys, b, a))
-               for a in pairs for b in pairs)
     records.add("cocycle-diffham-antisymmetry", "sigma(X,Y) = -sigma(Y,X) and sigma(X,X) = 0",
-                anti, 1e-12, dom)
+                worst(abs(me.cocycle_diffham(sys, a, b) + me.cocycle_diffham(sys, b, a))
+                      for a in pairs for b in pairs), 1e-12, dom)
 
-    worst = max(abs(me.cocycle_jacobi_sum(ham, lambda X, Y: me.cocycle_diffham(sys, X, Y), *uvw))
+    jac = worst(abs(me.cocycle_jacobi_sum(ham, lambda X, Y: me.cocycle_diffham(sys, X, Y), *uvw))
                 for uvw in [(sx, sy, sxy), (sxy, ssin, sr2), (sx, sxy, sr2)])
     records.add("cocycle-diffham-jacobi", "sum over cyclic permutations of sigma([X,Y],Z) = 0",
-                worst, IDENTITY_TOL, dom)
+                jac, IDENTITY_TOL, dom)
 
     # lifted action cocycle: value and f-independence
     group = me.se2_action()
@@ -803,7 +794,7 @@ def run_cocycles(config: SuiteConfig):
     spread = [dual(cat.random_map(dom, 2, rng, amp=0.7)) for _ in range(4)]
     records.add("cocycle-lifted-translations",
                 "<Jbar,[tx,ty]> - omega bar(tx,ty) = -omega(tx,ty) = -1, f-independent",
-                max(abs(v - base) for v in spread) + abs(base + 1.0), 1e-10, dom)
+                worst(abs(v - base) for v in spread) + abs(base + 1.0), 1e-10, dom)
 
     jac = me.cocycle_jacobi_sum(lifted, lambda u, v: me.cocycle_lifted_base(group, sys, u, v),
                                 e_rot, e_tx, e_ty)
@@ -821,7 +812,7 @@ def run_cocycles(config: SuiteConfig):
     maps = [cat.random_map(domt, 4, rng, amp=0.7) for _ in range(TRIALS)]
     records.add("cocycle-diffex-dual-route",
                 "<J(f),[X,Y]> - omega bar = integral of f*omega against P(i i mu)",
-                max(abs(sigma(g) - dual(g)) for g in maps), IDENTITY_TOL, domt)
+                worst(abs(sigma(g) - dual(g)) for g in maps), IDENTITY_TOL, domt)
 
     base_map = cat.random_map(domt, 4, rng, amp=0.7)
     bump = cat.random_map(domt, 4, rng, amp=0.5)
@@ -829,7 +820,8 @@ def run_cocycles(config: SuiteConfig):
             for t in np.linspace(0.0, 1.0, 5)]
     records.add("cocycle-diffex-homotopy",
                 "the value is constant along an explicit homotopy of maps",
-                max(vals) - min(vals), IDENTITY_TOL, domt)
+                worst(abs(a - b) for a, b in itertools.combinations(vals, 2)),
+                IDENTITY_TOL, domt)
 
     a3 = cat.random_stream(domt, rng, max_mode=2)
     jac = me.cocycle_jacobi_sum(diffex, lambda a, b: me.cocycle_diffex(om_ex, domt, a, b)(base_map),
@@ -842,12 +834,11 @@ def run_cocycles(config: SuiteConfig):
     nu_n = volume_form(2, 1.0 / domt.volume)
     ex = constant_field([1.0, 0.0])
     ey = constant_field([0.0, 1.0])
-    v1 = me.lichnerowicz(domt, eta, ex, ey, nu_n)
-    v2 = me.lichnerowicz(domt, eta, ey, ex, nu_n)
-    v3 = me.lichnerowicz(domt, eta, ex, ex, nu_n)
     records.add("lichnerowicz-values",
                 "volume-integral cocycle: constant data gives the coefficient; antisymmetric",
-                max(abs(v1 - 2.5), abs(v2 + 2.5), abs(v3)), 1e-10, domt)
+                worst(abs(me.lichnerowicz(domt, eta, X, Y, nu_n) - value)
+                      for X, Y, value in [(ex, ey, 2.5), (ey, ex, -2.5), (ex, ex, 0.0)]),
+                1e-10, domt)
 
     X1 = nodal_vector_field(domt, me.exact_divfree_field(domt, a1))
     X2 = nodal_vector_field(domt, me.exact_divfree_field(domt, a2))

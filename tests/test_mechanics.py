@@ -52,6 +52,15 @@ def test_catalog_validation_rejects_unnormalized(sys_r2):
         broken.validate(np.random.default_rng(1))
 
 
+def test_catalog_validation_rejects_a_nan_field(sys_r2):
+    # a NaN pair among finite ones must not be outvoted by them
+    x = sys_r2.pair("x")
+    nan_field = replace(x.field, func=lambda u: np.full(u.shape, np.nan))
+    broken = replace(sys_r2, catalog=(x, replace(x, name="nan", field=nan_field), x))
+    with pytest.raises(ValueError, match="catalog residual nan"):
+        broken.validate(np.random.default_rng(1))
+
+
 def test_momentum_diffham_values(sys_r2, loop_domain):
     f = cat.unit_circle_map(loop_domain, 2)
     assert abs(me.momentum_diffham(sys_r2, loop_domain, sys_r2.pair("x"))(f)) < 1e-14
@@ -338,6 +347,37 @@ def test_brane_gate_rejects_offplane_tangents():
     defect, reason = me.boundary_data_gate(D3, f, bad)
     assert defect == pytest.approx(0.5)
     assert reason == "boundary data leaves the subspace by 5.000e-01"
+
+
+def test_brane_gate_refuses_a_nan_endpoint_tangent():
+    iv = interval(65)
+    D3 = me.affine_subspace([0, 0, 0], np.array([[1., 0.], [0., 1.], [0., 0.]]))
+    f, ts = me.constrained_random_data(iv, D3, np.random.default_rng(11), 3)
+    vectors = ts[1].vectors.copy()
+    vectors[iv.boundary().parent_indices[-1], 2] = np.nan
+    defect, reason = me.boundary_data_gate(D3, f, [ts[0], MapTangent(f, vectors), ts[2]])
+    assert np.isnan(defect)
+    assert reason == "boundary data leaves the subspace by nan"
+
+
+def test_brane_check_does_not_pass_a_nan_trial(monkeypatch):
+    iv, cases = suites.brane_catalog(suites.SuiteConfig(seed=0))
+    _, H, B, D, _ = cases[0]
+    real = me.map_space_d
+
+    def nan_on_second_trial(W):
+        dW, trials = real(W), []
+
+        def ev(F, ts):
+            trials.append(F)
+            return dW.evaluator(F, ts) * (np.nan if len(trials) == 2 else 1.0)
+
+        return replace(dW, evaluator=ev)
+
+    assert me.brane_twist_check(H, B, D, iv, np.random.default_rng(5), n_trials=3).passed
+    monkeypatch.setattr(me, "map_space_d", nan_on_second_trial)
+    rep = me.brane_twist_check(H, B, D, iv, np.random.default_rng(5), n_trials=3)
+    assert rep.applicable and np.isnan(rep.closedness_residual) and not rep.passed
 
 
 def _endpoint_twist(H, B, D, dom):
