@@ -35,6 +35,11 @@ def broadcast_rows(value, x: Array) -> Array:
     return np.broadcast_to(value, x.shape[:-1] + value.shape)
 
 
+def worst(values) -> float:
+    """The worst of a record's cases (numbers or arrays): their maximum, NaN if any is NaN."""
+    return float(np.max(np.hstack(list(values))))
+
+
 def _fd_jacobian_rows(func: Callable, x: Array, step: float) -> Array:
     """Central-difference Jacobians (N, n, m) of a batched func at the rows
     of x (N, m); all 2m shifted copies of all N rows go through one call."""

@@ -161,7 +161,7 @@ def cmd_converge(args) -> int:
             return USAGE_ERROR
         label, kind, salt, measure = CONVERGE_IDS[args.identity]
         levels = [int(t) for t in args.levels.split(",") if t]
-        if not levels or min(levels) <= 0:
+        if not levels or any(n <= 0 for n in levels):
             raise ValueError(f"--levels needs positive node counts, got {args.levels!r}")
         configs = [_level_config(kind, n, args.seed) for n in levels]
         grids = [c.domains()[kind] for c in configs]

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import VectorField
+from .charts import VectorField, worst
 from .forms import DegreeError, Form, broadcast_rows
 
 Array = np.ndarray
@@ -210,10 +210,9 @@ class SourceDomain:
         c = np.asarray(values).reshape(self.shape + (-1,))
         c = np.abs(np.fft.fftn(c, axes=tuple(range(self.dim))))
         scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
-        # dividing by the positive scale keeps the order, so the running
-        # maximum of each Nyquist plane's ratio is the ratio of the band
-        return max(float((c[(slice(None),) * a + (n // 2,)] / scale).max(initial=0.0))
-                   for a, n in enumerate(self.shape))
+        # the scale is positive, so the worst Nyquist-plane ratio is the band's
+        return worst((c[(slice(None),) * a + (n // 2,)] / scale).max(initial=0.0)
+                     for a, n in enumerate(self.shape))
 
 
 def torus(shape) -> SourceDomain:
@@ -424,19 +423,20 @@ def right_inverse_b(dom: SourceDomain, beta) -> ScalarField:
     domain, via the spectral Poisson solve Δα = div(beta#):
     α̂ = -(i k · β̂) / |k|².
 
-    Raises NotExactError when a curl ∂_i β_j - ∂_j β_i (i < j) or a period
-    (the mean of a component) exceeds EXACTNESS_TOL; the zero-mean gauge is
-    the fixed choice of right inverse and is part of the reported
-    conventions, because momentum values depend on it.
+    Raises NotExactError unless every curl ∂_i β_j - ∂_j β_i (i < j) and
+    period (mean of a component) is within EXACTNESS_TOL, which NaN is not;
+    the zero-mean gauge is the fixed choice of right inverse and is part of
+    the reported conventions, because momentum values depend on it.
     """
     if dom.periods is None:
         raise ValueError(f"right_inverse_b needs a periodic domain, not {dom.kind}")
     comps = sample_one_form(dom, beta)
-    curl = max((float(np.max(np.abs(dom.differentiate(comps[:, j], axis=i)
-                                     - dom.differentiate(comps[:, i], axis=j))))
-                for i in range(dom.dim) for j in range(i + 1, dom.dim)), default=0.0)
-    periods = max(abs(float(np.mean(comps[:, a]))) for a in range(dom.dim))
-    if curl > EXACTNESS_TOL or periods > EXACTNESS_TOL:
+    # the circle has no curl pair, so its curl is the leading 0.0
+    curl = worst([0.0, *(np.abs(dom.differentiate(comps[:, j], axis=i)
+                                - dom.differentiate(comps[:, i], axis=j))
+                         for i in range(dom.dim) for j in range(i + 1, dom.dim))])
+    periods = worst(abs(np.mean(comps[:, a])) for a in range(dom.dim))
+    if not (curl <= EXACTNESS_TOL and periods <= EXACTNESS_TOL):
         raise NotExactError(
             f"1-form is not exact: curl residual {curl:.3e}, period residual "
             f"{periods:.3e} (tol {EXACTNESS_TOL:.1e})")
@@ -474,7 +474,7 @@ def exact_divfree_field(dom: SourceDomain, alpha) -> Array:
 
 def warn_if_rough(dom: SourceDomain, values: Array) -> float:
     defect = dom.smoothness_defect(values)
-    if defect > ROUGHNESS_THRESHOLD:
+    if not defect <= ROUGHNESS_THRESHOLD:
         warnings.warn(
             f"sampled data keeps {defect:.2e} relative energy at the Nyquist "
             f"band; the grid may be too coarse", SmoothnessWarning)

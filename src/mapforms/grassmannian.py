@@ -62,13 +62,13 @@ def embed(rep: MapPoint) -> EmbeddedSubmanifold:
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     dist[np.arange(n), np.arange(n)] = np.inf
     dmin = float(dist.min())
-    if dmin <= MIN_NODE_DISTANCE:
+    if not dmin > MIN_NODE_DISTANCE:
         raise EmbeddingError(
             f"nodes collide: min pairwise distance {dmin:.3e} <= "
             f"{MIN_NODE_DISTANCE:.1e}")
     Tf = rep.jacobian()
     smin = float(np.linalg.svd(Tf, compute_uv=False)[:, -1].min())
-    if smin <= MIN_SINGULAR_VALUE:
+    if not smin > MIN_SINGULAR_VALUE:
         raise EmbeddingError(
             f"tangent map near rank-deficient: min singular value {smin:.3e} "
             f"<= {MIN_SINGULAR_VALUE:.1e}")

@@ -38,7 +38,7 @@ import numpy as np
 
 from .catalog import random_map, random_stream, random_tangent, rigid_shift_2d
 from .charts import (DEFAULT_FD_STEP, ChartMap, VectorField, affine_field,
-                     affine_map, constant_field)
+                     affine_map, constant_field, worst)
 from .domains import (ScalarField, SourceDomain, exact_divfree_field,
                       projection_P, right_inverse_b)
 from .forms import (DegreeError, Form, ScalarFunc, broadcast_rows,
@@ -48,7 +48,6 @@ from .mapspace import (MapPoint, MapSpaceForm, MapStack, MapTangent,
                        action_pullback_M, bar_map, bar_map_direct,
                        boundary_pullback, generator_M, generator_S, hat_pairing,
                        hat_map, map_space_d, pullback_action, pushforward_action)
-from .report import worst
 
 # Gauss-Legendre points of the line integral in hamiltonian_of
 HAMILTONIAN_QUAD_POINTS = 24
@@ -98,7 +97,7 @@ class HamiltonianSystem:
     def validate(self, rng: np.random.Generator) -> None:
         """Raise unless i_{X_h} omega = dh holds over the catalog and the
         coefficient matrix is nondegenerate."""
-        if abs(np.linalg.det(self.omega_matrix)) < 1e-12:
+        if not abs(np.linalg.det(self.omega_matrix)) >= 1e-12:
             raise ValueError("symplectic coefficient matrix is singular")
         residuals = [abs(p.h(self.base_point)) for p in self.catalog]
         for p in self.catalog:
@@ -325,7 +324,7 @@ def momentum_diffham(sys: HamiltonianSystem, dom: SourceDomain,
                      pair: HamiltonianPair) -> MapSpaceForm:
     """The 0-form <J, X_h>: f -> ∫_S (h∘f) μ with normalized μ and
     h(base point) = 0."""
-    if abs(pair.h(sys.base_point)) > 1e-10:
+    if not abs(pair.h(sys.base_point)) <= 1e-10:
         raise ValueError(f"hamiltonian {pair.name!r} not normalized at the base point")
     return _averaged(pair.h, sys.dim, dom)
 

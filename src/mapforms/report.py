@@ -101,11 +101,6 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def worst(values) -> float:
-    """The worst of a record's cases (numbers or arrays): their maximum, NaN if any is NaN."""
-    return float(np.max(np.hstack(list(values))))
-
-
 def fit_order(steps, residuals):
     """Least-squares slope of log(residual) vs log(step).
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import catalog as cat
 from . import grassmannian as gr
 from . import mechanics as me
-from .charts import DEFAULT_FD_STEP, affine_map, constant_field, rotation3
+from .charts import DEFAULT_FD_STEP, affine_map, constant_field, rotation3, worst
 from .domains import (ScalarField, circle, interval, make_domain,
                       nodal_vector_field, torus2)
 from .forms import (broadcast_rows, exterior_derivative, fiber_integrate,
@@ -35,7 +35,7 @@ from .mapspace import (MapPoint, MapStack, MapTangent, action_pullback_M,
                        map_space_d, map_space_interior, map_space_lie,
                        map_space_lie_flow, mapspace_scale, mapspace_sum,
                        pushforward_tangent)
-from .report import CONVENTIONS, TestRecord, fit_order, worst
+from .report import CONVENTIONS, TestRecord, fit_order
 
 IDENTITY_TOL = 1e-6
 ORDER_TARGET = 1.9

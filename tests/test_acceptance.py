@@ -1,15 +1,20 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion, each printing a pass/fail line,
+and a NaN mutant that criterion 1 must refuse.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 summary lines.
 """
 
 import functools
+import math
+import sys
 import time
 
 import numpy as np
+import pytest
 
 from mapforms import catalog as cat
+from mapforms.charts import worst
 from mapforms.cli import main
 from mapforms.domains import projection_P, right_inverse_b, torus2
 from mapforms.suites import (ORDER_TARGET, SuiteConfig, run_boundary, run_branes,
@@ -40,14 +45,25 @@ def _suite_detail(records):
 
 def test_criterion_01_two_route_agreement():
     t0 = time.monotonic()
-    worst = {}
+    rel = {}
     for kind in ("circle", "torus2", "interval"):
-        worst[kind], dom = two_route_sweep(kind, 100, CONFIG)
+        rel[kind], dom = two_route_sweep(kind, 100, CONFIG)
         assert dom.n_nodes <= 256
     elapsed = time.monotonic() - t0
-    ok = max(worst.values()) < 1e-6 and elapsed < 60.0
+    top = worst(rel.values())
+    ok = top < 1e-6 and elapsed < 60.0
     _criterion(1, "two-route pairing agreement, 100 cases per source",
-               ok, f"worst rel {max(worst.values()):.2e}, {elapsed:.1f}s")
+               ok, f"worst rel {top:.2e}, {elapsed:.1f}s")
+
+
+def test_a_nan_torus2_case_fails_criterion_01(monkeypatch, capsys):
+    def sweep(kind, cases, config):
+        return (math.nan if kind == "torus2" else 1e-9), torus2(16)
+
+    monkeypatch.setattr(sys.modules[__name__], "two_route_sweep", sweep)
+    with pytest.raises(AssertionError, match="criterion 1 failed: worst rel nan"):
+        test_criterion_01_two_route_agreement()
+    assert capsys.readouterr().out.startswith("ACCEPTANCE 1: FAIL")
 
 
 def test_criterion_02_hat_calculus_suite():
@@ -100,16 +116,16 @@ def test_criterion_07_momentum_and_cocycles():
 def test_criterion_08_right_inverse_round_trip():
     dom = torus2(CONFIG.torus_side)
     rng = np.random.default_rng([CONFIG.seed, 202])
-    worst_rt, worst_P = 0.0, 0.0
+    round_trips, idempotency = [], []
     for _ in range(50):
         a0 = cat.random_stream(dom, rng, max_mode=3)
         beta = a0.d_components()
         alpha = right_inverse_b(dom, beta)
-        worst_rt = max(worst_rt, float(np.max(np.abs(
-            alpha.d_components() - beta))))
+        round_trips.append(np.abs(alpha.d_components() - beta))
         P1 = projection_P(dom, a0.values + 1.7)
         P2 = projection_P(dom, P1)
-        worst_P = max(worst_P, float(np.max(np.abs(P2.values - P1.values))))
+        idempotency.append(np.abs(P2.values - P1.values))
+    worst_rt, worst_P = worst(round_trips), worst(idempotency)
     ok = worst_rt < 1e-10 and worst_P < 1e-12
     _criterion(8, "spectral right-inverse round trip and idempotent projection",
                ok, f"round trip {worst_rt:.2e}, idempotency {worst_P:.2e}")

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from mapforms import catalog as cat
+from mapforms.charts import worst
 from mapforms.domains import (NotExactError, ScalarField, SmoothnessWarning,
                               circle, exact_divfree_field, interval,
                               make_domain, nodal_vector_field, projection_P,
                               right_inverse_b, torus2, warn_if_rough)
 from mapforms.forms import coefficient_form, scalar_const, trig_scalar
+from mapforms.mapspace import map_from_function
 
 
 def test_weight_sums_match_volumes():
@@ -134,15 +136,14 @@ def test_right_inverse_zero_and_round_trip():
     zero = right_inverse_b(dom, np.zeros((dom.n_nodes, 2)))
     assert np.max(np.abs(zero.values)) == 0.0
     rng = np.random.default_rng(12)
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         a0 = cat.random_stream(dom, rng, max_mode=3)
         beta = a0.d_components()
         alpha = right_inverse_b(dom, beta)
-        worst = max(worst,
-                    float(np.max(np.abs(alpha.d_components() - beta))),
-                    float(np.max(np.abs(alpha.values - a0.values))))
-    assert worst < 1e-10
+        gaps += [np.max(np.abs(alpha.d_components() - beta)),
+                 np.max(np.abs(alpha.values - a0.values))]
+    assert worst(gaps) < 1e-10
 
 
 def test_right_inverse_rejects_closed_nonexact_and_nonclosed():
@@ -154,6 +155,16 @@ def test_right_inverse_rejects_closed_nonexact_and_nonclosed():
         # sin(y) dx is not closed
         right_inverse_b(dom, coefficient_form(2, 1, {(0,): trig_scalar(
             2, [[0.0, 1.0]], [1.0], [0.0])}))
+
+
+@pytest.mark.parametrize("kind, nodes", [("circle", 16), ("torus2", 256)])
+def test_right_inverse_rejects_a_nan_node(kind, nodes):
+    # d of sum_a sin(x_a), exact but for one NaN node
+    dom = make_domain(kind, nodes)
+    beta = np.cos(dom.nodes)
+    beta[5, -1] = np.nan
+    with pytest.raises(NotExactError, match="nan"):
+        right_inverse_b(dom, beta)
 
 
 def test_projection_examples():
@@ -169,15 +180,15 @@ def test_projection_examples():
 def test_projection_idempotent():
     dom = torus2(24)
     rng = np.random.default_rng(13)
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         field = ScalarField(dom, rng.standard_normal(dom.n_nodes))
         # smooth the white noise below the Nyquist band
         field = projection_P(dom, field).values + cat.random_stream(dom, rng, max_mode=3).values
         P1 = projection_P(dom, field)
         P2 = projection_P(dom, P1)
-        worst = max(worst, float(np.max(np.abs(P2.values - P1.values))))
-    assert worst < 1e-12
+        gaps.append(np.abs(P2.values - P1.values))
+    assert worst(gaps) < 1e-12
 
 
 def test_exact_divfree_field_examples():
@@ -215,3 +226,12 @@ def test_smoothness_warning_fires_on_rough_data():
         warn_if_rough(dom, rough)
     smooth = np.sin(dom.nodes[:, :1])
     assert warn_if_rough(dom, smooth) < 1e-12
+
+
+def test_a_nan_sample_warns_and_the_map_point_still_refuses_it():
+    dom = circle(16)
+    vals = np.sin(dom.nodes)
+    vals[3] = np.nan
+    with pytest.warns(SmoothnessWarning, match="nan"), \
+            pytest.raises(ValueError, match="not finite at node 3"):
+        map_from_function(dom, lambda s: vals, 1)

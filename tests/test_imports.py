@@ -14,9 +14,15 @@ reference).
 
 A third scan finds the imports inside a function body of src/mapforms;
 there must be none, since no import cycle needs one.
+
+Last, `import mapforms` in a fresh interpreter loads the calculus modules
+only: not the report writer, the suites, the CLI, mechanics or the catalog.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -161,3 +167,14 @@ def test_function_level_scan_finds_nested_imports():
               "    return sys, g\n"
               "class C:\n    from . import y\n    def m(self):\n        from . import x\n")
     assert function_level_imports(source) == [3, 5, 10]
+
+
+def test_import_mapforms_loads_only_the_calculus_modules():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = ("import sys, mapforms\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mapforms'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["mapforms"] + [f"mapforms.{m}" for m in
+                                  ("charts", "domains", "forms", "grassmannian", "mapspace")]

@@ -14,7 +14,7 @@ import pytest
 from mapforms import catalog as cat
 from mapforms import mechanics as me
 from mapforms import suites as su
-from mapforms.charts import affine_map, constant_field
+from mapforms.charts import affine_map, constant_field, worst
 from mapforms.domains import _wavenumbers, circle, interval, torus2
 from mapforms.forms import (coefficient_form, exterior_derivative, scalar_coordinate,
                             strip_analytic, volume_form)
@@ -231,7 +231,7 @@ def test_smoothness_defect_is_the_worst_column(kind):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((dom.n_nodes, 3))
     vals[:, 1] = 0.0
-    assert dom.smoothness_defect(vals) == max(
+    assert dom.smoothness_defect(vals) == worst(
         dom.smoothness_defect(vals[:, [j]]) for j in range(3))
     assert dom.smoothness_defect(np.zeros((dom.n_nodes, 2))) == 0.0
 

@@ -12,10 +12,10 @@ import pytest
 
 from mapforms import mechanics as me
 from mapforms import suites
-from mapforms.charts import DEFAULT_FD_STEP, VectorField
+from mapforms.charts import DEFAULT_FD_STEP, VectorField, worst
 from mapforms.cli import main
 from mapforms.domains import circle
-from mapforms.report import TestRecord, fit_order, worst
+from mapforms.report import TestRecord, fit_order
 from mapforms.suites import (ORDER_STEPS, SUITES, SuiteConfig, _Records, run_cocycles,
                              run_hat_calculus, run_suite)
 
@@ -39,7 +39,7 @@ def test_ladder_draws_each_distinct_key_once(trial_keys, ladder_key, calls):
     (rec,) = records
     # the worst trial residual, and the order of |r(h) - r(2e-5)| = c (h^2 - 4e-10)
     cs = {key: np.random.default_rng([3, *key]).uniform(1.0, 2.0) for key in trial_keys}
-    assert rec.residual == max(1e-3 * c + c * DEFAULT_FD_STEP ** 2 for c in cs.values())
+    assert rec.residual == worst(1e-3 * c + c * DEFAULT_FD_STEP ** 2 for c in cs.values())
     assert rec.order == pytest.approx(2.0, abs=1e-3)
 
 
