@@ -215,44 +215,27 @@ def _rk4_flow(X: VectorField, t: float, steps: int) -> ChartMap:
 
     def jacobian(x):
         eye = np.broadcast_to(np.eye(X.dim), x.shape + (X.dim,))
-        return _rk4_steps(X, h, steps, None, x, eye)[1]
+        return _rk4_steps(X, h, steps, x, eye)[1]
 
-    return ChartMap(lambda x: _rk4_steps(X, h, steps, None, x)[0],
+    return ChartMap(lambda x: _rk4_steps(X, h, steps, x)[0],
                     X.dim, X.dim, jacobian_func=jacobian,
                     name=f"flow({X.name},{t:g})", batched=True)
 
 
-def _rk4_sign_pair(X: VectorField, t: float, x: Array) -> tuple:
-    """The one-step RK4 maps of X over +t and -t at the rows x (N, m), with
-    their tangent-linear Jacobians, as 2N rows (the +t rows first) from one
-    RK4 pass with the per-row step ±t.  The first stage, X and DX at x, is
-    the same for both signs, so it is evaluated once on the N rows."""
-    eye = np.broadcast_to(np.eye(X.dim), x.shape + (X.dim,))
-    # the rates at (x, I) are X(x) and DX(x) I = DX(x)
-    k1 = [np.concatenate([k, k]) for k in (X.rows(x), X.jacobian_rows(x))]
-    h = np.repeat([t, -t], len(x))[:, None]
-    return tuple(_rk4_steps(X, h, 1, k1, np.concatenate([x, x]), np.concatenate([eye, eye])))
-
-
-def _rk4_steps(X: VectorField, h, steps: int, k1, *state) -> list:
-    """RK4 steps of size h on state (x,) or (x, J), rows x (N, m) and J
-    (N, m, m): x' = X(x) and, when J is given, J' = DX(x) J.  The step h is
-    a scalar or a per-row column (N, 1).  k1 is the first stage of the first
-    step when the caller already has it, else None."""
+def _rk4_steps(X: VectorField, h, steps: int, *state) -> list:
+    """`steps` RK4 steps of size h on state (x,) or (x, J), rows x (N, m)
+    and J (N, m, m): x' = X(x) and, when J is given, J' = DX(x) J."""
 
     def rates(s):
         return [X.rows(s[0])] + [X.jacobian_rows(s[0]) @ J for J in s[1:]]
 
-    # h shaped to broadcast against each part of the state
-    hs = [np.reshape(h, np.shape(h) + (1,) * (s.ndim - 2)) for s in state]
     for _ in range(steps):
-        k1 = rates(state) if k1 is None else k1
-        k2 = rates([s + 0.5 * dt * k for s, dt, k in zip(state, hs, k1)])
-        k3 = rates([s + 0.5 * dt * k for s, dt, k in zip(state, hs, k2)])
-        k4 = rates([s + dt * k for s, dt, k in zip(state, hs, k3)])
-        state = [s + (dt / 6.0) * (a + 2 * b + 2 * c + d)
-                 for s, dt, a, b, c, d in zip(state, hs, k1, k2, k3, k4)]
-        k1 = None
+        k1 = rates(state)
+        k2 = rates([s + 0.5 * h * k for s, k in zip(state, k1)])
+        k3 = rates([s + 0.5 * h * k for s, k in zip(state, k2)])
+        k4 = rates([s + h * k for s, k in zip(state, k3)])
+        state = [s + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                 for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
     return state
 
 

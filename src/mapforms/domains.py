@@ -210,9 +210,10 @@ class SourceDomain:
         c = np.asarray(values).reshape(self.shape + (-1,))
         c = np.abs(np.fft.fftn(c, axes=tuple(range(self.dim))))
         scale = np.maximum(c.reshape(self.n_nodes, -1).max(axis=0), 1e-30)
-        # the scale is positive, so the worst Nyquist-plane ratio is the band's
-        return worst((c[(slice(None),) * a + (n // 2,)] / scale).max(initial=0.0)
-                     for a, n in enumerate(self.shape))
+        # every Nyquist plane in one reduction, which a NaN coefficient poisons
+        planes = np.concatenate([c[(slice(None),) * a + (n // 2,)].reshape(-1, c.shape[-1])
+                                 for a, n in enumerate(self.shape)])
+        return float((planes / scale).max(initial=0.0))
 
 
 def torus(shape) -> SourceDomain:

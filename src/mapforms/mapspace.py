@@ -456,7 +456,7 @@ def map_space_lie_flow(pulled_back) -> MapSpaceForm:
     X.flow(t, 1)) for the push-forward generator of X, one RK4 step per
     sign (an O(t^4) error, below the O(t^2) of the quotient), or lambda t:
     action_pullback_S(W, psi_t) for a reparameterization flow psi_t.  No
-    step uses the Cartan formula (the counterpart of lie_derivative_flow)."""
+    step uses the Cartan formula, as in lie_derivative_flow on a chart."""
     t = MAP_SPACE_FLOW_STEP
     fwd, bwd = pulled_back(t), pulled_back(-t)
 

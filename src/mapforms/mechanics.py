@@ -96,9 +96,11 @@ class HamiltonianSystem:
 
     def validate(self, rng: np.random.Generator) -> None:
         """Raise unless i_{X_h} omega = dh holds over the catalog and the
-        coefficient matrix is nondegenerate."""
-        if not abs(np.linalg.det(self.omega_matrix)) >= 1e-12:
-            raise ValueError("symplectic coefficient matrix is singular")
+        coefficient matrix is finite (checked before det, which would warn
+        on a NaN) and nondegenerate."""
+        M = self.omega_matrix
+        if not (np.isfinite(M).all() and abs(np.linalg.det(M)) >= 1e-12):
+            raise ValueError("symplectic coefficient matrix is singular or not finite")
         residuals = [abs(p.h(self.base_point)) for p in self.catalog]
         for p in self.catalog:
             # one (x, v) pair per sample, drawn x first

@@ -27,7 +27,7 @@ from mapforms.charts import (DEFAULT_FD_STEP, ChartMap, VectorField, _fd_jacobia
                              rotation3)
 from mapforms.domains import (circle, exact_divfree_field, interval,
                               nodal_vector_field, torus, torus2)
-from mapforms.forms import (LIE_FLOW_STEP, Form, coefficient_form, constant_form,
+from mapforms.forms import (Form, coefficient_form, constant_form,
                             coordinate_form, exterior_derivative, fiber_integrate, form_scale,
                             form_sum, integrate, interior,
                             lie_derivative, lie_derivative_flow,
@@ -72,7 +72,7 @@ def _forms():
                    jacobian_func=lambda u: np.array([
                        [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [u[1], u[0], 0.0],
                        [0.0, 0.0, np.cos(u[2])]]))
-    fd, flow = DEFAULT_FD_STEP, 1e-5
+    fd = DEFAULT_FD_STEP
     return {
         "zero": (zero_form(4, 2), 1.0),
         "constant": (constant_form(4, 0.3), 1.0),
@@ -92,7 +92,7 @@ def _forms():
         "pullback": (pullback(a2, phi), 1.0),
         "lie-0": (lie_derivative(cat.random_form(4, 0, rng), X), fd),
         "lie-2": (lie_derivative(a2, X), fd),
-        "lie-flow": (lie_derivative_flow(a1, constant_field([0.2, -0.1, 0.4, 0.3])), flow),
+        "lie-flow": (lie_derivative_flow(a1, constant_field([0.2, -0.1, 0.4, 0.3])), 1.0),
     }
 
 
@@ -518,7 +518,7 @@ def test_pullback_by_rk4_flow_calls_forward_and_jacobian_once():
     X, t, steps = _trig_field(3, rng), 0.4, 6
     x, (v, w, *_) = points(3, seed=38)
     eye = np.broadcast_to(np.eye(3), x.shape + (3,))
-    value, jac = _rk4_steps(X, t / steps, steps, None, x, eye)
+    value, jac = _rk4_steps(X, t / steps, steps, x, eye)
 
     flow, calls = X.flow(t, steps), {"forward": [], "jacobian": []}
 
@@ -552,10 +552,11 @@ def test_lie_derivative_flow_matches_closed_form():
     want = (np.einsum("njk,nk,nj->n", grads, Xv, v)
             + np.einsum("nj,njk,nk->n", vals, DX, v))
     got = lie_derivative_flow(a, X).evaluator(x, [v])
-    assert np.max(np.abs(got - want)) < 1e-9
+    # the complex step subtracts nothing: the route is exact to roundoff
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_lie_derivative_flow_takes_one_rk4_step_per_sign():
+def test_lie_derivative_flow_calls_field_and_jacobian_once():
     rng = np.random.default_rng(38)
     X = _trig_field(3, rng)
     calls = {"func": 0, "jacobian": 0}
@@ -571,29 +572,46 @@ def test_lie_derivative_flow_takes_one_rk4_step_per_sign():
     a = cat.random_form(3, 1, rng)
     x, (v, *_) = points(3, seed=39)
     lie_derivative_flow(a, Xc)(x[0], v[0])
-    # both signs in one pass of 4 RK4 stages: the first stage at the one
-    # point is shared, the other three see the point once per sign
-    assert calls == {"func": 7, "jacobian": 7}
-    # a batched field gets one call per stage for all rows and both signs
+    # X and DX at the one real point; the complex step needs no further stage
+    assert calls == {"func": 1, "jacobian": 1}
+    # a batched field gets one call each for all rows
     calls.update(func=0, jacobian=0)
     rows = lambda key, func: counted(key, lambda p: np.array([func(q) for q in p]))  # noqa: E731
     Xb = VectorField(rows("func", X.func), 3, jacobian_func=rows("jacobian", X.jacobian_func),
                      name="counted-batched", batched=True)
     got = lie_derivative_flow(a, Xb).evaluator(x, [v])
-    assert calls == {"func": 4, "jacobian": 4}
+    assert calls == {"func": 1, "jacobian": 1}
     assert np.array_equal(got, lie_derivative_flow(a, X).evaluator(x, [v]))
 
 
 def test_lie_derivative_flow_matches_a_64_step_route():
+    # the real route: central difference of 64-step RK4 pull-backs at +-t
     rng = np.random.default_rng(40)
     a = cat.random_form(3, 2, rng)
     X = _trig_field(3, rng)
-    t = LIE_FLOW_STEP
+    t = 1e-5
     fwd, bwd = pullback(a, X.flow(t, 64)), pullback(a, X.flow(-t, 64))
     x, (v, w, *_) = points(3, seed=41)
     want = (fwd.evaluator(x, [v, w]) - bwd.evaluator(x, [v, w])) / (2.0 * t)
     got = lie_derivative_flow(a, X).evaluator(x, [v, w])
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_lie_derivative_flow_of_a_constant_is_zero():
+    X = _trig_field(3, np.random.default_rng(43))
+    x, _ = points(3, seed=44)
+    got = lie_derivative_flow(constant_form(3, 0.7), X).evaluator(x, [])
+    assert np.array_equal(got, np.zeros(N))
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_lie_derivative_flow_of_a_coordinate_is_the_field_component(j):
+    X = _trig_field(3, np.random.default_rng(45))
+    x, _ = points(3, seed=46)
+    xj = coefficient_form(3, 0, {(): scalar_coordinate(j, 3)}, name=f"x{j}")
+    got = lie_derivative_flow(xj, X).evaluator(x, [])
+    # Im(x_j + ih X_j) / h: one rounding in the product by h, one in the quotient
+    assert np.max(np.abs(got - X.rows(x)[:, j])) <= 4e-16 * np.max(np.abs(X.rows(x)[:, j]))
 
 
 @pytest.mark.parametrize("steps", [0, -3, 2.5, True, "4"])

@@ -4,8 +4,9 @@ coefficient_form stacks the modes and phases of every coefficient that
 trig_scalar built, so one sine gives all their values and one cosine all
 their gradients.  The per-coefficient loop the table replaced is kept here
 as the reference, and the table must match it bit for bit.  The flow route
-of the Lie derivative takes both signs in one RK4 pass; the two pull-backs
-it replaced are the reference there.
+of the Lie derivative is one complex step in time; the pull-backs by the
+one-step and the 64-step RK4 flows at the same imaginary time are the
+reference there.
 """
 
 from itertools import combinations
@@ -132,10 +133,11 @@ def test_stacked_flow_route_matches_two_pullbacks(degree, batched):
     rng = np.random.default_rng([degree, batched])
     a = cat.random_form(3, degree, rng)
     X = _trig_field(3, rng, batched)
-    t = LIE_FLOW_STEP
+    h = LIE_FLOW_STEP
     x = rng.uniform(-1.0, 1.0, (7, 3))
     vs = [rng.uniform(-1.0, 1.0, (7, 3)) for _ in range(degree)]
-    want = (pullback(a, X.flow(t, 1)).evaluator(x, vs)
-            - pullback(a, X.flow(-t, 1)).evaluator(x, vs)) / (2.0 * t)
     got = lie_derivative_flow(a, X).evaluator(x, vs)
-    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    # at t = ih the RK4 stages past the first add O(h^2) relative terms
+    for steps in (1, 64):
+        want = pullback(a, X.flow(1j * h, steps)).evaluator(x, vs).imag / h
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
